@@ -6,6 +6,8 @@ reference here is the pre-vectorization per-point loop, so the two benchmark
 groups printed side by side are the speedup.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,92 @@ def test_bench_clearances_scalar_loop(benchmark, field, points):
 @pytest.mark.benchmark(group="clearance-512pts")
 def test_bench_clearances_batched(benchmark, field, points):
     result = benchmark(field.clearances, points)
-    assert np.allclose(result, _scalar_clearances(field, points))
+    assert np.array_equal(result, _scalar_clearances(field, points))
+
+
+# ---------------------------------------------------------------------- wall-heavy clearance
+# Rollouts in wall-heavy worlds spend most of their time in clearance queries
+# of a few dozen rows (median 32 rows per call) against a few hundred circles;
+# the default rooms preset has 219.  At that shape the cost is the per-pair
+# arithmetic, not the number of pairs: the stacked reference below builds,
+# squares and reduces a (P, N, 2) delta tensor, while ``clearances`` computes
+# the same bits from split x and y arrays with in-place operations.
+
+WALL_HEAVY_ROWS = 32
+WALL_HEAVY_BATCHES = 64
+
+
+def _stacked_clearances(field: ObstacleField, points: np.ndarray) -> np.ndarray:
+    """The former ``ObstacleField.clearances``: a chunked (P, N, 2) broadcast."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    width, height = field.world_size
+    xs, ys = points[:, 0], points[:, 1]
+    wall_distance = np.minimum(np.minimum(xs, width - xs), np.minimum(ys, height - ys))
+    if field.num_obstacles == 0:
+        return wall_distance
+    chunk = max(1, (1 << 20) // field.num_obstacles)
+    nearest = np.empty(points.shape[0], dtype=np.float64)
+    for lo in range(0, points.shape[0], chunk):
+        deltas = points[lo : lo + chunk, None, :] - field.centers[None, :, :]
+        distances = np.sqrt(np.sum(deltas**2, axis=2)) - field.radii[None, :]
+        nearest[lo : lo + chunk] = distances.min(axis=1)
+    return np.minimum(wall_distance, nearest)
+
+
+@pytest.fixture(scope="module")
+def rooms_batches():
+    field = generate_world(WorldSpec("rooms", seed=0)).field
+    rng = np.random.default_rng(0)
+    width, height = field.world_size
+    batches = [
+        rng.uniform(0.0, [width, height], size=(WALL_HEAVY_ROWS, 2))
+        for _ in range(WALL_HEAVY_BATCHES)
+    ]
+    return field, batches
+
+
+def _query_batches(clearances, field, batches):
+    return [clearances(field, batch) for batch in batches]
+
+
+def _seconds_to_query(clearances, field, batches) -> float:
+    start = time.perf_counter()
+    _query_batches(clearances, field, batches)
+    return time.perf_counter() - start
+
+
+@pytest.mark.benchmark(group="clearance-wall-heavy")
+def test_bench_clearances_wall_heavy_stacked(benchmark, rooms_batches):
+    field, batches = rooms_batches
+    result = benchmark(_query_batches, _stacked_clearances, field, batches)
+    assert len(result) == WALL_HEAVY_BATCHES
+
+
+@pytest.mark.benchmark(group="clearance-wall-heavy")
+def test_bench_clearances_wall_heavy_kernel(benchmark, rooms_batches):
+    field, batches = rooms_batches
+    result = benchmark(_query_batches, ObstacleField.clearances, field, batches)
+    for got, batch in zip(result, batches):
+        assert np.array_equal(got, _stacked_clearances(field, batch))
+
+
+def test_clearance_kernel_speedup_wall_heavy(rooms_batches):
+    """Acceptance gate: >= 3x over the stacked formula on 32-row rooms queries."""
+    field, batches = rooms_batches
+    assert field.num_obstacles == 219
+    stacked_s = kernel_s = float("inf")
+    for _ in range(5):
+        # Alternate the two so that a slow spell of the host hits both alike.
+        stacked_s = min(stacked_s, _seconds_to_query(_stacked_clearances, field, batches))
+        kernel_s = min(kernel_s, _seconds_to_query(ObstacleField.clearances, field, batches))
+    speedup = stacked_s / kernel_s
+    calls = WALL_HEAVY_BATCHES
+    print(
+        f"\n[rooms, {field.num_obstacles} circles, {WALL_HEAVY_ROWS} rows/call] "
+        f"stacked {stacked_s / calls * 1e6:.0f} us/call, "
+        f"kernel {kernel_s / calls * 1e6:.0f} us/call, speedup {speedup:.1f}x"
+    )
+    assert speedup >= 3.0
 
 
 def _scalar_sense(sensor: RaySensor, field: ObstacleField, position: np.ndarray) -> np.ndarray:

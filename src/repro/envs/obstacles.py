@@ -34,6 +34,38 @@ def planar_distances(deltas: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(deltas * deltas, axis=-1))
 
 
+def circle_distances(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    centers_x: np.ndarray,
+    centers_y: np.ndarray,
+    radii: np.ndarray,
+) -> np.ndarray:
+    """Signed distance ``sqrt(dx*dx + dy*dy) - r`` from points to circle surfaces.
+
+    The one point-to-circle kernel behind every obstacle query.  Arguments
+    broadcast like numpy operands: ``xs[:, None]`` against ``(N,)`` circle
+    arrays gives the ``(P, N)`` static distance matrix, ``xs`` against
+    ``(M, P)`` per-point mover centres the ``(M, P)`` one.  ``xs - centers_x``
+    must already have the full result shape, because everything after the
+    two subtractions runs in place on it.
+
+    Coordinates arrive split into x and y arrays, so no ``(..., 2)`` delta
+    tensor is built, squared and reduced over its length-2 axis.  That
+    reduction is exactly ``dx*dx + dy*dy``, so the result is bitwise-equal
+    to ``np.sqrt(np.sum(deltas**2, axis=-1)) - r`` at a fraction of its
+    cost and memory.
+    """
+    distances = np.subtract(xs, centers_x)
+    dy = np.subtract(ys, centers_y)
+    np.multiply(distances, distances, out=distances)
+    np.multiply(dy, dy, out=dy)
+    distances += dy
+    np.sqrt(distances, out=distances)
+    distances -= radii
+    return distances
+
+
 class ObstacleDensity(str, enum.Enum):
     """The three environment difficulty levels of Fig. 5."""
 
@@ -80,9 +112,11 @@ class ObstacleField:
     def clearances(self, points: np.ndarray) -> np.ndarray:
         """Distance from each of ``points`` (N, 2) to the nearest obstacle or wall.
 
-        The batched form of :meth:`clearance`: one vectorized point-vs-obstacle
-        distance matrix instead of N python-level scans.  This is the hot path
-        under ray casting and the occupancy-grid solvability check.
+        The batched form of :meth:`clearance` and the hot path under ray
+        casting, collision checks and the occupancy-grid solvability check.
+        Every (point, circle) pair goes through :func:`circle_distances`,
+        then a min over circles and walls.  Points outside the world get a
+        negative clearance.
         """
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         width, height = self.world_size
@@ -94,11 +128,14 @@ class ObstacleField:
         # (thousands of circles) times large ray batches stay within a few MB.
         max_cells = 1 << 20
         chunk = max(1, max_cells // self.num_obstacles)
+        centers_x, centers_y = self.centers.T
         nearest = np.empty(points.shape[0], dtype=np.float64)
         for lo in range(0, points.shape[0], chunk):
-            deltas = points[lo : lo + chunk, None, :] - self.centers[None, :, :]
-            distances = np.sqrt(np.sum(deltas**2, axis=2)) - self.radii[None, :]
-            nearest[lo : lo + chunk] = distances.min(axis=1)
+            rows = slice(lo, lo + chunk)
+            distances = circle_distances(
+                xs[rows, None], ys[rows, None], centers_x, centers_y, self.radii
+            )
+            nearest[rows] = distances.min(axis=1)
         return np.minimum(wall_distance, nearest)
 
     def clearance(self, position: np.ndarray) -> float:

@@ -8,13 +8,17 @@ cache without any explicit flush; re-running a sweep on unchanged code is a
 pure cache hit.
 
 Writes go through a temp file + ``os.replace`` so a crash mid-write can never
-leave a truncated entry that later reads as a corrupt hit.
+leave a truncated entry that later reads as a corrupt hit.  Each writer
+(process and thread) has its own temp name, so concurrent writers of one entry
+never rename each other's temp file away; the last rename wins with a
+complete record.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any, Optional, Set
 
@@ -89,7 +93,7 @@ class ResultCache:
             "version": self.version,
             "result": result,
         }
-        temp = path.with_name(path.name + ".tmp")
+        temp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         save_json(temp, record)
         os.replace(temp, path)
         return path

@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.envs.obstacles import ObstacleField
+from repro.envs.obstacles import ObstacleField, circle_distances
 from repro.errors import ConfigurationError
 
 
@@ -94,9 +94,15 @@ class MovingObstacle:
 class DynamicObstacleField(ObstacleField):
     """A static obstacle field plus moving obstacles, queryable at any time.
 
-    The inherited static queries see only the static circles; callers that
-    care about the movers freeze the field with :meth:`at_time` (sensing, per
-    step collision checks) or use :meth:`segment_collides_timed` for motion.
+    The timed queries (:meth:`clearances_timed`, :meth:`collides_many_timed`,
+    :meth:`ray_distances_many_timed`, :meth:`segments_collide_timed`) take a
+    time per row and place every mover at that row's own time, so one batch
+    can mix desynchronised lanes or vehicles.  Each row's answer is bitwise
+    the one the plain static query gives on the :meth:`at_time` snapshot at
+    that time (for a segment, at each sample's interpolated time); the
+    snapshot path is kept as their reference.  The inherited static queries
+    (``clearances``, ``ray_distances_many``, ...) see only the static
+    circles.
     """
 
     movers: Tuple[MovingObstacle, ...] = ()
@@ -117,17 +123,23 @@ class DynamicObstacleField(ObstacleField):
         """Distance from each point to the nearest mover surface at its own time.
 
         ``points`` is ``(P, 2)`` and ``times_s`` ``(P,)`` — point ``i`` sees
-        every mover placed at ``times_s[i]``.  The per-element arithmetic
-        (``sqrt(dx² + dy²) - radius``, min over movers) is exactly the slice
-        of the static :meth:`~repro.envs.obstacles.ObstacleField.clearances`
-        distance matrix the movers occupy in an :meth:`at_time` snapshot, so
-        combining this with the static clearance via ``np.minimum``
-        reproduces the snapshot's clearance bitwise.
+        every mover placed at ``times_s[i]``.  The distances come from the
+        same :func:`~repro.envs.obstacles.circle_distances` kernel as the
+        static :meth:`~repro.envs.obstacles.ObstacleField.clearances`, so
+        they are exactly the slice of the distance matrix the movers occupy
+        in an :meth:`at_time` snapshot, and combining this with the static
+        clearance via ``np.minimum`` reproduces the snapshot's clearance
+        bitwise.
         """
         # (M, P, 2) mover centres at every point's instant.
         centers = np.stack([mover.positions_at(times_s) for mover in self.movers])
-        deltas = points[None, :, :] - centers
-        distances = np.sqrt(np.sum(deltas**2, axis=2)) - self._mover_radii[:, None]
+        distances = circle_distances(
+            points[:, 0],
+            points[:, 1],
+            centers[:, :, 0],
+            centers[:, :, 1],
+            self._mover_radii[:, None],
+        )
         return distances.min(axis=0)
 
     def clearances_timed(self, points: np.ndarray, times_s: np.ndarray) -> np.ndarray:
@@ -251,14 +263,20 @@ class DynamicObstacleField(ObstacleField):
         loop building a merged snapshot per instant), every (segment, sample)
         pair is evaluated at once: the static circles and walls through one
         :meth:`~repro.envs.obstacles.ObstacleField._collide_mask` query, and
-        all movers x samples through one broadcast segment-distance
-        computation over the vectorized mover trajectories.
+        all movers x samples through one :meth:`_mover_clearances` query at
+        the samples' interpolated times.  ``start_times_s`` and
+        ``end_times_s`` must each hold one time per segment.
         """
         starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
         ends = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
         start_times = np.asarray(start_times_s, dtype=np.float64).reshape(-1)
         end_times = np.asarray(end_times_s, dtype=np.float64).reshape(-1)
         count = starts.shape[0]
+        if start_times.size != count or end_times.size != count:
+            raise ConfigurationError(
+                f"got {start_times.size} start times and {end_times.size} end times "
+                f"for {count} segments"
+            )
         fractions = np.linspace(0.0, 1.0, max(2, samples))
         points = starts[:, None, :] + fractions[None, :, None] * (ends - starts)[:, None, :]
         flat_points = points.reshape(-1, 2)
@@ -268,12 +286,7 @@ class DynamicObstacleField(ObstacleField):
             times = (
                 start_times[:, None] + fractions[None, :] * (end_times - start_times)[:, None]
             ).reshape(-1)
-            # (M, N*S, 2) mover centres at every sample instant.
-            centers = np.stack([mover.positions_at(times) for mover in self.movers])
-            radii = np.array([mover.radius for mover in self.movers], dtype=np.float64)
-            deltas = flat_points[None, :, :] - centers
-            distances = np.sqrt(np.sum(deltas**2, axis=2)) - radii[:, None]
-            hit |= (distances < vehicle_radius).any(axis=0)
+            hit |= self._mover_clearances(flat_points, times) < vehicle_radius
         return hit.reshape(count, fractions.size).any(axis=1)
 
     def segment_collides_timed(

@@ -1,6 +1,8 @@
 """Tests for the sweep engine: executors, cache hit/miss, journal resume, CLI."""
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -81,6 +83,35 @@ class TestCache:
         assert cache.get(spec) == {"value": 6}
         assert spec in cache
         assert len(cache) == 1
+
+    def test_concurrent_puts_of_one_entry_both_succeed(self, tmp_path, monkeypatch):
+        """A second writer lands between the first's temp write and its rename."""
+        cache = ResultCache(root=tmp_path)
+        spec = JobSpec(kind="test.double", params={"value": 3})
+        real_replace = os.replace
+        interleaved = []
+        second_paths = []
+
+        def replace_after_second_put(source, target):
+            if not interleaved:
+                interleaved.append(True)
+                with ThreadPoolExecutor(max_workers=1) as second_writer:
+                    second = second_writer.submit(cache.put, spec, {"value": "second"})
+                    second_paths.append(second.result(timeout=10))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_after_second_put)
+        path = cache.put(spec, {"value": "first"})
+        assert second_paths == [path]
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert record == {
+            "job_id": spec.job_id,
+            "kind": spec.kind,
+            "params": spec.params,
+            "version": cache.version,
+            "result": {"value": "first"},
+        }
+        assert sorted(entry.name for entry in path.parent.iterdir()) == [path.name]
 
     def test_keyed_by_code_version(self, tmp_path):
         spec = JobSpec(kind="test.double", params={"value": 3})

@@ -146,3 +146,17 @@ def test_timed_rays_validate_time_vector_length():
         )
     with pytest.raises(ConfigurationError):
         field.collides_many_timed(np.zeros((3, 2)), np.zeros(2))
+    no_movers = DynamicObstacleField(
+        world_size=(10.0, 10.0), centers=np.zeros((0, 2)), radii=np.zeros(0)
+    )
+    starts = np.full((3, 2), 5.0)
+    bad_times = (
+        (np.zeros(3), np.ones(1)),  # a length-1 vector must not broadcast
+        (np.zeros(3), np.ones(2)),
+        (np.zeros(5), np.ones(3)),
+        (np.zeros(1), np.ones(1)),
+    )
+    for queried in (field, no_movers):
+        for start_times, end_times in bad_times:
+            with pytest.raises(ConfigurationError):
+                queried.segments_collide_timed(starts, starts + 0.5, start_times, end_times)
