@@ -6,12 +6,13 @@ path integrals, done flags) as stacked arrays and advances every running lane
 in one :meth:`step` call: action decoding is a table lookup over the action
 vector, the kinematics update is elementwise array math, motion segments of
 all lanes sharing a field are collision-checked through one
-:meth:`~repro.envs.obstacles.ObstacleField.segments_collide` /
-:meth:`~repro.worlds.dynamic.DynamicObstacleField.segments_collide_timed`
-query, and observation construction goes through the batched
+:meth:`~repro.envs.obstacles.ObstacleField.segments_collide_timed` query,
+and observation construction goes through the batched
 :meth:`~repro.envs.sensors.RaySensor.sense_many` /
 :meth:`~repro.envs.sensors.OccupancyImager.render_many` front-ends — one
-array op per step instead of B.
+array op per step instead of B.  Every query carries the lanes' episode
+clocks as row times; the field decides whether time matters (a static field
+ignores them, a dynamic one places its movers at each lane's own time).
 
 **Determinism contract.**  Each lane owns its own RNG stream, field and world
 geometry, reset from a per-episode seed exactly the way
@@ -279,13 +280,7 @@ class BatchedNavigationEnv:
         positions = self._starts[lanes].copy()
         if noise <= 0.0:
             return positions
-        snapshot_groups = [
-            (
-                field.at_time(0.0) if getattr(field, "num_movers", 0) > 0 else field,
-                rows,
-            )
-            for field, rows in self._group_by_field(lanes)
-        ]
+        field_groups = list(self._group_by_field(lanes))
         radius = self.config.vehicle_radius_m
         pending = np.arange(lanes.size)
         for _ in range(32):
@@ -298,11 +293,12 @@ class BatchedNavigationEnv:
                     -noise, noise, size=2
                 )
             collided = np.zeros(pending.size, dtype=bool)
-            for snapshot, rows in snapshot_groups:
+            for field, rows in field_groups:
                 in_round = np.isin(pending, rows)
                 if in_round.any():
-                    collided[in_round] = snapshot.collides_many(
-                        candidates[in_round], radius
+                    # Episodes start at t = 0.
+                    collided[in_round] = field.collides_many_timed(
+                        candidates[in_round], np.zeros(np.count_nonzero(in_round)), radius
                     )
             placed = ~collided
             positions[pending[placed]] = candidates[placed]
@@ -370,18 +366,13 @@ class BatchedNavigationEnv:
         collided = np.zeros(lanes.size, dtype=bool)
         with span("rollout.collision_check"):
             for field, rows in self._group_by_field(lanes):
-                if getattr(field, "num_movers", 0) > 0:
-                    collided[rows] = field.segments_collide_timed(
-                        positions[rows],
-                        new_positions[rows],
-                        start_times[rows],
-                        end_times[rows],
-                        config.vehicle_radius_m,
-                    )
-                else:
-                    collided[rows] = field.segments_collide(
-                        positions[rows], new_positions[rows], config.vehicle_radius_m
-                    )
+                collided[rows] = field.segments_collide_timed(
+                    positions[rows],
+                    new_positions[rows],
+                    start_times[rows],
+                    end_times[rows],
+                    config.vehicle_radius_m,
+                )
         self._times[lanes] = end_times
 
         moved = ~collided
@@ -438,10 +429,9 @@ class BatchedNavigationEnv:
         """Observations for ``lanes``, one batched sensor query per field.
 
         Lanes over the same field share a single batched ray/occupancy query
-        regardless of clock skew: static fields through the plain batched
-        sensors, dynamic fields through the time-parameterised ones with each
-        lane's episode clock as its row time — no per-``(field, time)``
-        snapshot construction.
+        regardless of clock skew, with each lane's episode clock as its row
+        time; the field decides whether time matters.  No per-``(field,
+        time)`` snapshot is built.
         """
         with span("rollout.ray_cast"):
             return self._observe_lanes_inner(lanes)
@@ -452,49 +442,29 @@ class BatchedNavigationEnv:
         # lanes) needs no python group-build at all.
         first = self._fields[int(lanes[0])]
         if all(self._fields[int(lane)] is first for lane in lanes[1:]):
-            if getattr(first, "num_movers", 0) > 0:
-                return self._observe_group(first, lanes, times=self._times[lanes])
             return self._observe_group(first, lanes)
         observations = np.empty(
             (lanes.size,) + self.observation_space.shape, dtype=np.float64
         )
         for field, rows in self._group_by_field(lanes):
-            group_lanes = lanes[rows]
-            if getattr(field, "num_movers", 0) > 0:
-                observations[rows] = self._observe_group(
-                    field, group_lanes, times=self._times[group_lanes]
-                )
-            else:
-                observations[rows] = self._observe_group(field, group_lanes)
+            observations[rows] = self._observe_group(field, lanes[rows])
         return observations
 
-    def _observe_group(
-        self,
-        field: ObstacleField,
-        lanes: np.ndarray,
-        times: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def _observe_group(self, field: ObstacleField, lanes: np.ndarray) -> np.ndarray:
         """Sensor observations for ``lanes`` over one shared ``field``.
 
-        ``times`` (dynamic fields only) carries each lane's episode clock;
-        the timed sensor front-ends evaluate the movers at per-lane times in
-        the same batched query, bit-identical to sensing one ``at_time``
-        snapshot per lane.
+        Each lane's episode clock is its row time, so a dynamic field's
+        movers are placed at per-lane times in the same batched query,
+        bit-identical to sensing one frozen snapshot per lane.
         """
         config = self.config
         positions = self._positions[lanes]
         headings = self._headings[lanes]
         goals = self._goals[lanes]
+        times = self._times[lanes]
         if config.observation == "image":
-            if times is not None:
-                return config.imager.render_many_timed(
-                    field, positions, headings, goals, times
-                )
-            return config.imager.render_many(field, positions, headings, goals)
-        if times is not None:
-            rays = config.ray_sensor.sense_many_timed(field, positions, headings, times)
-        else:
-            rays = config.ray_sensor.sense_many(field, positions, headings)
+            return config.imager.render_many(field, positions, headings, goals, times)
+        rays = config.ray_sensor.sense_many(field, positions, headings, times)
         if self._sensor_layers:
             # Layers outer, lanes inner: per-lane generators are independent
             # streams, so batching across lanes keeps every lane's own draw

@@ -66,6 +66,18 @@ def circle_distances(
     return distances
 
 
+def row_times(times_s: np.ndarray, rows: int, what: str = "rows") -> np.ndarray:
+    """``times_s`` as a float vector holding exactly one time per row.
+
+    The shared argument check of every timed query.  A length-1 vector does
+    not broadcast: each row carries its own clock.
+    """
+    times = np.asarray(times_s, dtype=np.float64).reshape(-1)
+    if times.size != rows:
+        raise ConfigurationError(f"got {times.size} times for {rows} {what}")
+    return times
+
+
 class ObstacleDensity(str, enum.Enum):
     """The three environment difficulty levels of Fig. 5."""
 
@@ -229,6 +241,20 @@ class ObstacleField:
         single :meth:`_collide_mask` query, so B lockstep environment lanes
         sense in one call instead of B.
         """
+        shape, flat_origins, directions, marches = self._ray_fan(
+            origins, angles, max_range, step
+        )
+        return self._march_rays(flat_origins, directions, marches, max_range).reshape(shape)
+
+    @staticmethod
+    def _ray_fan(
+        origins: np.ndarray, angles: np.ndarray, max_range: float, step: float
+    ) -> Tuple[Tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
+        """Validated set-up of a batched ray query.
+
+        Returns the ``(N, R)`` result shape, one origin and one unit
+        direction per flattened ray, and the march grid.
+        """
         if max_range <= 0 or step <= 0:
             raise ConfigurationError("ray max_range and step must be positive")
         origins = np.asarray(origins, dtype=np.float64).reshape(-1, 2)
@@ -239,15 +265,11 @@ class ObstacleField:
             raise ConfigurationError(
                 f"angles shape {angles.shape} does not match {origins.shape[0]} origins"
             )
-        marches = np.arange(step, max_range, step, dtype=np.float64)
-        if marches.size == 0:
-            return np.full(angles.shape, max_range, dtype=np.float64)
         flat_angles = angles.reshape(-1)
         directions = np.stack([np.cos(flat_angles), np.sin(flat_angles)], axis=-1)
         flat_origins = np.repeat(origins, angles.shape[1], axis=0)
-        return self._march_rays(flat_origins, directions, marches, max_range).reshape(
-            angles.shape
-        )
+        marches = np.arange(step, max_range, step, dtype=np.float64)
+        return angles.shape, flat_origins, directions, marches
 
     def _march_rays(
         self,
@@ -268,12 +290,14 @@ class ObstacleField:
         sphere-tracing argument holds whenever each individual ray sees a
         fixed geometry, even if different rays see different ones.
         """
+        num_rays = flat_origins.shape[0]
+        if marches.size == 0:
+            return np.full(num_rays, max_range, dtype=np.float64)
         clearances = (
             (lambda points, rays: self.clearances(points))
             if point_clearances is None
             else point_clearances
         )
-        num_rays = flat_origins.shape[0]
 
         def dense_hits(rays: np.ndarray) -> np.ndarray:
             """Collision mask of the full march grid for ``rays`` (bitwise the
@@ -357,6 +381,48 @@ class ObstacleField:
     ) -> float:
         """Distance along a ray until the first obstacle or wall (capped at ``max_range``)."""
         return float(self.ray_distances(origin, np.array([angle]), max_range, step)[0])
+
+    # ------------------------------------------------------------------ timed queries
+    # Batched callers pass one time per row whatever the field.  A static
+    # field looks the same at every instant, so each timed query checks the
+    # time vector and answers with the static query;
+    # :class:`~repro.worlds.dynamic.DynamicObstacleField` overrides them to
+    # place its movers at each row's own time.
+    def collides_many_timed(
+        self, points: np.ndarray, times_s: np.ndarray, vehicle_radius: float = 0.0
+    ) -> np.ndarray:
+        """:meth:`collides_many` with one time per point."""
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        row_times(times_s, points.shape[0], "points")
+        return self.collides_many(points, vehicle_radius)
+
+    def ray_distances_many_timed(
+        self,
+        origins: np.ndarray,
+        angles: np.ndarray,
+        times_s: np.ndarray,
+        max_range: float,
+        step: float = 0.1,
+    ) -> np.ndarray:
+        """:meth:`ray_distances_many` with one time per origin."""
+        origins = np.asarray(origins, dtype=np.float64).reshape(-1, 2)
+        row_times(times_s, origins.shape[0], "origins")
+        return self.ray_distances_many(origins, angles, max_range, step)
+
+    def segments_collide_timed(
+        self,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        start_times_s: np.ndarray,
+        end_times_s: np.ndarray,
+        vehicle_radius: float = 0.0,
+        samples: int = 8,
+    ) -> np.ndarray:
+        """:meth:`segments_collide` with a start and an end time per segment."""
+        starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
+        row_times(start_times_s, starts.shape[0], "segment starts")
+        row_times(end_times_s, starts.shape[0], "segment ends")
+        return self.segments_collide(starts, ends, vehicle_radius, samples)
 
     # ------------------------------------------------------------------ solvability check
     def cell_index(self, point: np.ndarray, rows: int, cols: int) -> Tuple[int, int]:

@@ -8,20 +8,24 @@ action space").  Two observation front-ends are provided:
 * :class:`OccupancyImager` — an egocentric multi-channel image (obstacle
   occupancy, goal direction and goal distance channels) sized to feed the
   convolutional C3F2/C5F4 policies.
+
+Each front-end has a scalar form (``sense``/``render``) for one vehicle on a
+field frozen in time, and a batched form (``sense_many``/``render_many``)
+that takes one clock per vehicle and answers through the field's timed
+queries.  The field decides whether time matters: a static field ignores the
+clocks, a :class:`~repro.worlds.dynamic.DynamicObstacleField` places its
+movers at each vehicle's own time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.envs.obstacles import ObstacleField, planar_distances
-
-if TYPE_CHECKING:  # envs must not import worlds at runtime (worlds imports envs)
-    from repro.worlds.dynamic import DynamicObstacleField
+from repro.envs.obstacles import ObstacleField, planar_distances, row_times
 
 
 @dataclass(frozen=True)
@@ -61,31 +65,19 @@ class RaySensor:
         return distances / self.max_range_m
 
     def sense_many(
-        self, field: ObstacleField, positions: np.ndarray, headings: np.ndarray
-    ) -> np.ndarray:
-        """Depth readings for many vehicles in one query.
-
-        ``positions`` is ``(N, 2)`` and ``headings`` ``(N,)``; row ``i`` of
-        the ``(N, num_rays)`` result is bit-identical to
-        ``sense(field, positions[i], headings[i])``.
-        """
-        headings = np.asarray(headings, dtype=np.float64).reshape(-1)
-        angles = headings[:, None] + self.ray_angles[None, :]
-        distances = field.ray_distances_many(positions, angles, self.max_range_m, self.step_m)
-        return distances / self.max_range_m
-
-    def sense_many_timed(
         self,
-        field: "DynamicObstacleField",
+        field: ObstacleField,
         positions: np.ndarray,
         headings: np.ndarray,
         times_s: np.ndarray,
     ) -> np.ndarray:
-        """Depth readings for many vehicles, each at its own clock.
+        """Depth readings for many vehicles in one query, each at its own clock.
 
-        Row ``i`` is bit-identical to ``sense(field.at_time(times_s[i]),
-        positions[i], headings[i])`` — the batched time-parameterised ray
-        query replaces one snapshot field per distinct lane time.
+        ``positions`` is ``(N, 2)``, ``headings`` and ``times_s`` ``(N,)``;
+        row ``i`` of the ``(N, num_rays)`` result is bit-identical to
+        ``sense(snapshot, positions[i], headings[i])``, where ``snapshot`` is
+        the field frozen at ``times_s[i]`` (a static field is its own
+        snapshot).
         """
         headings = np.asarray(headings, dtype=np.float64).reshape(-1)
         angles = headings[:, None] + self.ray_angles[None, :]
@@ -150,66 +142,26 @@ class OccupancyImager:
         positions: np.ndarray,
         headings: np.ndarray,
         goals: np.ndarray,
+        times_s: np.ndarray,
     ) -> np.ndarray:
         """Egocentric images for many vehicles via one occupancy query.
 
-        ``positions``/``goals`` are ``(N, 2)`` and ``headings`` ``(N,)``;
-        slice ``i`` of the ``(N, C, H, W)`` result is bit-identical to
-        ``render(field, positions[i], headings[i], goals[i])``.
+        ``positions``/``goals`` are ``(N, 2)``, ``headings`` and ``times_s``
+        ``(N,)``, one row per vehicle; slice ``i`` of the ``(N, C, H, W)``
+        result is bit-identical to ``render(snapshot, positions[i],
+        headings[i], goals[i])``, where ``snapshot`` is the field frozen at
+        ``times_s[i]`` (a static field is its own snapshot).
         """
         positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
         goals = np.asarray(goals, dtype=np.float64).reshape(-1, 2)
         headings = np.asarray(headings, dtype=np.float64).reshape(-1)
         count = positions.shape[0]
-        size = self.image_size
-        images = np.zeros((count,) + self.shape, dtype=np.float64)
-        cos_h, sin_h = np.cos(headings), np.sin(headings)
-        forward = (np.arange(size) + 0.5) / size * self.window_m
-        lateral = ((np.arange(size) + 0.5) / size - 0.5) * self.window_m
-        fwd_grid, lat_grid = np.meshgrid(forward, lateral, indexing="ij")
-        world_x = (
-            positions[:, 0, None, None]
-            + fwd_grid[None, :, :] * cos_h[:, None, None]
-            - lat_grid[None, :, :] * sin_h[:, None, None]
-        )
-        world_y = (
-            positions[:, 1, None, None]
-            + fwd_grid[None, :, :] * sin_h[:, None, None]
-            + lat_grid[None, :, :] * cos_h[:, None, None]
-        )
-        points = np.stack([world_x.ravel(), world_y.ravel()], axis=1)
-        images[:, 0] = (
-            field.collides_many(points).reshape(count, size, size).astype(np.float64)
-        )
-        goal_vectors = goals - positions
-        goal_distances = planar_distances(goal_vectors)
-        goal_bearings = np.arctan2(goal_vectors[:, 1], goal_vectors[:, 0]) - headings
-        images[:, 1] = (0.5 * (1.0 + np.cos(goal_bearings)))[:, None, None]
-        images[:, 2] = np.minimum(1.0, goal_distances / self.goal_distance_scale_m)[
-            :, None, None
-        ]
-        return images
-
-    def render_many_timed(
-        self,
-        field: "DynamicObstacleField",
-        positions: np.ndarray,
-        headings: np.ndarray,
-        goals: np.ndarray,
-        times_s: np.ndarray,
-    ) -> np.ndarray:
-        """Egocentric images for many vehicles, each at its own clock.
-
-        Slice ``i`` is bit-identical to ``render(field.at_time(times_s[i]),
-        positions[i], headings[i], goals[i])``: every grid sample of vehicle
-        ``i`` is tested against the movers placed at ``times_s[i]`` through
-        one timed occupancy query for the whole batch.
-        """
-        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-        goals = np.asarray(goals, dtype=np.float64).reshape(-1, 2)
-        headings = np.asarray(headings, dtype=np.float64).reshape(-1)
-        times = np.asarray(times_s, dtype=np.float64).reshape(-1)
-        count = positions.shape[0]
+        if headings.size != count or goals.shape[0] != count:
+            raise ConfigurationError(
+                f"got {headings.size} headings and {goals.shape[0]} goals "
+                f"for {count} positions"
+            )
+        times = row_times(times_s, count, "positions")
         size = self.image_size
         images = np.zeros((count,) + self.shape, dtype=np.float64)
         cos_h, sin_h = np.cos(headings), np.sin(headings)

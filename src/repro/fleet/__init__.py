@@ -1,10 +1,10 @@
-"""City-scale fleet simulation over one shared dynamic airspace.
+"""City-scale fleet simulation over one shared airspace.
 
-The fleet layer advances N vehicles in lockstep over a single
-:class:`~repro.worlds.dynamic.DynamicObstacleField`, reusing the batched
-geometry stack end to end: steering through the time-parameterised ray
-queries (every vehicle senses at its own clock in one call), motion checks
-through :meth:`~repro.worlds.dynamic.DynamicObstacleField.
+The fleet layer advances N vehicles in lockstep over a single obstacle
+field, static or :class:`~repro.worlds.dynamic.DynamicObstacleField`,
+reusing the batched geometry stack end to end: steering through the
+time-parameterised ray queries (every vehicle senses at the fleet clock in
+one call), motion checks through :meth:`~repro.envs.obstacles.ObstacleField.
 segments_collide_timed`, and inter-vehicle conflict detection on the
 vectorised segment-distance path behind a spatial-hash prescreen — no
 O(N²) all-pairs work at N=1000+.

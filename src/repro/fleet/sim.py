@@ -1,19 +1,22 @@
-"""N-vehicle lockstep fleet advancement over one shared dynamic airspace.
+"""N-vehicle lockstep fleet advancement over one shared airspace.
 
 :class:`FleetSim` holds the whole fleet as stacked arrays — positions,
 targets, battery energies, lifecycle phases — and advances every airborne
-vehicle in one :meth:`step`:
+vehicle in one :meth:`step`.  Every obstacle query goes through the field's
+timed form with the fleet clock as each row's time; the field decides
+whether time matters (a static field ignores it, a
+:class:`~repro.worlds.dynamic.DynamicObstacleField` places its movers there):
 
+* **placement** rejection-samples pads, goals and chargers clear of the
+  field at t = 0, and a launch waits while a mover covers its pad;
 * **steering** picks, per vehicle, the least-deviating candidate heading
-  whose look-ahead ray is clear, through a single time-parameterised batched
-  ray query (:meth:`~repro.worlds.dynamic.DynamicObstacleField.
-  ray_distances_many_timed`) — every vehicle senses the movers at the fleet
-  clock in one call;
+  whose look-ahead ray is clear, through a single batched ray query
+  (:meth:`~repro.envs.obstacles.ObstacleField.ray_distances_many_timed`);
 * **fault injection** corrupts each steering command independently with the
   bit-error-derived probability of the operating voltage (the voltage →
   BER → action-corruption chain of the mission pipeline);
 * **motion checks** run one
-  :meth:`~repro.worlds.dynamic.DynamicObstacleField.segments_collide_timed`
+  :meth:`~repro.envs.obstacles.ObstacleField.segments_collide_timed`
   query for the whole fleet;
 * **conflict handling** detects pairwise separation violations on the
   vectorised segment path behind the spatial-hash prescreen
@@ -134,13 +137,11 @@ class FleetSim:
         self.config = config
         self.platform = config.resolved_platform()
         self._rng = as_generator(rng)
-        self._dynamic = getattr(airfield, "num_movers", 0) > 0
         count = config.num_vehicles
 
-        snapshot = airfield.at_time(0.0) if self._dynamic else airfield
-        self.positions = self._sample_clear_points(snapshot, count)
-        self.goals = self._sample_clear_points(snapshot, count)
-        self.chargers = self._sample_clear_points(snapshot, config.num_chargers)
+        self.positions = self._sample_clear_points(count)
+        self.goals = self._sample_clear_points(count)
+        self.chargers = self._sample_clear_points(config.num_chargers)
         self.energies = np.full(
             count,
             float(
@@ -165,9 +166,9 @@ class FleetSim:
             float(self.platform.rotor_power_w(config.payload_g)) + config.compute_power_w
         )
 
-    def _sample_clear_points(self, snapshot: ObstacleField, count: int) -> np.ndarray:
-        """Rejection-sample ``count`` collision-free points on ``snapshot``."""
-        width, height = snapshot.world_size
+    def _sample_clear_points(self, count: int) -> np.ndarray:
+        """Rejection-sample ``count`` points clear of the field at t = 0."""
+        width, height = self.field.world_size
         margin = self.config.vehicle_radius_m
         points = np.empty((count, 2), dtype=np.float64)
         pending = np.arange(count)
@@ -177,7 +178,9 @@ class FleetSim:
             candidates = self._rng.uniform(
                 (margin, margin), (width - margin, height - margin), size=(pending.size, 2)
             )
-            clear = ~snapshot.collides_many(candidates, margin)
+            clear = ~self.field.collides_many_timed(
+                candidates, np.zeros(pending.size), margin
+            )
             points[pending[clear]] = candidates[clear]
             pending = pending[~clear]
         raise ConfigurationError(
@@ -207,12 +210,8 @@ class FleetSim:
     ) -> np.ndarray:
         config = self.config
         with span("fleet.ray_cast"):
-            if self._dynamic:
-                return self.field.ray_distances_many_timed(
-                    origins, angles, times, config.sense_range_m, config.sense_step_m
-                )
-            return self.field.ray_distances_many(
-                origins, angles, config.sense_range_m, config.sense_step_m
+            return self.field.ray_distances_many_timed(
+                origins, angles, times, config.sense_range_m, config.sense_step_m
             )
 
     # ------------------------------------------------------------------ lockstep step
@@ -229,14 +228,12 @@ class FleetSim:
         if launching.size:
             # Hold a launch while a mover covers the pad — launching into an
             # occupied cell is a crash, not a mission.
-            if self._dynamic:
-                blocked = self.field.collides_many_timed(
-                    self.positions[launching],
-                    np.full(launching.size, time_now),
-                    config.vehicle_radius_m,
-                )
-                launching = launching[~blocked]
-            self.states[launching] = ENROUTE
+            blocked = self.field.collides_many_timed(
+                self.positions[launching],
+                np.full(launching.size, time_now),
+                config.vehicle_radius_m,
+            )
+            self.states[launching[~blocked]] = ENROUTE
 
         flying = np.nonzero(self.airborne)[0]
         if flying.size:
@@ -287,18 +284,13 @@ class FleetSim:
         candidate_ends = positions[:, None, :] + advance * directions
         flat_starts = np.repeat(positions, STEER_OFFSETS.size, axis=0)
         flat_ends = candidate_ends.reshape(-1, 2)
-        if self._dynamic:
-            blocked = self.field.segments_collide_timed(
-                flat_starts,
-                flat_ends,
-                np.full(flat_starts.shape[0], time_now),
-                np.full(flat_starts.shape[0], time_next),
-                config.vehicle_radius_m,
-            )
-        else:
-            blocked = self.field.segments_collide(
-                flat_starts, flat_ends, config.vehicle_radius_m
-            )
+        blocked = self.field.segments_collide_timed(
+            flat_starts,
+            flat_ends,
+            np.full(flat_starts.shape[0], time_now),
+            np.full(flat_starts.shape[0], time_next),
+            config.vehicle_radius_m,
+        )
         safe = ~blocked.reshape(flying.size, STEER_OFFSETS.size)
 
         best = safe & preferred_mask
@@ -329,16 +321,13 @@ class FleetSim:
         )
 
         # Obstacle sweep: one timed segment query for the whole fleet.
-        starts_t = np.full(flying.size, time_now)
-        ends_t = np.full(flying.size, time_next)
-        if self._dynamic:
-            crashed = self.field.segments_collide_timed(
-                positions, proposed, starts_t, ends_t, config.vehicle_radius_m
-            )
-        else:
-            crashed = self.field.segments_collide(
-                positions, proposed, config.vehicle_radius_m
-            )
+        crashed = self.field.segments_collide_timed(
+            positions,
+            proposed,
+            np.full(flying.size, time_now),
+            np.full(flying.size, time_next),
+            config.vehicle_radius_m,
+        )
         self.states[flying[crashed]] = CRASHED
         moving = ~crashed
 

@@ -92,20 +92,6 @@ def _parse_shard(value: str) -> Tuple[int, int]:
         ) from None
 
 
-def _parse_chunksize(value: str) -> Optional[int]:
-    if value.strip().lower() == "auto":
-        return None
-    try:
-        size = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"chunksize must be 'auto' or a positive integer, got {value!r}"
-        ) from None
-    if size < 1:
-        raise argparse.ArgumentTypeError(f"chunksize must be >= 1, got {size}")
-    return size
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-runtime",
@@ -126,9 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="run one registered sweep")
     run.add_argument("sweep", help="registered sweep name (see 'list')")
     run.add_argument("--workers", type=int, default=None, help="worker processes (default: serial)")
-    run.add_argument("--chunksize", type=_parse_chunksize, default=None, metavar="auto|N",
-                     help="executor chunking: 'auto' (default, size-aware dynamic chunks) "
-                          "or a fixed chunk size N")
     run.add_argument("--no-fuse", action="store_true",
                      help="disable sweep-level job fusion (debugging/benchmark baseline)")
     run.add_argument("--fusion-width", type=int, default=DEFAULT_FUSION_WIDTH, metavar="N",
@@ -273,7 +256,7 @@ def _cmd_run(args: argparse.Namespace, stream) -> int:
     if collect_metrics:
         enable_metrics()
     runner = SweepRunner(
-        executor=make_executor(args.workers, chunk_size=args.chunksize),
+        executor=make_executor(args.workers),
         cache=cache,
         journal_dir=journal_dir,
         resume=not args.no_resume,

@@ -95,41 +95,33 @@ def default_worker_count() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-def plan_chunks(total: int, workers: int, chunk_size: Optional[int] = None) -> List[int]:
+def plan_chunks(total: int, workers: int) -> List[int]:
     """Size-aware dynamic chunk plan: a list of chunk sizes summing to ``total``.
 
-    With ``chunk_size=None`` the plan follows guided self-scheduling: each
-    chunk takes ``remaining / (2 * workers)`` jobs, so early chunks are large
-    (low dispatch overhead while everyone is busy) and the tail shrinks to
-    single jobs (no worker left holding a fat chunk while the rest idle — the
-    straggler tail of the old fixed ``chunksize`` dispatch).  An explicit
-    ``chunk_size`` yields fixed-size chunks, still pulled dynamically.
+    The plan follows guided self-scheduling: each chunk takes
+    ``remaining / (2 * workers)`` jobs, so early chunks are large (low
+    dispatch overhead while everyone is busy) and the tail shrinks to single
+    jobs (no worker left holding a fat chunk while the rest idle — the
+    straggler tail of a fixed ``chunksize`` dispatch).
     """
     if total < 0:
         raise ConfigurationError(f"total must be >= 0, got {total}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(f"chunk size must be >= 1, got {chunk_size}")
     sizes: List[int] = []
     remaining = total
     while remaining > 0:
-        if chunk_size is not None:
-            size = min(chunk_size, remaining)
-        else:
-            size = min(max(1, remaining // (2 * workers)), remaining)
+        size = min(max(1, remaining // (2 * workers)), remaining)
         sizes.append(size)
         remaining -= size
     return sizes
 
 
-def split_chunks(
-    items: Sequence[IndexedJob], workers: int, chunk_size: Optional[int] = None
-) -> List[List[IndexedJob]]:
+def split_chunks(items: Sequence[IndexedJob], workers: int) -> List[List[IndexedJob]]:
     """Partition ``items`` (in order) according to :func:`plan_chunks`."""
     chunks: List[List[IndexedJob]] = []
     cursor = 0
-    for size in plan_chunks(len(items), workers, chunk_size):
+    for size in plan_chunks(len(items), workers):
         chunks.append(list(items[cursor : cursor + size]))
         cursor += size
     return chunks
@@ -153,17 +145,10 @@ class MultiprocessExecutor(Executor):
 
     name = "multiprocess"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = workers if workers is not None else default_worker_count()
-        self.chunk_size = chunk_size
-        self.start_method = start_method
 
     def submit(
         self, items: Sequence[IndexedJob], context: ExecutionContext
@@ -180,9 +165,8 @@ class MultiprocessExecutor(Executor):
             # A one-worker pool would only add IPC overhead.
             yield from SerialExecutor().submit(items, context)
             return
-        chunks = split_chunks(items, self.workers, self.chunk_size)
-        mp_context = multiprocessing.get_context(self.start_method)
-        pool = mp_context.Pool(
+        chunks = split_chunks(items, self.workers)
+        pool = multiprocessing.Pool(
             processes=min(self.workers, len(chunks)),
             initializer=_init_worker,
             initargs=(context,),
@@ -195,13 +179,11 @@ class MultiprocessExecutor(Executor):
             pool.join()
 
 
-def make_executor(
-    workers: Optional[int] = None, chunk_size: Optional[int] = None
-) -> Executor:
+def make_executor(workers: Optional[int] = None) -> Executor:
     """The conventional knob: ``None``/``0``/``1`` workers -> serial, else the
     persistent warm pool (spawn once, reuse across every subsequent run)."""
     if workers is None or workers <= 1:
         return SerialExecutor()
     from repro.runtime.pool import WarmPoolExecutor  # lazy: avoids import cycle
 
-    return WarmPoolExecutor(workers=workers, chunk_size=chunk_size)
+    return WarmPoolExecutor(workers=workers)

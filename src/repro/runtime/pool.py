@@ -83,10 +83,9 @@ def _pool_worker_main(worker_id: int, tasks, results) -> None:
 class PersistentWorkerPool:
     """Spawn-once process pool with one shared task queue (dynamic pull)."""
 
-    def __init__(self, start_method: Optional[str] = None) -> None:
-        self._mp = multiprocessing.get_context(start_method)
-        self._tasks = self._mp.Queue()
-        self._results = self._mp.Queue()
+    def __init__(self) -> None:
+        self._tasks = multiprocessing.Queue()
+        self._results = multiprocessing.Queue()
         self._workers: List[multiprocessing.process.BaseProcess] = []
         self._lock = threading.Lock()
         self._submission_seq = 0
@@ -112,7 +111,7 @@ class PersistentWorkerPool:
             spawned = 0
             while len(self._workers) < count:
                 worker_id = self.spawned_total
-                process = self._mp.Process(
+                process = multiprocessing.Process(
                     target=_pool_worker_main,
                     args=(worker_id, self._tasks, self._results),
                     name=f"repro-pool-{worker_id}",
@@ -238,15 +237,10 @@ class WarmPoolExecutor(Executor):
 
     name = "warm-pool"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = workers if workers is not None else default_worker_count()
-        self.chunk_size = chunk_size
         self.last_stats: Dict[str, object] = {}
 
     def submit(
@@ -265,7 +259,7 @@ class WarmPoolExecutor(Executor):
             return
         pool = get_pool()
         spawned = pool.ensure_workers(self.workers)
-        chunks = split_chunks(items, self.workers, self.chunk_size)
+        chunks = split_chunks(items, self.workers)
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("pool.spawned_workers").inc(spawned)

@@ -3,12 +3,14 @@
 A :class:`DynamicObstacleField` extends the static
 :class:`~repro.envs.obstacles.ObstacleField` with a set of
 :class:`MovingObstacle` circles, each travelling at constant speed along a
-closed waypoint loop.  :meth:`DynamicObstacleField.at_time` freezes the field
-at an instant ``t`` — returning a plain static field every existing query
-(rays, clearance, BFS) already understands — while
-:meth:`DynamicObstacleField.segment_collides_timed` samples *position and
-time together* so a motion segment is checked against where the movers
-actually are while the vehicle traverses it.
+closed waypoint loop.  It overrides the timed queries every field offers
+(``collides_many_timed``, ``ray_distances_many_timed``,
+``segments_collide_timed``) to place each mover at every row's own time, so
+batched callers pass their row times without asking whether the field moves.
+A segment is checked against where the movers are while the vehicle
+traverses it.  :meth:`DynamicObstacleField.at_time` freezes the field at an
+instant ``t`` into a plain static field; it is the reference the timed
+queries are tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.envs.obstacles import ObstacleField, circle_distances
+from repro.envs.obstacles import ObstacleField, circle_distances, row_times
 from repro.errors import ConfigurationError
 
 
@@ -100,7 +102,8 @@ class DynamicObstacleField(ObstacleField):
     can mix desynchronised lanes or vehicles.  Each row's answer is bitwise
     the one the plain static query gives on the :meth:`at_time` snapshot at
     that time (for a segment, at each sample's interpolated time); the
-    snapshot path is kept as their reference.  The inherited static queries
+    snapshot path is kept as their reference.  Without movers each timed
+    query is the static query.  The inherited static queries
     (``clearances``, ``ray_distances_many``, ...) see only the static
     circles.
     """
@@ -150,11 +153,7 @@ class DynamicObstacleField(ObstacleField):
         field per distinct instant.
         """
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        times = np.asarray(times_s, dtype=np.float64).reshape(-1)
-        if times.size != points.shape[0]:
-            raise ConfigurationError(
-                f"got {times.size} times for {points.shape[0]} points"
-            )
+        times = row_times(times_s, points.shape[0], "points")
         base = ObstacleField.clearances(self, points)
         if not self.movers:
             return base
@@ -169,11 +168,7 @@ class DynamicObstacleField(ObstacleField):
         vehicle_radius)[0]`` without constructing any snapshot field.
         """
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        times = np.asarray(times_s, dtype=np.float64).reshape(-1)
-        if times.size != points.shape[0]:
-            raise ConfigurationError(
-                f"got {times.size} times for {points.shape[0]} points"
-            )
+        times = row_times(times_s, points.shape[0], "points")
         hit = ObstacleField._collide_mask(self, points, vehicle_radius)
         if self.movers:
             hit = hit | (self._mover_clearances(points, times) < vehicle_radius)
@@ -200,30 +195,12 @@ class DynamicObstacleField(ObstacleField):
         :meth:`segments_collide_timed` uses instead of one snapshot field per
         distinct time.
         """
-        if max_range <= 0 or step <= 0:
-            raise ConfigurationError("ray max_range and step must be positive")
-        origins = np.asarray(origins, dtype=np.float64).reshape(-1, 2)
-        angles = np.asarray(angles, dtype=np.float64)
-        if angles.ndim == 1:
-            angles = np.broadcast_to(angles, (origins.shape[0], angles.size))
-        if angles.shape[0] != origins.shape[0]:
-            raise ConfigurationError(
-                f"angles shape {angles.shape} does not match {origins.shape[0]} origins"
-            )
-        times = np.asarray(times_s, dtype=np.float64).reshape(-1)
-        if times.size != origins.shape[0]:
-            raise ConfigurationError(
-                f"got {times.size} times for {origins.shape[0]} origins"
-            )
         if not self.movers:
-            return ObstacleField.ray_distances_many(self, origins, angles, max_range, step)
-        marches = np.arange(step, max_range, step, dtype=np.float64)
-        if marches.size == 0:
-            return np.full(angles.shape, max_range, dtype=np.float64)
-        flat_angles = angles.reshape(-1)
-        directions = np.stack([np.cos(flat_angles), np.sin(flat_angles)], axis=-1)
-        flat_origins = np.repeat(origins, angles.shape[1], axis=0)
-        ray_times = np.repeat(times, angles.shape[1])
+            return super().ray_distances_many_timed(origins, angles, times_s, max_range, step)
+        shape, flat_origins, directions, marches = self._ray_fan(
+            origins, angles, max_range, step
+        )
+        ray_times = np.repeat(row_times(times_s, shape[0], "origins"), shape[1])
 
         def timed_clearances(points: np.ndarray, rays: np.ndarray) -> np.ndarray:
             return np.minimum(
@@ -233,7 +210,7 @@ class DynamicObstacleField(ObstacleField):
 
         return self._march_rays(
             flat_origins, directions, marches, max_range, timed_clearances
-        ).reshape(angles.shape)
+        ).reshape(shape)
 
     def at_time(self, time_s: float) -> ObstacleField:
         """A static snapshot with every mover placed at its ``time_s`` position."""
@@ -267,22 +244,21 @@ class DynamicObstacleField(ObstacleField):
         the samples' interpolated times.  ``start_times_s`` and
         ``end_times_s`` must each hold one time per segment.
         """
+        if not self.movers:
+            return super().segments_collide_timed(
+                starts, ends, start_times_s, end_times_s, vehicle_radius, samples
+            )
         starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
         ends = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
-        start_times = np.asarray(start_times_s, dtype=np.float64).reshape(-1)
-        end_times = np.asarray(end_times_s, dtype=np.float64).reshape(-1)
         count = starts.shape[0]
-        if start_times.size != count or end_times.size != count:
-            raise ConfigurationError(
-                f"got {start_times.size} start times and {end_times.size} end times "
-                f"for {count} segments"
-            )
+        start_times = row_times(start_times_s, count, "segment starts")
+        end_times = row_times(end_times_s, count, "segment ends")
         fractions = np.linspace(0.0, 1.0, max(2, samples))
         points = starts[:, None, :] + fractions[None, :, None] * (ends - starts)[:, None, :]
         flat_points = points.reshape(-1, 2)
         # Static circles and world bounds: identical to the inherited query.
         hit = ObstacleField._collide_mask(self, flat_points, vehicle_radius)
-        if self.movers and not hit.all():
+        if not hit.all():
             times = (
                 start_times[:, None] + fractions[None, :] * (end_times - start_times)[:, None]
             ).reshape(-1)

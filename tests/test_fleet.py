@@ -29,8 +29,9 @@ from repro.fleet.reliability import (
     corruption_probability,
     fleet_reliability_sweep_spec,
 )
-from repro.fleet.sim import CHARGING, DONE, TO_CHARGER
+from repro.fleet.sim import CHARGING, CRASHED, DONE, TO_CHARGER
 from repro.runtime.engine import run_sweep
+from repro.worlds.dynamic import DynamicObstacleField
 
 
 def _open_field(size: float = 30.0) -> ObstacleField:
@@ -190,6 +191,29 @@ class TestFleetSim:
         config = FleetConfig(num_vehicles=16, max_steps=120, separation_m=1.0)
         result = FleetSim(field, config, rng=5).run()
         assert result.conflicts > 0
+
+    def test_dynamic_field_without_movers_flies_like_static_field(self):
+        """Only the field knows whether time matters: a dynamic field with no
+        movers gives the fleet bitwise the static field's flight."""
+        rng = np.random.default_rng(23)
+        centers = rng.uniform(2.0, 28.0, size=(40, 2))
+        radii = rng.uniform(0.4, 1.2, size=40)
+        config = FleetConfig(
+            num_vehicles=80, max_steps=60, launch_per_step=10, action_corruption_prob=0.1
+        )
+        static = FleetSim(ObstacleField((30.0, 30.0), centers, radii), config, rng=4)
+        dynamic = FleetSim(
+            DynamicObstacleField((30.0, 30.0), centers, radii, movers=()), config, rng=4
+        )
+        for _ in range(config.max_steps):
+            static.step()
+            dynamic.step()
+            assert np.array_equal(static.positions, dynamic.positions)
+            assert np.array_equal(static.states, dynamic.states)
+            assert np.array_equal(static.energies, dynamic.energies)
+        assert static.run() == dynamic.run()
+        assert (static.states == CRASHED).any() and (static.states == DONE).any()
+        assert static.conflicts > 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -70,16 +70,11 @@ class TestPlanChunks:
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[-1] == 1
 
-    def test_fixed_chunk_size(self):
-        assert plan_chunks(10, 4, chunk_size=4) == [4, 4, 2]
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
             plan_chunks(-1, 4)
         with pytest.raises(ConfigurationError):
             plan_chunks(4, 0)
-        with pytest.raises(ConfigurationError):
-            plan_chunks(4, 2, chunk_size=0)
 
     def test_split_preserves_order_and_items(self):
         items = _jobs("test.pool_double", 11)

@@ -5,13 +5,15 @@ approximation: for any mover layout, any time vector and any ray fan, row
 ``i`` of a timed batched query must be bitwise-equal to running the plain
 static query on ``field.at_time(times[i])``.  Property tests draw random
 worlds/times/fans; deterministic pins cover the degenerate corners (no
-movers, zero speed, empty march grids).
+movers, zero speed, empty march grids).  A field without movers, static or
+dynamic, answers every timed query with its static query.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.envs.obstacles import ObstacleField
 from repro.envs.sensors import OccupancyImager, RaySensor
 from repro.errors import ConfigurationError
 from repro.worlds.dynamic import DynamicObstacleField, MovingObstacle
@@ -98,7 +100,7 @@ def test_timed_sensor_matches_per_lane_snapshots():
     headings = rng.uniform(-np.pi, np.pi, size=count)
     times = rng.uniform(0.0, 40.0, size=count)
     sensor = RaySensor(num_rays=8, max_range_m=5.0, step_m=0.2)
-    got = sensor.sense_many_timed(field, positions, headings, times)
+    got = sensor.sense_many(field, positions, headings, times)
     for i in range(count):
         reference = sensor.sense(
             field.at_time(float(times[i])), positions[i], float(headings[i])
@@ -115,7 +117,7 @@ def test_timed_imager_matches_per_lane_snapshots():
     goals = rng.uniform(1.0, 11.0, size=(count, 2))
     times = rng.uniform(0.0, 40.0, size=count)
     imager = OccupancyImager(image_size=10)
-    got = imager.render_many_timed(field, positions, headings, goals, times)
+    got = imager.render_many(field, positions, headings, goals, times)
     for i in range(count):
         reference = imager.render(
             field.at_time(float(times[i])), positions[i], float(headings[i]), goals[i]
@@ -123,32 +125,39 @@ def test_timed_imager_matches_per_lane_snapshots():
         assert np.array_equal(got[i], reference)
 
 
-def test_timed_rays_without_movers_match_static_query():
-    field = DynamicObstacleField(
-        world_size=(10.0, 10.0),
-        centers=np.array([[5.0, 5.0]]),
-        radii=np.array([1.0]),
-        movers=(),
+def _fields_without_movers():
+    rng = np.random.default_rng(17)
+    centers = rng.uniform(1.0, 9.0, size=(12, 2))
+    radii = rng.uniform(0.2, 0.8, size=12)
+    return (
+        ObstacleField((10.0, 10.0), centers, radii),
+        DynamicObstacleField((10.0, 10.0), centers, radii, movers=()),
     )
-    origins = np.array([[1.0, 1.0], [8.0, 8.0]])
-    angles = np.array([0.0, np.pi / 2])
-    times = np.array([0.0, 25.0])
-    got = field.ray_distances_many_timed(origins, angles, times, max_range=6.0)
-    reference = field.ray_distances_many(origins, angles, max_range=6.0)
-    assert np.array_equal(got, reference)
+
+
+def test_timed_rays_without_movers_match_static_query():
+    rng = np.random.default_rng(19)
+    count = 40
+    for field in _fields_without_movers():
+        times = rng.uniform(0.0, 40.0, size=count)
+        origins = rng.uniform(0.5, 9.5, size=(count, 2))
+        angles = rng.uniform(-np.pi, np.pi, size=(count, 5))
+        assert np.array_equal(
+            field.ray_distances_many_timed(origins, angles, times, max_range=6.0),
+            field.ray_distances_many(origins, angles, max_range=6.0),
+        )
+        points = rng.uniform(-0.5, 10.5, size=(count, 2))
+        assert np.array_equal(
+            field.collides_many_timed(points, times, 0.25), field.collides_many(points, 0.25)
+        )
+        ends = origins + rng.uniform(-1.0, 1.0, size=(count, 2))
+        assert np.array_equal(
+            field.segments_collide_timed(origins, ends, times, times + 0.5, 0.25),
+            field.segments_collide(origins, ends, 0.25),
+        )
 
 
 def test_timed_rays_validate_time_vector_length():
-    field = _random_field(3)
-    with pytest.raises(ConfigurationError):
-        field.ray_distances_many_timed(
-            np.zeros((3, 2)), np.zeros(4), np.zeros(2), max_range=5.0
-        )
-    with pytest.raises(ConfigurationError):
-        field.collides_many_timed(np.zeros((3, 2)), np.zeros(2))
-    no_movers = DynamicObstacleField(
-        world_size=(10.0, 10.0), centers=np.zeros((0, 2)), radii=np.zeros(0)
-    )
     starts = np.full((3, 2), 5.0)
     bad_times = (
         (np.zeros(3), np.ones(1)),  # a length-1 vector must not broadcast
@@ -156,7 +165,31 @@ def test_timed_rays_validate_time_vector_length():
         (np.zeros(5), np.ones(3)),
         (np.zeros(1), np.ones(1)),
     )
-    for queried in (field, no_movers):
+    for field in (_random_field(3),) + _fields_without_movers():
+        for times in (np.zeros(2), np.zeros(1), np.zeros(4)):
+            with pytest.raises(ConfigurationError):
+                field.ray_distances_many_timed(
+                    np.zeros((3, 2)), np.zeros(4), times, max_range=5.0
+                )
+            with pytest.raises(ConfigurationError):
+                field.collides_many_timed(np.zeros((3, 2)), times)
         for start_times, end_times in bad_times:
             with pytest.raises(ConfigurationError):
-                queried.segments_collide_timed(starts, starts + 0.5, start_times, end_times)
+                field.segments_collide_timed(starts, starts + 0.5, start_times, end_times)
+
+
+def test_batched_sensors_validate_rows():
+    field = _fields_without_movers()[0]
+    positions = np.full((3, 2), 5.0)
+    imager = OccupancyImager(image_size=8)
+    good = (np.zeros(3), np.full((3, 2), 7.0), np.zeros(3))
+    bad = (np.zeros(1), np.full((1, 2), 7.0), np.zeros(1))
+    for which in range(3):
+        headings, goals, times = (bad[i] if i == which else good[i] for i in range(3))
+        with pytest.raises(ConfigurationError):
+            imager.render_many(field, positions, headings, goals, times)
+    assert imager.render_many(field, positions, *good).shape == (3,) + imager.shape
+    sensor = RaySensor(num_rays=4)
+    for headings, times in ((np.zeros(1), np.zeros(3)), (np.zeros(3), np.zeros(1))):
+        with pytest.raises(ConfigurationError):
+            sensor.sense_many(field, positions, headings, times)
