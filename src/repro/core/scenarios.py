@@ -30,7 +30,7 @@ from repro.core.pipeline import MissionPipeline, PipelineConfig
 from repro.envs.navigation import NavigationConfig, NavigationEnv
 from repro.envs.obstacles import ObstacleDensity
 from repro.errors import ConfigurationError
-from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, job_kind
+from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.uav.platform import CRAZYFLIE, DJI_TELLO, UavPlatform, get_platform
 from repro.utils.warmcache import warm_cache
 from repro.worlds.metrics import world_metrics
@@ -75,14 +75,15 @@ class Scenario:
         )
 
     # ------------------------------------------------------------------ factories
-    def pipeline(self, robustness: Optional[CalibratedRobustnessModel] = None) -> MissionPipeline:
+    def pipeline(self) -> MissionPipeline:
         """The mission pipeline evaluating this scenario's platform and policy."""
-        base = robustness if robustness is not None else CalibratedRobustnessModel()
         config = PipelineConfig(
             platform=self.platform,
             compute_power_multiplier=self.compute_power_multiplier,
         )
-        return MissionPipeline(config, robustness=base.for_density(self.density))
+        return MissionPipeline(
+            config, robustness=CalibratedRobustnessModel().for_density(self.density)
+        )
 
     def navigation_config(self, observation: str = "vector") -> NavigationConfig:
         """A reduced-scale navigation environment matching this scenario's density."""
@@ -219,7 +220,7 @@ def scenario_sweep_spec(
 
 
 @job_kind("scenario.evaluate")
-def _run_scenario_evaluate(spec: JobSpec, context: ExecutionContext) -> Dict[str, object]:
+def _run_scenario_evaluate(spec: JobSpec) -> Dict[str, object]:
     """Evaluate one scenario: best BERRY operating point + success at its BER."""
     params = spec.params
     scenario = Scenario(
@@ -229,8 +230,7 @@ def _run_scenario_evaluate(spec: JobSpec, context: ExecutionContext) -> Dict[str
         compute_power_multiplier=float(params["compute_power_multiplier"]),
         ber_percent=float(params["ber_percent"]),
     )
-    robustness = context.get("robustness")
-    pipeline = scenario.pipeline(robustness)
+    pipeline = scenario.pipeline()
     classical = pipeline.provider_for_scheme(AutonomyScheme.CLASSICAL)
     berry = pipeline.provider_for_scheme(AutonomyScheme.BERRY)
     best = pipeline.best_operating_point(
@@ -328,7 +328,7 @@ def _world_and_metrics(world_spec: WorldSpec):
     )
 
 
-def _scenario_shared(params: Dict[str, object], context: ExecutionContext):
+def _scenario_shared(params: Dict[str, object]):
     """Everything in a generalized-scenario evaluation that does not depend
     on ``ber_percent`` — the expensive share that job fusion amortizes.
 
@@ -338,14 +338,12 @@ def _scenario_shared(params: Dict[str, object], context: ExecutionContext):
     """
     world_spec = WorldSpec.from_jsonable(params["world"])
     _, metrics = _world_and_metrics(world_spec)
-    robustness = context.get("robustness")
-    base = robustness if robustness is not None else CalibratedRobustnessModel()
     pipeline = MissionPipeline(
         PipelineConfig(
             platform=get_platform(str(params["platform"])),
             compute_power_multiplier=float(params["compute_power_multiplier"]),
         ),
-        robustness=base.for_density(metrics.effective_density),
+        robustness=CalibratedRobustnessModel().for_density(metrics.effective_density),
     )
     classical = pipeline.provider_for_scheme(AutonomyScheme.CLASSICAL)
     berry = pipeline.provider_for_scheme(AutonomyScheme.BERRY)
@@ -389,7 +387,7 @@ def _scenario_row(params: Dict[str, object], shared) -> Dict[str, object]:
 
 
 @job_kind("scenario.generalized")
-def _run_scenario_generalized(spec: JobSpec, context: ExecutionContext) -> Dict[str, object]:
+def _run_scenario_generalized(spec: JobSpec) -> Dict[str, object]:
     """Evaluate one generated-world scenario.
 
     Regenerates the world from its spec (any worker produces the identical
@@ -397,12 +395,10 @@ def _run_scenario_generalized(spec: JobSpec, context: ExecutionContext) -> Dict[
     world's effective difficulty, and reports robustness plus
     quality-of-flight at the scenario's best BERRY operating point.
     """
-    return _scenario_row(spec.params, _scenario_shared(spec.params, context))
+    return _scenario_row(spec.params, _scenario_shared(spec.params))
 
 
-def _run_scenario_generalized_fused(
-    specs: Sequence[JobSpec], context: ExecutionContext
-) -> List[Dict[str, object]]:
+def _run_scenario_generalized_fused(specs: Sequence[JobSpec]) -> List[Dict[str, object]]:
     """Fused evaluation of scenarios differing only in ``ber_percent``.
 
     The shared half (world + metrics + pipeline + operating point) runs once;
@@ -410,7 +406,7 @@ def _run_scenario_generalized_fused(
     same floats the unfused path produces — the shared computation is pure
     and deterministic, so computing it once instead of N times is invisible.
     """
-    shared = _scenario_shared(specs[0].params, context)
+    shared = _scenario_shared(specs[0].params)
     return [_scenario_row(spec.params, shared) for spec in specs]
 
 

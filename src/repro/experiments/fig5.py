@@ -8,9 +8,9 @@ and the processing-energy savings that voltage provides.
 The figure's grid (environments x autonomy schemes) is expressed as a
 :class:`~repro.runtime.jobs.SweepSpec` of independent ``fig5.row`` jobs and
 submitted through the runtime engine, so the CLI can run it sharded/parallel
-and cache each cell; :func:`generate_fig5_environments` keeps its original
-signature and output by running the same jobs serially and assembling the
-same table.
+and cache each cell; :func:`generate_fig5_environments` runs the same jobs
+serially and assembles the same table.  Each job evaluates the default
+:class:`~repro.core.pipeline.MissionPipeline`, so its spec is all it needs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.core.pipeline import MissionPipeline
 from repro.envs.obstacles import ObstacleDensity
 from repro.experiments.table2 import TABLE_II_VOLTAGES
 from repro.runtime.engine import run_sweep
-from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, job_kind
+from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.utils.tables import Table
 
 #: Bit-error rates (percent) highlighted in the Fig. 5 bar groups.
@@ -64,15 +64,12 @@ def fig5_sweep_spec(
 
 
 @job_kind("fig5.row")
-def _run_fig5_row(spec: JobSpec, context: ExecutionContext) -> Dict[str, Any]:
+def _run_fig5_row(spec: JobSpec) -> Dict[str, Any]:
     """Compute one Fig. 5 table row (one environment under one scheme)."""
     params = spec.params
-    base = context.get("pipeline")
-    if base is None:
-        base = MissionPipeline()
     density = ObstacleDensity(str(params["density"]))
     scheme = AutonomyScheme(str(params["scheme"]))
-    env_pipeline = base.for_density(density)
+    env_pipeline = MissionPipeline().for_density(density)
     berry_provider = env_pipeline.provider_for_scheme(AutonomyScheme.BERRY)
     # The environment's operating voltage is chosen so that *BERRY* stays
     # within the success-rate drop budget (the paper's underlined points);
@@ -126,7 +123,6 @@ def assemble_fig5(sweep: SweepSpec, results: Sequence[Optional[Dict[str, Any]]])
 def generate_fig5_environments(
     densities: Sequence[ObstacleDensity] = FIG5_DENSITIES,
     ber_levels: Sequence[float] = FIG5_BER_LEVELS,
-    pipeline: Optional[MissionPipeline] = None,
     candidate_voltages: Sequence[float] = TABLE_II_VOLTAGES,
     max_success_drop_pct: float = 1.0,
 ) -> Table:
@@ -137,6 +133,4 @@ def generate_fig5_environments(
         candidate_voltages=candidate_voltages,
         max_success_drop_pct=max_success_drop_pct,
     )
-    overrides = {"pipeline": pipeline} if pipeline is not None else {}
-    results = run_sweep(sweep, context=ExecutionContext(overrides=overrides))
-    return assemble_fig5(sweep, results)
+    return assemble_fig5(sweep, run_sweep(sweep))

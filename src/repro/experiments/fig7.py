@@ -8,9 +8,10 @@ the Tello's success rate, flight energy and missions across voltages.
 
 Both halves are expressed as runtime sweeps: one ``fig7.config_row`` job per
 (UAV, policy) configuration and one ``fig7.sweep_point`` job per voltage of
-the Tello curve.  Custom :class:`~repro.uav.platform.UavPlatform` objects
-that are not in the platform registry travel through the execution context
-(which disables caching, since their physics are invisible to the job hash).
+the Tello curve.  A job carries only its platform's name, which the runner
+looks up, so a configuration can only use a registered
+:class:`~repro.uav.platform.UavPlatform`: :func:`fig7_config_sweep_spec`
+rejects a platform that differs from the registered one of the same name.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core.pipeline import MissionPipeline
 from repro.errors import ConfigurationError
 from repro.experiments.table2 import TABLE_II_VOLTAGES
 from repro.runtime.engine import run_sweep
-from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, job_kind
+from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.uav.platform import CRAZYFLIE, DJI_TELLO, UavPlatform, get_platform
 from repro.utils.tables import Table
 
@@ -37,27 +38,6 @@ FIG7_CONFIGURATIONS: Tuple[Tuple[UavPlatform, str, float], ...] = (
 FIG7_TELLO_VOLTAGES: Tuple[float, ...] = (0.76, 0.77, 0.79, 0.80, 0.82, 0.84, 0.86)
 
 
-def _resolve_platform(name: str, context: ExecutionContext) -> UavPlatform:
-    """A platform by name, preferring caller-supplied overrides."""
-    custom = context.get("platforms") or {}
-    if name in custom:
-        return custom[name]
-    return get_platform(name)
-
-
-def _platform_overrides(platforms: Sequence[UavPlatform]) -> Dict[str, UavPlatform]:
-    """Platforms that the registry cannot reconstruct and must travel by object."""
-    overrides: Dict[str, UavPlatform] = {}
-    for platform in platforms:
-        try:
-            registered = get_platform(platform.name)
-        except ConfigurationError:
-            registered = None
-        if registered != platform:
-            overrides[platform.name] = platform
-    return overrides
-
-
 # ---------------------------------------------------------------------- table half
 def fig7_config_sweep_spec(
     configurations: Sequence[Tuple[UavPlatform, str, float]] = FIG7_CONFIGURATIONS,
@@ -65,6 +45,13 @@ def fig7_config_sweep_spec(
     max_success_drop_pct: float = 1.0,
 ) -> SweepSpec:
     """The Fig. 7 table grid — one job per (UAV, policy) configuration."""
+    for platform, _, _ in configurations:
+        if get_platform(platform.name) != platform:
+            raise ConfigurationError(
+                f"platform {platform.name!r} differs from the registered platform "
+                "of that name; Fig. 7 jobs carry only the platform name, so they "
+                "can evaluate registered platforms only"
+            )
     jobs = [
         JobSpec(
             kind="fig7.config_row",
@@ -86,13 +73,10 @@ def fig7_config_sweep_spec(
 
 
 @job_kind("fig7.config_row")
-def _run_fig7_config_row(spec: JobSpec, context: ExecutionContext) -> Dict[str, Any]:
+def _run_fig7_config_row(spec: JobSpec) -> Dict[str, Any]:
     params = spec.params
-    base = context.get("pipeline")
-    if base is None:
-        base = MissionPipeline()
-    platform = _resolve_platform(str(params["platform"]), context)
-    variant = base.for_platform(
+    platform = get_platform(str(params["platform"]))
+    variant = MissionPipeline().for_platform(
         platform, compute_power_multiplier=float(params["compute_power_multiplier"])
     )
     nominal = variant.nominal_operating_point(variant.provider_for_scheme(AutonomyScheme.BERRY))
@@ -135,7 +119,6 @@ def assemble_fig7_configs(
 
 def generate_fig7_platforms_models(
     configurations: Sequence[Tuple[UavPlatform, str, float]] = FIG7_CONFIGURATIONS,
-    pipeline: Optional[MissionPipeline] = None,
     candidate_voltages: Sequence[float] = TABLE_II_VOLTAGES,
     max_success_drop_pct: float = 1.0,
 ) -> Table:
@@ -145,14 +128,7 @@ def generate_fig7_platforms_models(
         candidate_voltages=candidate_voltages,
         max_success_drop_pct=max_success_drop_pct,
     )
-    overrides: Dict[str, Any] = {}
-    if pipeline is not None:
-        overrides["pipeline"] = pipeline
-    platform_overrides = _platform_overrides([platform for platform, _, _ in configurations])
-    if platform_overrides:
-        overrides["platforms"] = platform_overrides
-    results = run_sweep(sweep, context=ExecutionContext(overrides=overrides))
-    return assemble_fig7_configs(sweep, results)
+    return assemble_fig7_configs(sweep, run_sweep(sweep))
 
 
 # ---------------------------------------------------------------------- curves half
@@ -172,11 +148,8 @@ def fig7_tello_sweep_spec(
 
 
 @job_kind("fig7.sweep_point")
-def _run_fig7_sweep_point(spec: JobSpec, context: ExecutionContext) -> Dict[str, Any]:
-    base = context.get("pipeline")
-    if base is None:
-        base = MissionPipeline()
-    tello = base.for_platform(_resolve_platform(DJI_TELLO.name, context))
+def _run_fig7_sweep_point(spec: JobSpec) -> Dict[str, Any]:
+    tello = MissionPipeline().for_platform(DJI_TELLO)
     classical = tello.provider_for_scheme(AutonomyScheme.CLASSICAL)
     berry = tello.provider_for_scheme(AutonomyScheme.BERRY)
     voltage = float(spec.params["voltage"])
@@ -210,10 +183,7 @@ def assemble_fig7_tello_sweep(
 
 def generate_fig7_tello_voltage_sweep(
     normalized_voltages: Sequence[float] = FIG7_TELLO_VOLTAGES,
-    pipeline: Optional[MissionPipeline] = None,
 ) -> Table:
     """Regenerate the Fig. 7 voltage-sweep curves for the DJI Tello (C3F2)."""
     sweep = fig7_tello_sweep_spec(normalized_voltages=normalized_voltages)
-    overrides = {"pipeline": pipeline} if pipeline is not None else {}
-    results = run_sweep(sweep, context=ExecutionContext(overrides=overrides))
-    return assemble_fig7_tello_sweep(sweep, results)
+    return assemble_fig7_tello_sweep(sweep, run_sweep(sweep))

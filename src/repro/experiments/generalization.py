@@ -31,7 +31,7 @@ from repro.core.scenarios import (
     POLICY_VARIANTS,
     GeneralizedScenario,
 )
-from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, job_kind
+from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.uav.platform import UavPlatform
 from repro.utils.serialization import stable_hash
 from repro.utils.tables import Table
@@ -364,7 +364,7 @@ def _evaluate_rollout(spec: JobSpec, env, network) -> Dict[str, Any]:
 
 
 @job_kind("rollout.generalized")
-def _run_rollout_generalized(spec: JobSpec, context: ExecutionContext) -> Dict[str, Any]:
+def _run_rollout_generalized(spec: JobSpec) -> Dict[str, Any]:
     """Train + roll out one reduced-scale policy in one generated world.
 
     Everything — the world, the policy initialisation, training exploration,
@@ -383,9 +383,7 @@ def _run_rollout_generalized(spec: JobSpec, context: ExecutionContext) -> Dict[s
     return _evaluate_rollout(spec, env, network)
 
 
-def _run_rollout_generalized_fused(
-    specs: Sequence[JobSpec], context: ExecutionContext
-) -> List[Dict[str, Any]]:
+def _run_rollout_generalized_fused(specs: Sequence[JobSpec]) -> List[Dict[str, Any]]:
     """Fused rollout jobs: train the shared policy once, evaluate per BER.
 
     The members differ only along ``ber_percent`` (the fusion rule's axis),

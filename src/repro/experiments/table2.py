@@ -6,9 +6,9 @@ vs 1 V) and the number of missions per charge (with improvement vs 1 V).
 
 Each row is one independent ``table2.point`` job (the nominal 1 V baseline is
 the ``voltage = null`` job), so the runtime engine can compute the rows in
-parallel and cache them individually.  A caller-supplied pipeline or success
-provider travels through the execution context, which runs serially and
-uncached because such objects are invisible to the job hash.
+parallel and cache them individually.  Each job evaluates the default
+:class:`~repro.core.pipeline.MissionPipeline` under its scheme's success
+provider, so its spec is all it needs.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.calibrated import AutonomyScheme
-from repro.core.pipeline import MissionPipeline, SuccessRateProvider
+from repro.core.pipeline import MissionPipeline
 from repro.runtime.engine import run_sweep
-from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, job_kind
+from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.utils.tables import Table
 
 #: The normalized voltages (V/Vmin) of Table II's rows, highest to lowest.
@@ -59,15 +59,11 @@ def table2_sweep_spec(
 
 
 @job_kind("table2.point")
-def _run_table2_point(spec: JobSpec, context: ExecutionContext) -> Dict[str, Any]:
+def _run_table2_point(spec: JobSpec) -> Dict[str, Any]:
     """Evaluate one Table II operating point with baseline-relative deltas."""
     params = spec.params
-    pipeline = context.get("pipeline")
-    if pipeline is None:
-        pipeline = MissionPipeline()
-    provider: Optional[SuccessRateProvider] = context.get("success_provider")
-    if provider is None:
-        provider = pipeline.provider_for_scheme(AutonomyScheme(str(params["scheme"])))
+    pipeline = MissionPipeline()
+    provider = pipeline.provider_for_scheme(AutonomyScheme(str(params["scheme"])))
     baseline = pipeline.nominal_operating_point(provider)
     voltage = params["voltage"]
     if voltage is None:
@@ -99,16 +95,8 @@ def assemble_table2(sweep: SweepSpec, results: Sequence[Optional[Dict[str, Any]]
 
 def generate_table2_system_efficiency(
     normalized_voltages: Sequence[float] = TABLE_II_VOLTAGES,
-    pipeline: Optional[MissionPipeline] = None,
     scheme: AutonomyScheme = AutonomyScheme.BERRY,
-    success_provider: Optional[SuccessRateProvider] = None,
 ) -> Table:
     """Regenerate Table II for the Crazyflie + C3F2 configuration (by default)."""
     sweep = table2_sweep_spec(normalized_voltages=normalized_voltages, scheme=scheme)
-    overrides: Dict[str, Any] = {}
-    if pipeline is not None:
-        overrides["pipeline"] = pipeline
-    if success_provider is not None:
-        overrides["success_provider"] = success_provider
-    results = run_sweep(sweep, context=ExecutionContext(overrides=overrides))
-    return assemble_table2(sweep, results)
+    return assemble_table2(sweep, run_sweep(sweep))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, job_kind
+from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.utils.tables import Table
 
 #: Operating voltages (Vmin units) the default sweep evaluates: nominal down
@@ -83,7 +83,7 @@ def fleet_reliability_sweep_spec(
 
 
 @job_kind("fleet.reliability")
-def _run_fleet_reliability(spec: JobSpec, context: ExecutionContext) -> Dict[str, Any]:
+def _run_fleet_reliability(spec: JobSpec) -> Dict[str, Any]:
     """Run one (voltage, world) fleet cell; returns streaming moments only."""
     from repro.faults.ber_model import DEFAULT_BER_MODEL
     from repro.fleet.sim import FleetConfig, run_fleet_episodes
@@ -126,9 +126,7 @@ def _run_fleet_reliability(spec: JobSpec, context: ExecutionContext) -> Dict[str
     }
 
 
-def _run_fleet_reliability_fused(
-    specs: Sequence[JobSpec], context: ExecutionContext
-) -> List[Dict[str, Any]]:
+def _run_fleet_reliability_fused(specs: Sequence[JobSpec]) -> List[Dict[str, Any]]:
     """Fused fleet cells: all voltage levels of one world on one worker.
 
     Voltage only scales the BER/corruption/compute-power inputs — the shared
@@ -138,7 +136,7 @@ def _run_fleet_reliability_fused(
     trivially bitwise-identical; fusing pins the whole voltage axis to one
     worker instead of leaving world reuse to scheduling luck.
     """
-    return [_run_fleet_reliability(spec, context) for spec in specs]
+    return [_run_fleet_reliability(spec) for spec in specs]
 
 
 def _register_fusion_rules() -> None:

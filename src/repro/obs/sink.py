@@ -11,12 +11,13 @@ completed episode, derives the headline training signals —
 * **loss statistics** over the most recent gradient steps,
 * windowed **success rate / mean reward**,
 
-— stores them on :attr:`latest`, pushes them into the process metrics
-registry as ``train.*`` gauges/histograms (no-ops while metrics are
-disabled), and optionally logs a progress line every ``log_every`` episodes.
-Deeper per-step stats (batched Q-value spread, per-step epsilon) come from
-the collector's own instrumentation in :mod:`repro.rl.collect`; the sink is
-the episode-cadence aggregation on top.
+— stores them on :attr:`latest`, pushes the episode-cadence ones into the
+process metrics registry as ``train.*`` gauges/histograms (no-ops while
+metrics are disabled), and optionally logs a progress line every
+``log_every`` episodes.  The ``train.epsilon`` and ``train.replay_fill``
+gauges belong to the collector (:mod:`repro.rl.collect`) and the trainer,
+which set them per step, so the sink keeps those two values in
+:attr:`latest` only and a gauge reads the same with or without a sink.
 """
 
 from __future__ import annotations
@@ -93,8 +94,6 @@ class TelemetrySink:
         metrics = get_metrics()
         if metrics.enabled:
             metrics.gauge("train.env_steps_per_s").set(self.latest["env_steps_per_s"])
-            metrics.gauge("train.replay_fill").set(self.latest["replay_fill"])
-            metrics.gauge("train.epsilon").set(epsilon)
             metrics.counter("train.episodes_observed").inc()
             metrics.histogram("train.episode_reward").observe(
                 float(history.episode_rewards[-1])

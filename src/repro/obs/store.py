@@ -14,7 +14,7 @@ file** holding one record per completed sweep or benchmark run:
 Records are content-addressed: ``run_id`` is the stable SHA-256 of the full
 record payload, so ledgers from different machines or CI shards can be
 concatenated — records never collide and duplicates are detectable.  The
-engine appends a record at the end of every hermetic
+engine appends a record at the end of every
 :meth:`~repro.runtime.engine.SweepRunner.run` when a ledger is configured
 (the CLI configures one by default), and ``benchmarks/conftest.py`` appends
 one per benchmark group, so the performance trajectory accumulates without

@@ -27,7 +27,6 @@ from repro.runtime.fusion import (
     register_fusion_rule,
 )
 from repro.runtime.jobs import (
-    ExecutionContext,
     JobSpec,
     SweepSpec,
     job_kind,
@@ -38,7 +37,6 @@ from repro.runtime.journal import Journal, SweepStatus
 from repro.runtime.pool import WarmPoolExecutor, shutdown_pool
 
 __all__ = [
-    "ExecutionContext",
     "Executor",
     "FusionRule",
     "JobSpec",

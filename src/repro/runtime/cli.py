@@ -21,7 +21,7 @@ jobs-per-sec / ETA.  ``--trace`` captures spans (engine phases plus per-job
 execution, merged from multiprocessing workers) into a Chrome trace-event
 JSON loadable in Perfetto or ``chrome://tracing``; ``--metrics`` writes the
 merged metrics registry snapshot and ``--prom-file`` the same snapshot as
-OpenMetrics/Prometheus text exposition.  Every hermetic run also appends one
+OpenMetrics/Prometheus text exposition.  Every run also appends one
 record (metrics, span rollup, environment fingerprint) to the persistent
 **run ledger** (``.repro_runtime/ledger.jsonl`` or ``$REPRO_RUNTIME_LEDGER``;
 ``--ledger PATH`` overrides, ``--no-ledger`` opts out).  ``status`` replays a
@@ -112,10 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="run one registered sweep")
     run.add_argument("sweep", help="registered sweep name (see 'list')")
     run.add_argument("--workers", type=int, default=None, help="worker processes (default: serial)")
-    run.add_argument("--no-fuse", action="store_true",
-                     help="disable sweep-level job fusion (debugging/benchmark baseline)")
     run.add_argument("--fusion-width", type=int, default=DEFAULT_FUSION_WIDTH, metavar="N",
-                     help=f"max jobs per fused group (default {DEFAULT_FUSION_WIDTH})")
+                     help=f"max jobs per fused group; 1 disables fusion "
+                          f"(default {DEFAULT_FUSION_WIDTH})")
     run.add_argument("--shard", type=_parse_shard, default=None, metavar="I/N",
                      help="run only every N-th job starting at I")
     run.add_argument("--cache-dir", type=Path, default=None,
@@ -262,7 +261,6 @@ def _cmd_run(args: argparse.Namespace, stream) -> int:
         resume=not args.no_resume,
         heartbeat_interval=heartbeat,
         ledger=ledger,
-        fuse=not args.no_fuse,
         fusion_width=args.fusion_width,
     )
     try:

@@ -10,9 +10,9 @@ the result from, in order:
 3. actual execution on the configured backend.
 
 Fresh results are journaled and cached the moment they arrive, so an
-interrupt at any point loses at most the jobs currently in flight.  Runs
-whose :class:`~repro.runtime.jobs.ExecutionContext` carries live overrides
-are non-hermetic and skip both persistence layers.
+interrupt at any point loses at most the jobs currently in flight.  A job's
+result depends only on its spec, so every run uses the cache, journal and
+ledger the runner was configured with.
 
 The engine is the merge point of the observability layer (:mod:`repro.obs`):
 when metrics or tracing are enabled in the parent process it asks the
@@ -26,14 +26,14 @@ progress line as jobs settle.
 
 When constructed with a :class:`~repro.obs.RunLedger`, the engine appends one
 durable run record (metrics snapshot, span rollup, environment fingerprint,
-provenance counts) at the end of every hermetic run — the cross-run
+provenance counts) at the end of every run — the cross-run
 trajectory ``repro-runtime obs history/diff/check`` queries.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import Heartbeat, RunLedger, get_metrics, get_tracer, span
@@ -45,7 +45,7 @@ from repro.runtime.fusion import (
     describe_plan,
     plan_fusion,
 )
-from repro.runtime.jobs import ExecutionContext, SweepSpec
+from repro.runtime.jobs import SweepSpec
 from repro.runtime.journal import Journal
 from repro.utils.logging import get_logger
 from repro.utils.serialization import PathLike
@@ -128,7 +128,6 @@ class SweepRunner:
         heartbeat_interval: Optional[float] = None,
         heartbeat_emit: Optional[Callable[[str], None]] = None,
         ledger: Optional["RunLedger"] = None,
-        fuse: bool = True,
         fusion_width: int = DEFAULT_FUSION_WIDTH,
     ) -> None:
         self.executor = executor if executor is not None else SerialExecutor()
@@ -138,18 +137,11 @@ class SweepRunner:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_emit = heartbeat_emit
         self.ledger = ledger
-        self.fuse = fuse
         self.fusion_width = fusion_width
-
-    def _journal_for(self, sweep: SweepSpec, hermetic: bool) -> Optional[Journal]:
-        if self.journal_dir is None or not hermetic:
-            return None
-        return Journal.for_sweep(sweep, self.journal_dir)
 
     def run(
         self,
         sweep: SweepSpec,
-        context: Optional[ExecutionContext] = None,
         shard: Optional[Tuple[int, int]] = None,
     ) -> SweepReport:
         """Execute (the selected shard of) ``sweep`` and return a report.
@@ -159,11 +151,9 @@ class SweepRunner:
         so a follow-up run resumes instead of recomputing.
         """
         started = time.perf_counter()
-        context = context if context is not None else ExecutionContext()
         metrics = get_metrics()
         tracer = get_tracer()
-        if (metrics.enabled or tracer is not None) and not context.observe:
-            context = replace(context, observe=True)
+        observe = metrics.enabled or tracer is not None
         shard = _parse_shard(shard)
         report = SweepReport(sweep=sweep, results=[None] * len(sweep), shard=shard)
         if shard is not None:
@@ -191,15 +181,15 @@ class SweepRunner:
 
         root = span("sweep.run", sweep=sweep.name, jobs=len(sweep))
         with root:
-            use_persistence = context.hermetic
-            journal = self._journal_for(sweep, use_persistence)
+            journal = None
             journaled: dict = {}
-            if journal is not None:
+            if self.journal_dir is not None:
+                journal = Journal.for_sweep(sweep, self.journal_dir)
                 journal.record_header(sweep)
                 if self.resume:
                     with span("engine.journal_load"):
                         journaled = journal.load().results
-            cache = self.cache if use_persistence else None
+            cache = self.cache
 
             def settle(index: int, result: Any) -> None:
                 report.results[index] = result
@@ -279,7 +269,7 @@ class SweepRunner:
                 # never collide with real job indices.
                 dispatch_items: List[Tuple[int, Any]] = pending
                 groups_by_index: Dict[int, FusedGroup] = {}
-                if self.fuse and len(pending) > 1:
+                if len(pending) > 1:
                     with span("engine.fuse_plan", jobs=len(pending)) as fuse_span:
                         plan = plan_fusion(pending, self.fusion_width)
                         fuse_span.set_attribute("groups", len(plan.groups))
@@ -300,7 +290,7 @@ class SweepRunner:
                     "engine.dispatch", jobs=len(pending), backend=self.executor.name
                 ):
                     for index, status, payload, obs in self.executor.submit(
-                        dispatch_items, context
+                        dispatch_items, observe
                     ):
                         duration_s = obs.get("duration_s") if obs else None
                         if obs:
@@ -360,7 +350,7 @@ class SweepRunner:
                 report.journal_path = str(journal.path)
             if metrics.enabled:
                 report.metrics = metrics.snapshot()
-            if self.ledger is not None and use_persistence:
+            if self.ledger is not None:
                 # Ledger writes are best-effort telemetry: a full disk or a
                 # read-only checkout must not turn a finished sweep into a
                 # failure.  Failed runs are recorded too (counts.failed > 0) —
@@ -382,10 +372,6 @@ class SweepRunner:
         return report
 
 
-def run_sweep(
-    sweep: SweepSpec,
-    context: Optional[ExecutionContext] = None,
-    executor: Optional[Executor] = None,
-) -> List[Any]:
-    """Convenience path for generators: run everything, return results in order."""
-    return SweepRunner(executor=executor).run(sweep, context=context).results
+def run_sweep(sweep: SweepSpec) -> List[Any]:
+    """Convenience path for generators: run everything serially, results in order."""
+    return SweepRunner().run(sweep).results

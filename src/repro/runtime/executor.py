@@ -6,12 +6,10 @@ quadruples as jobs finish (possibly out of submission order) — so the engine
 above them is oblivious to *where* jobs run:
 
 * :class:`SerialExecutor` runs jobs inline, in order.  It is the default for
-  direct experiment-generator calls and the only backend usable when the
-  :class:`~repro.runtime.jobs.ExecutionContext` carries non-picklable
-  overrides.
+  direct experiment-generator calls.
 * :class:`MultiprocessExecutor` fans jobs out over a ``multiprocessing`` pool
-  with chunked dispatch.  The context is shipped once per worker via the pool
-  initializer rather than once per job.
+  with chunked dispatch; each chunk runs through :func:`run_chunk`, the same
+  loop the warm pool's workers use.
 
 Failures never tear down the pool mid-sweep: a runner exception is caught in
 the worker and reported as an ``"error"`` status so the engine can journal
@@ -19,15 +17,16 @@ every completed job before raising.
 
 Every event's ``obs`` element is the job's observation delta from
 :class:`repro.obs.observe_job`: always the measured ``duration_s``, plus —
-when the context's ``observe`` flag is set — the metrics snapshot and span
-records the job produced while it ran.  The delta is plain JSON-able data,
-so it crosses the process boundary exactly like the result does, and the
-engine merges it into the parent registry/tracer regardless of which backend
-executed the job.
+when ``submit`` is called with ``observe=True`` — the metrics snapshot and
+span records the job produced while it ran.  The delta is plain JSON-able
+data, so it crosses the process boundary exactly like the result does, and
+the engine merges it into the parent registry/tracer regardless of which
+backend executed the job.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import traceback
@@ -35,7 +34,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs import observe_job
-from repro.runtime.jobs import ExecutionContext, JobSpec, run_job
+from repro.runtime.jobs import JobSpec, run_job
 
 #: (job index, "ok" | "error", result or error message, observation delta)
 ExecutionEvent = Tuple[int, str, object, dict]
@@ -43,14 +42,19 @@ ExecutionEvent = Tuple[int, str, object, dict]
 IndexedJob = Tuple[int, JobSpec]
 
 
-def _execute(index: int, spec: JobSpec, context: ExecutionContext) -> ExecutionEvent:
-    watch = observe_job(spec.job_id, spec.kind, capture=context.observe)
+def _execute(index: int, spec: JobSpec, observe: bool) -> ExecutionEvent:
+    watch = observe_job(spec.job_id, spec.kind, capture=observe)
     try:
         with watch:
-            result = run_job(spec, context)
+            result = run_job(spec)
         return index, "ok", result, watch.delta()
     except Exception:  # noqa: BLE001 - reported to the engine, re-raised there
         return index, "error", traceback.format_exc(limit=8), watch.delta()
+
+
+def run_chunk(chunk: Sequence[IndexedJob], observe: bool) -> List[ExecutionEvent]:
+    """Run one chunk of jobs in order: the loop every worker process runs."""
+    return [_execute(index, spec, observe) for index, spec in chunk]
 
 
 class Executor:
@@ -59,7 +63,7 @@ class Executor:
     name = "abstract"
 
     def submit(
-        self, items: Sequence[IndexedJob], context: ExecutionContext
+        self, items: Sequence[IndexedJob], observe: bool = False
     ) -> Iterator[ExecutionEvent]:
         raise NotImplementedError
 
@@ -70,25 +74,10 @@ class SerialExecutor(Executor):
     name = "serial"
 
     def submit(
-        self, items: Sequence[IndexedJob], context: ExecutionContext
+        self, items: Sequence[IndexedJob], observe: bool = False
     ) -> Iterator[ExecutionEvent]:
         for index, spec in items:
-            yield _execute(index, spec, context)
-
-
-# Worker-side context, installed once per worker by the pool initializer.
-_WORKER_CONTEXT: Optional[ExecutionContext] = None
-
-
-def _init_worker(context: ExecutionContext) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-
-
-def _run_in_worker(item: IndexedJob) -> ExecutionEvent:
-    index, spec = item
-    context = _WORKER_CONTEXT if _WORKER_CONTEXT is not None else ExecutionContext()
-    return _execute(index, spec, context)
+            yield _execute(index, spec, observe)
 
 
 def default_worker_count() -> int:
@@ -127,11 +116,6 @@ def split_chunks(items: Sequence[IndexedJob], workers: int) -> List[List[Indexed
     return chunks
 
 
-def _run_chunk_in_worker(chunk: Sequence[IndexedJob]) -> List[ExecutionEvent]:
-    context = _WORKER_CONTEXT if _WORKER_CONTEXT is not None else ExecutionContext()
-    return [_execute(index, spec, context) for index, spec in chunk]
-
-
 class MultiprocessExecutor(Executor):
     """Fan jobs out over a throwaway ``multiprocessing.Pool``.
 
@@ -151,28 +135,20 @@ class MultiprocessExecutor(Executor):
         self.workers = workers if workers is not None else default_worker_count()
 
     def submit(
-        self, items: Sequence[IndexedJob], context: ExecutionContext
+        self, items: Sequence[IndexedJob], observe: bool = False
     ) -> Iterator[ExecutionEvent]:
-        if not context.hermetic:
-            raise ConfigurationError(
-                "context overrides hold live objects that cannot cross process "
-                "boundaries; run non-hermetic sweeps on the SerialExecutor"
-            )
         items = list(items)
         if not items:
             return
         if self.workers == 1 or len(items) == 1:
             # A one-worker pool would only add IPC overhead.
-            yield from SerialExecutor().submit(items, context)
+            yield from SerialExecutor().submit(items, observe)
             return
         chunks = split_chunks(items, self.workers)
-        pool = multiprocessing.Pool(
-            processes=min(self.workers, len(chunks)),
-            initializer=_init_worker,
-            initargs=(context,),
-        )
+        pool = multiprocessing.Pool(processes=min(self.workers, len(chunks)))
         try:
-            for events in pool.imap_unordered(_run_chunk_in_worker, chunks, chunksize=1):
+            run = functools.partial(run_chunk, observe=observe)
+            for events in pool.imap_unordered(run, chunks, chunksize=1):
                 yield from events
         finally:
             pool.terminate()

@@ -27,10 +27,10 @@ The fused spec itself is never cached or journaled — only its members are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.runtime.jobs import ExecutionContext, JobSpec, job_kind
+from repro.runtime.jobs import JobSpec, job_kind
 from repro.utils.serialization import stable_hash
 
 FUSED_KIND = "engine.fused"
@@ -45,13 +45,13 @@ DEFAULT_FUSION_WIDTH = 16
 class FusionRule:
     """Declares that ``kind`` may be fused along ``axis``.
 
-    ``run_fused(members, context)`` must return one result per member, in
-    member order, with values identical to running each member unfused.
+    ``run_fused(members)`` must return one result per member, in member
+    order, with values identical to running each member unfused.
     """
 
     kind: str
     axis: Tuple[str, ...]
-    run_fused: Callable[[Sequence[JobSpec], ExecutionContext], List[object]]
+    run_fused: Callable[[Sequence[JobSpec]], List[object]]
 
     def fusion_key(self, spec: JobSpec) -> str:
         """Content hash of every param *off* the fusion axis.
@@ -164,7 +164,7 @@ def plan_fusion(
 
 
 @job_kind(FUSED_KIND)
-def _run_fused(spec: JobSpec, context: ExecutionContext) -> List[object]:
+def _run_fused(spec: JobSpec) -> List[object]:
     """Execute one fused group: shared work once, one result per member."""
     from repro.obs import get_metrics
 
@@ -180,7 +180,7 @@ def _run_fused(spec: JobSpec, context: ExecutionContext) -> List[object]:
     if metrics.enabled:
         metrics.counter("fusion.executed_groups").inc()
         metrics.counter("fusion.executed_members").inc(len(members))
-    results = rule.run_fused(members, context)
+    results = rule.run_fused(members)
     if len(results) != len(members):
         raise RuntimeError(
             f"fused runner for {inner_kind!r} returned {len(results)} results "

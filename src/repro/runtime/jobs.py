@@ -18,48 +18,19 @@ with its own identity hash, which names journals and ties sharded runs of the
 same sweep together.
 
 Experiment modules register their job kinds with the :func:`job_kind`
-decorator; :func:`run_job` dispatches a spec to its runner.  Runners receive
-an :class:`ExecutionContext` carrying optional *non-serialisable* overrides
-(a custom pipeline, a measured success provider).  A context with overrides
-is not *hermetic*: its results depend on objects outside the spec hash, so
-the engine bypasses the cache and the journal for such runs.
+decorator; :func:`run_job` dispatches a spec to its runner.  A runner sees
+only its spec, so a job's result depends on nothing its hash does not cover:
+that is what lets the engine cache, journal and ledger every run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 from repro.utils.serialization import canonical_json, stable_hash, to_jsonable
-
-
-@dataclass
-class ExecutionContext:
-    """Objects threaded through to job runners alongside the spec.
-
-    ``overrides`` holds caller-supplied live objects (e.g. a custom
-    :class:`~repro.core.pipeline.MissionPipeline`).  They are invisible to the
-    spec hash, so any run with overrides is treated as non-hermetic and is
-    neither cached nor journaled.
-
-    ``observe`` asks the executor to capture a per-job observability delta
-    (metrics snapshot + span records, see :mod:`repro.obs`) next to every
-    result.  It does not influence the job's outputs, so it has no bearing on
-    hermeticity or the spec hash.
-    """
-
-    overrides: Dict[str, Any] = field(default_factory=dict)
-    observe: bool = False
-
-    @property
-    def hermetic(self) -> bool:
-        """True when results are fully determined by the job specs alone."""
-        return not self.overrides
-
-    def get(self, name: str, default: Any = None) -> Any:
-        return self.overrides.get(name, default)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +119,7 @@ class SweepSpec:
 
 
 # ---------------------------------------------------------------------- job kinds
-JobRunner = Callable[[JobSpec, ExecutionContext], Any]
+JobRunner = Callable[[JobSpec], Any]
 
 _JOB_KINDS: Dict[str, JobRunner] = {}
 _KINDS_LOADED = False
@@ -201,8 +172,6 @@ def registered_kinds() -> Tuple[str, ...]:
     return tuple(sorted(_JOB_KINDS))
 
 
-def run_job(spec: JobSpec, context: Optional[ExecutionContext] = None) -> Any:
+def run_job(spec: JobSpec) -> Any:
     """Execute one job and return its JSON-able result."""
-    runner = runner_for(spec.kind)
-    result = runner(spec, context if context is not None else ExecutionContext())
-    return to_jsonable(result)
+    return to_jsonable(runner_for(spec.kind)(spec))

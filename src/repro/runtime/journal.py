@@ -1,6 +1,6 @@
 """JSONL progress journaling with checkpoint/resume.
 
-Every hermetic sweep run appends to one append-only JSON-lines file named
+Every journaled sweep run appends to one append-only JSON-lines file named
 after the sweep's identity hash, so interrupted, re-started and *sharded*
 runs of the same sweep all converge on the same journal:
 

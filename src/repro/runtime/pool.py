@@ -43,11 +43,10 @@ from repro.runtime.executor import (
     Executor,
     IndexedJob,
     SerialExecutor,
-    _execute,
     default_worker_count,
+    run_chunk,
     split_chunks,
 )
-from repro.runtime.jobs import ExecutionContext
 from repro.utils import warmcache
 
 #: Seconds between liveness checks while waiting on results.  Long enough to
@@ -61,9 +60,9 @@ def _pool_worker_main(worker_id: int, tasks, results) -> None:
         message = tasks.get()
         if message is None:
             break
-        submission_id, chunk_id, chunk, context = message
+        submission_id, chunk_id, chunk, observe = message
         try:
-            events = [_execute(index, spec, context) for index, spec in chunk]
+            events = run_chunk(chunk, observe)
             results.put(
                 (
                     submission_id,
@@ -74,7 +73,7 @@ def _pool_worker_main(worker_id: int, tasks, results) -> None:
                 )
             )
         except BaseException:  # noqa: BLE001 - last resort before worker death
-            # _execute never raises; this guards pickling/queue failures so the
+            # run_chunk never raises; this guards pickling/queue failures so the
             # parent sees a structured loss instead of a silent hang.
             results.put((submission_id, chunk_id, worker_id, None, {}))
             raise
@@ -155,7 +154,7 @@ class PersistentWorkerPool:
     def run_chunks(
         self,
         chunks: Sequence[Sequence[IndexedJob]],
-        context: ExecutionContext,
+        observe: bool,
     ) -> Iterator[List[ExecutionEvent]]:
         """Dispatch ``chunks`` to whichever workers pull them first.
 
@@ -168,7 +167,7 @@ class PersistentWorkerPool:
             submission_id = self._submission_seq
         self.last_chunk_workers = {}
         for chunk_id, chunk in enumerate(chunks):
-            self._tasks.put((submission_id, chunk_id, list(chunk), context))
+            self._tasks.put((submission_id, chunk_id, list(chunk), observe))
         outstanding = len(chunks)
         while outstanding:
             try:
@@ -244,18 +243,13 @@ class WarmPoolExecutor(Executor):
         self.last_stats: Dict[str, object] = {}
 
     def submit(
-        self, items: Sequence[IndexedJob], context: ExecutionContext
+        self, items: Sequence[IndexedJob], observe: bool = False
     ) -> Iterator[ExecutionEvent]:
-        if not context.hermetic:
-            raise ConfigurationError(
-                "context overrides hold live objects that cannot cross process "
-                "boundaries; run non-hermetic sweeps on the SerialExecutor"
-            )
         items = list(items)
         if not items:
             return
         if self.workers == 1 or len(items) == 1:
-            yield from SerialExecutor().submit(items, context)
+            yield from SerialExecutor().submit(items, observe)
             return
         pool = get_pool()
         spawned = pool.ensure_workers(self.workers)
@@ -268,7 +262,7 @@ class WarmPoolExecutor(Executor):
             metrics.gauge("pool.workers").set(pool.size)
         jobs_done = 0
         with span("pool.submit", jobs=len(items), chunks=len(chunks), workers=pool.size):
-            for events in pool.run_chunks(chunks, context):
+            for events in pool.run_chunks(chunks, observe):
                 jobs_done += len(events)
                 yield from events
         steals = self._count_steals(pool.last_chunk_workers, pool.size)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, job_kind
+from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.utils.tables import Table
 
 Assembler = Callable[[SweepSpec, Sequence[Any]], Any]
@@ -75,7 +75,7 @@ def iter_registered_sweeps() -> Iterator[RegisteredSweep]:
 
 # ---------------------------------------------------------------------- generic wrapper
 @job_kind("experiment.table")
-def _run_experiment_table(spec: JobSpec, context: ExecutionContext) -> Dict[str, Any]:
+def _run_experiment_table(spec: JobSpec) -> Dict[str, Any]:
     """Run a whole table/figure generator (by dotted name) as one job."""
     module = importlib.import_module(str(spec.params["module"]))
     generator = getattr(module, str(spec.params["function"]))
@@ -145,7 +145,7 @@ def rollout_sweep_spec(
 
 
 @job_kind("rollout.episodes")
-def _run_rollout_episodes(spec: JobSpec, context: ExecutionContext) -> Dict[str, Any]:
+def _run_rollout_episodes(spec: JobSpec) -> Dict[str, Any]:
     """Roll a (fresh, reduced-scale) policy through N seeded episodes.
 
     All randomness — environment layout, policy initialisation, exploration —

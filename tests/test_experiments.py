@@ -1,15 +1,22 @@
 """Tests for the experiment generators (one per table/figure of the paper)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.calibrated import AutonomyScheme
+from repro.errors import ConfigurationError
 from repro.experiments.fig1 import generate_fig1_voltage_physics
 from repro.experiments.fig2 import generate_fig2_voltage_ber_energy
 from repro.experiments.fig3 import FIG3_BER_SWEEP, generate_fig3_robustness_vs_ber
 from repro.experiments.fig5 import generate_fig5_environments
 from repro.experiments.fig6 import generate_fig6_physics_relations
-from repro.experiments.fig7 import generate_fig7_platforms_models, generate_fig7_tello_voltage_sweep
+from repro.experiments.fig7 import (
+    fig7_config_sweep_spec,
+    generate_fig7_platforms_models,
+    generate_fig7_tello_voltage_sweep,
+)
 from repro.experiments.profiles import FAST_PROFILE, PAPER_PROFILE
 from repro.experiments.reporting import render_report, save_tables
 from repro.experiments.table1 import generate_table1_robustness
@@ -17,6 +24,7 @@ from repro.experiments.table2 import TABLE_II_VOLTAGES, generate_table2_system_e
 from repro.experiments.table3 import generate_table3_profiled_chips
 from repro.experiments.table4 import generate_table4_on_device, on_device_recovery_fraction
 from repro.envs.obstacles import ObstacleDensity
+from repro.uav.platform import CRAZYFLIE, DJI_TELLO
 
 
 class TestFig1:
@@ -162,6 +170,21 @@ class TestFig7:
         assert crazyflie["flight_energy_reduction_pct"] > tello_c3f2["flight_energy_reduction_pct"]
         assert tello_c5f4["flight_energy_reduction_pct"] > tello_c3f2["flight_energy_reduction_pct"]
         assert all(row["missions_increase_pct"] > 0 for row in table.rows)
+
+    def test_modified_platform_under_a_registered_name_is_rejected(self):
+        """A job names its platform, so a heavier Tello called "dji-tello"
+        would silently be evaluated as the stock Tello."""
+        heavy = dataclasses.replace(DJI_TELLO, base_mass_g=1.5 * DJI_TELLO.base_mass_g)
+        configurations = [(heavy, "C3F2", 1.0)]
+        with pytest.raises(ConfigurationError, match="differs from the registered platform"):
+            fig7_config_sweep_spec(configurations=configurations)
+        with pytest.raises(ConfigurationError, match="differs from the registered platform"):
+            generate_fig7_platforms_models(configurations=configurations)
+
+    def test_unregistered_platform_is_rejected(self):
+        custom = dataclasses.replace(CRAZYFLIE, name="custom-quad")
+        with pytest.raises(ConfigurationError, match="unknown platform"):
+            fig7_config_sweep_spec(configurations=[(custom, "C3F2", 1.0)])
 
     def test_tello_voltage_sweep_curves(self):
         table = generate_fig7_tello_voltage_sweep()

@@ -40,7 +40,7 @@ from repro.obs.store import (
 )
 from repro.runtime.cli import main
 from repro.runtime.engine import SweepRunner
-from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, job_kind
+from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.utils.serialization import append_jsonl
 
 
@@ -54,7 +54,7 @@ def _reset_global_observability():
 
 
 @job_kind("obs.store.probe")
-def _store_probe(spec, context):
+def _store_probe(spec):
     return spec.params["x"] * 2
 
 
@@ -288,14 +288,6 @@ class TestEngineLedgerIntegration:
         }
         assert record.wall_time_s > 0
         assert record.fingerprint["python"]
-
-    def test_non_hermetic_runs_are_not_recorded(self, tmp_path):
-        ledger = RunLedger(tmp_path / "l.jsonl")
-        runner = SweepRunner(ledger=ledger)
-        context = ExecutionContext(overrides={"live": object()})
-        assert not context.hermetic
-        runner.run(self._sweep(), context=context)
-        assert ledger.records() == []
 
     def test_ledger_write_failure_does_not_fail_the_run(self, tmp_path):
         class ExplodingLedger(RunLedger):

@@ -12,13 +12,13 @@ from repro.experiments.fig5 import assemble_fig5, fig5_sweep_spec, generate_fig5
 from repro.runtime.cache import MISS, ResultCache
 from repro.runtime.engine import SweepExecutionError, SweepRunner, run_sweep
 from repro.runtime.executor import MultiprocessExecutor, SerialExecutor, make_executor
-from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, job_kind
+from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.runtime.journal import Journal
 from repro.utils.serialization import save_json
 
 
 @job_kind("test.double")
-def _double(spec, context):
+def _double(spec):
     """Test kind: double the input, optionally recording each execution."""
     log = spec.params.get("log")
     if log:
@@ -28,7 +28,7 @@ def _double(spec, context):
 
 
 @job_kind("test.fail_until_marker")
-def _fail_until_marker(spec, context):
+def _fail_until_marker(spec):
     """Test kind: fail until its marker file exists (then succeed)."""
     marker = Path(spec.params["marker"])
     if not marker.exists():
@@ -62,12 +62,6 @@ class TestExecutors:
         assert isinstance(make_executor(1), SerialExecutor)
         assert isinstance(make_executor(3), WarmPoolExecutor)
         assert make_executor(3).workers == 3
-
-    def test_multiprocess_rejects_live_overrides(self):
-        executor = MultiprocessExecutor(workers=2)
-        context = ExecutionContext(overrides={"pipeline": object()})
-        with pytest.raises(ConfigurationError):
-            list(executor.submit([(0, JobSpec(kind="test.double", params={"value": 1}))], context))
 
     def test_invalid_worker_count(self):
         with pytest.raises(ConfigurationError):
@@ -134,16 +128,6 @@ class TestCache:
         assert (second.executed, second.cache_hits) == (0, 4)
         assert second.results == first.results
         assert len(_executions(log)) == 4  # nothing re-ran
-
-    def test_overrides_bypass_cache(self, tmp_path):
-        log = tmp_path / "executions.log"
-        sweep = _double_sweep(2, log=log)
-        runner = SweepRunner(cache=ResultCache(root=tmp_path / "cache"))
-        context = ExecutionContext(overrides={"anything": object()})
-        runner.run(sweep, context=context)
-        report = runner.run(sweep, context=context)
-        assert report.cache_hits == 0
-        assert len(_executions(log)) == 4  # both runs executed everything
 
 
 class TestJournalResume:
@@ -235,10 +219,6 @@ class TestRunSweepHelper:
     def test_returns_results_in_order(self):
         results = run_sweep(_double_sweep(3))
         assert results == [{"value": 0}, {"value": 2}, {"value": 4}]
-
-    def test_non_hermetic_context_runs_serially(self):
-        results = run_sweep(_double_sweep(2), context=ExecutionContext(overrides={"x": object()}))
-        assert results == [{"value": 0}, {"value": 2}]
 
 
 class TestCli:

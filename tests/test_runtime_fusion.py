@@ -20,13 +20,13 @@ from repro.runtime.fusion import (
     plan_fusion,
     register_fusion_rule,
 )
-from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, job_kind, run_job
+from repro.runtime.jobs import JobSpec, SweepSpec, job_kind, run_job
 from repro.runtime.journal import Journal
 from repro.utils.warmcache import clear_warm_caches
 
 
 @job_kind("test.fusable")
-def _run_fusable(spec, context):
+def _run_fusable(spec):
     """Unfused runner matching the fused rule below exactly (shared == base)."""
     return {
         "value": int(spec.params["base"]) + int(spec.params["level"]),
@@ -43,7 +43,7 @@ def _cold_warm_caches():
 
 
 def _register_test_rule():
-    def run_fused(specs, context):
+    def run_fused(specs):
         base = sum(int(s.params["base"]) for s in specs) / len(specs)
         return [
             {"value": int(s.params["base"]) + int(s.params["level"]), "shared": base}
@@ -133,7 +133,7 @@ class TestFusedSpec:
     def test_run_fused_returns_one_result_per_member(self):
         _register_test_rule()
         jobs = _fusable_jobs(bases=(3,), levels=(0, 1, 2))
-        results = run_job(fused_spec(jobs), ExecutionContext())
+        results = run_job(fused_spec(jobs))
         assert [r["value"] for r in results] == [3, 4, 5]
 
     def test_fusion_key_separates_off_axis_params(self):
@@ -154,8 +154,8 @@ class TestEngineFusion:
         _register_test_rule()
         jobs = _fusable_jobs(bases=(1, 2), levels=(0, 1, 2))
         sweep = SweepSpec(name="fusion-engine", description="", jobs=tuple(jobs))
-        fused = SweepRunner(fuse=True).run(sweep)
-        unfused = SweepRunner(fuse=False).run(sweep)
+        fused = SweepRunner().run(sweep)
+        unfused = SweepRunner(fusion_width=1).run(sweep)
         assert fused.results == unfused.results
         assert fused.fused_groups == 2
         assert fused.fused_jobs == 6
@@ -169,8 +169,8 @@ class TestEngineFusion:
         sweep = SweepSpec(name="fusion-cache", description="", jobs=tuple(jobs))
         cache_fused = ResultCache(root=tmp_path / "fused")
         cache_unfused = ResultCache(root=tmp_path / "unfused")
-        SweepRunner(cache=cache_fused, fuse=True).run(sweep)
-        SweepRunner(cache=cache_unfused, fuse=False).run(sweep)
+        SweepRunner(cache=cache_fused).run(sweep)
+        SweepRunner(cache=cache_unfused, fusion_width=1).run(sweep)
         for job in jobs:
             fused_entry = cache_fused.path_for(job).read_text()
             unfused_entry = cache_unfused.path_for(job).read_text()
@@ -180,8 +180,8 @@ class TestEngineFusion:
         _register_test_rule()
         jobs = _fusable_jobs(bases=(5,), levels=(0, 1, 2, 3))
         sweep = SweepSpec(name="fusion-journal", description="", jobs=tuple(jobs))
-        SweepRunner(journal_dir=tmp_path / "fused", fuse=True).run(sweep)
-        SweepRunner(journal_dir=tmp_path / "unfused", fuse=False).run(sweep)
+        SweepRunner(journal_dir=tmp_path / "fused").run(sweep)
+        SweepRunner(journal_dir=tmp_path / "unfused", fusion_width=1).run(sweep)
         fused_records = [
             _strip_volatile(json.loads(line))
             for line in Journal.for_sweep(sweep, tmp_path / "fused")
@@ -201,14 +201,14 @@ class TestEngineFusion:
         _register_test_rule()
         jobs = _fusable_jobs(bases=(5,), levels=(0, 1, 2, 3))
         sweep = SweepSpec(name="fusion-resume", description="", jobs=tuple(jobs))
-        first = SweepRunner(journal_dir=tmp_path, fuse=True).run(sweep)
-        second = SweepRunner(journal_dir=tmp_path, fuse=True).run(sweep)
+        first = SweepRunner(journal_dir=tmp_path).run(sweep)
+        second = SweepRunner(journal_dir=tmp_path).run(sweep)
         assert second.resumed == len(jobs)
         assert second.executed == 0
         assert second.results == first.results
 
     def test_fused_group_failure_fails_every_member(self):
-        def run_fused(specs, context):
+        def run_fused(specs):
             raise RuntimeError("fused boom")
 
         register_fusion_rule(
@@ -222,7 +222,7 @@ class TestEngineFusion:
         from repro.runtime.engine import SweepExecutionError
 
         with pytest.raises(SweepExecutionError) as excinfo:
-            SweepRunner(fuse=True).run(sweep)
+            SweepRunner().run(sweep)
         assert len(excinfo.value.failures) == 3
 
 
@@ -240,9 +240,9 @@ class TestRealKindEquivalence:
             num_fault_maps=2,
             train_lanes=2,
         )
-        unfused = SweepRunner(fuse=False).run(sweep)
+        unfused = SweepRunner(fusion_width=1).run(sweep)
         clear_warm_caches()
-        fused = SweepRunner(fuse=True, fusion_width=width).run(sweep)
+        fused = SweepRunner(fusion_width=width).run(sweep)
         assert fused.results == unfused.results
         if width > 1:
             assert fused.fused_jobs == len(sweep)
@@ -255,7 +255,7 @@ class TestRealKindEquivalence:
             episodes_per_job=2,
             max_steps=10,
         )
-        unfused = SweepRunner(fuse=False).run(sweep)
+        unfused = SweepRunner(fusion_width=1).run(sweep)
         clear_warm_caches()
-        fused = SweepRunner(fuse=True, fusion_width=width).run(sweep)
+        fused = SweepRunner(fusion_width=width).run(sweep)
         assert fused.results == unfused.results

@@ -17,7 +17,7 @@ from repro.envs.navigation import NavigationEnv
 from repro.errors import ConfigurationError
 from repro.experiments.profiles import FAST_PROFILE
 from repro.envs.vector import run_episodes
-from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, run_job
+from repro.runtime.jobs import JobSpec, SweepSpec, run_job
 
 
 class TestJobSpec:

@@ -12,7 +12,7 @@ from repro.runtime.executor import (
     plan_chunks,
     split_chunks,
 )
-from repro.runtime.jobs import ExecutionContext, JobSpec, SweepSpec, job_kind
+from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.runtime.pool import WarmPoolExecutor, shutdown_pool
 from repro.utils.warmcache import (
     WarmCache,
@@ -26,12 +26,12 @@ from repro.utils.warmcache import (
 
 
 @job_kind("test.pool_double")
-def _pool_double(spec, context):
+def _pool_double(spec):
     return {"value": 2 * int(spec.params["x"])}
 
 
 @job_kind("test.pool_world")
-def _pool_world(spec, context):
+def _pool_world(spec):
     """Touches the world warm cache like a real sweep job does."""
     from repro.worlds.registry import generate_world
     from repro.worlds.spec import WorldSpec
@@ -117,9 +117,8 @@ class TestWarmCache:
 class TestWarmPoolExecutor:
     def test_results_match_serial(self, fresh_pool):
         items = _jobs("test.pool_double", 17)
-        context = ExecutionContext()
-        serial = sorted(SerialExecutor().submit(items, context))
-        pooled = sorted(WarmPoolExecutor(workers=3).submit(items, context))
+        serial = sorted(SerialExecutor().submit(items))
+        pooled = sorted(WarmPoolExecutor(workers=3).submit(items))
         assert [(i, s, p) for i, s, p, _ in serial] == [
             (i, s, p) for i, s, p, _ in pooled
         ]
@@ -127,19 +126,19 @@ class TestWarmPoolExecutor:
     def test_second_submit_spawns_zero_processes(self, fresh_pool):
         executor = WarmPoolExecutor(workers=3)
         items = _jobs("test.pool_double", 12)
-        list(executor.submit(items, ExecutionContext()))
+        list(executor.submit(items))
         assert executor.last_stats["spawned"] == 3
         spawned_total = executor.last_stats["spawned_total"]
-        list(executor.submit(items, ExecutionContext()))
+        list(executor.submit(items))
         assert executor.last_stats["spawned"] == 0
         assert executor.last_stats["spawned_total"] == spawned_total
 
     def test_pool_shared_across_executor_instances(self, fresh_pool):
         items = _jobs("test.pool_double", 8)
         first = WarmPoolExecutor(workers=2)
-        list(first.submit(items, ExecutionContext()))
+        list(first.submit(items))
         second = WarmPoolExecutor(workers=2)
-        list(second.submit(items, ExecutionContext()))
+        list(second.submit(items))
         assert second.last_stats["spawned"] == 0
 
     def test_warm_world_cache_hits_on_rerun(self, fresh_pool):
@@ -151,8 +150,8 @@ class TestWarmPoolExecutor:
             for i in range(8)
         ]
         executor = WarmPoolExecutor(workers=2)
-        list(executor.submit(items, ExecutionContext()))
-        list(executor.submit(items, ExecutionContext()))
+        list(executor.submit(items))
+        list(executor.submit(items))
         assert executor.last_stats["spawned"] == 0
         worlds = executor.warm_stats().get("worlds")
         assert worlds is not None
@@ -161,15 +160,9 @@ class TestWarmPoolExecutor:
         assert hit_rate(worlds) >= 0.5
         assert worlds["misses"] <= 2  # one cold build per worker, at most
 
-    def test_rejects_live_overrides(self, fresh_pool):
-        executor = WarmPoolExecutor(workers=2)
-        context = ExecutionContext(overrides={"pipeline": object()})
-        with pytest.raises(ConfigurationError):
-            list(executor.submit(_jobs("test.pool_double", 4), context))
-
     def test_single_item_runs_inline(self, fresh_pool):
         executor = WarmPoolExecutor(workers=4)
-        events = list(executor.submit(_jobs("test.pool_double", 1), ExecutionContext()))
+        events = list(executor.submit(_jobs("test.pool_double", 1)))
         assert len(events) == 1
         assert get_pool_size_unspawned()
 
@@ -179,11 +172,11 @@ class TestWarmPoolExecutor:
             (0, JobSpec(kind="test.pool_double", params={"x": "not-an-int"})),
             (1, JobSpec(kind="test.pool_double", params={"x": 5})),
         ]
-        events = {i: (s, p) for i, s, p, _ in executor.submit(items, ExecutionContext())}
+        events = {i: (s, p) for i, s, p, _ in executor.submit(items)}
         assert events[0][0] == "error"
         assert events[1] == ("ok", {"value": 10})
         # Pool still healthy for the next submission.
-        more = list(executor.submit(_jobs("test.pool_double", 6), ExecutionContext()))
+        more = list(executor.submit(_jobs("test.pool_double", 6)))
         assert len(more) == 6
         assert executor.last_stats["spawned"] == 0
 
