@@ -16,8 +16,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.envs.obstacles import ObstacleField, circle_distances
 from repro.fleet import FleetConfig, FleetSim
 from repro.fleet.conflicts import all_pairs
+from repro.fleet.sim import STEER_OFFSETS
 from repro.worlds.dynamic import DynamicObstacleField, MovingObstacle
 
 NUM_VEHICLES = 1000
@@ -99,3 +101,85 @@ def test_fleet_1000_steps_per_second():
     )
     assert steps_per_s >= 1.0
     assert 0 < checked < candidate_budget / 10
+
+
+# ---------------------------------------------------------------------- steering sweep
+# Steering validates every candidate heading of every vehicle in one timed
+# segment query: 1000 vehicles x 7 headings = 7000 segments at one lockstep
+# start/end pair.  The reference below is the former query: every segment
+# sampled densely against every circle, and every mover placed by its own
+# ``positions_at`` at each of the 56,000 sample rows' times.  The field now
+# samples only segments whose start is within reach of an obstacle and
+# places the movers once per distinct sample time.
+
+STEERING_START_S, STEERING_END_S = 2.0, 2.5
+
+
+def _dense_segments_collide_timed(field, starts, ends, start_times, end_times, radius):
+    """The former ``DynamicObstacleField.segments_collide_timed`` (8 samples)."""
+    fractions = np.linspace(0.0, 1.0, 8)
+    points = starts[:, None, :] + fractions[None, :, None] * (ends - starts)[:, None, :]
+    points = points.reshape(-1, 2)
+    hit = ObstacleField._collide_mask(field, points, radius)
+    if not hit.all():
+        times = (
+            start_times[:, None] + fractions[None, :] * (end_times - start_times)[:, None]
+        ).reshape(-1)
+        centers = np.stack([mover.positions_at(times) for mover in field.movers])
+        radii = np.array([mover.radius for mover in field.movers])
+        distances = circle_distances(
+            points[:, 0], points[:, 1], centers[:, :, 0], centers[:, :, 1], radii[:, None]
+        )
+        hit |= distances.min(axis=0) < radius
+    return hit.reshape(starts.shape[0], fractions.size).any(axis=1)
+
+
+@pytest.fixture(scope="module")
+def steering_sweep(fleet_setup):
+    """Every candidate heading of a freshly placed 1000-UAV fleet."""
+    field, config = fleet_setup
+    sim = FleetSim(field, config, rng=0)
+    to_goal = sim.goals - sim.positions
+    angles = np.arctan2(to_goal[:, 1], to_goal[:, 0])[:, None] + STEER_OFFSETS[None, :]
+    advance = config.speed_m_s * config.step_duration_s
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=2)
+    starts = np.repeat(sim.positions, STEER_OFFSETS.size, axis=0)
+    ends = (sim.positions[:, None, :] + advance * directions).reshape(-1, 2)
+    return field, starts, ends, config.vehicle_radius_m
+
+
+def _seconds_to_sweep(query, field, starts, ends, times, radius) -> float:
+    start = time.perf_counter()
+    query(field, starts, ends, *times, radius)
+    return time.perf_counter() - start
+
+
+def test_steering_sweep_speedup(steering_sweep):
+    """Acceptance gate: >= 4x over the dense query on the 7000-segment
+    steering sweep, with bitwise-equal masks in both time orders."""
+    field, starts, ends, radius = steering_sweep
+    assert starts.shape == (NUM_VEHICLES * STEER_OFFSETS.size, 2)
+    count = starts.shape[0]
+    forward = (np.full(count, STEERING_START_S), np.full(count, STEERING_END_S))
+    query = DynamicObstacleField.segments_collide_timed
+    for times in (forward, forward[::-1]):
+        expected = _dense_segments_collide_timed(field, starts, ends, *times, radius)
+        assert 0 < np.count_nonzero(expected) < count
+        assert np.array_equal(query(field, starts, ends, *times, radius), expected)
+    dense_s = prescreened_s = float("inf")
+    for _ in range(5):
+        # Alternate the two so that a slow spell of the host hits both alike.
+        dense_s = min(
+            dense_s,
+            _seconds_to_sweep(_dense_segments_collide_timed, field, starts, ends, forward, radius),
+        )
+        prescreened_s = min(
+            prescreened_s, _seconds_to_sweep(query, field, starts, ends, forward, radius)
+        )
+    speedup = dense_s / prescreened_s
+    print(
+        f"\n[steering sweep, {count} segments, {field.num_movers} movers] "
+        f"dense {dense_s * 1e3:.1f} ms, prescreened {prescreened_s * 1e3:.1f} ms, "
+        f"speedup {speedup:.1f}x"
+    )
+    assert speedup >= 4.0

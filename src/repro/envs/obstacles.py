@@ -11,6 +11,7 @@ every generated scenario is solvable by a competent policy.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -105,11 +106,16 @@ class ObstacleField:
         object.__setattr__(self, "radii", radii)
         if centers.shape[0] != radii.shape[0]:
             raise ConfigurationError("centers and radii must have the same length")
-        if radii.size and radii.min() <= 0:
-            raise ConfigurationError("obstacle radii must be positive")
+        # Each check is written to reject NaN, which compares False with everything.
+        if not np.isfinite(centers).all():
+            raise ConfigurationError("obstacle centres must be finite")
+        if not (np.isfinite(radii).all() and (radii > 0).all()):
+            raise ConfigurationError("obstacle radii must be positive and finite")
         width, height = self.world_size
-        if width <= 0 or height <= 0:
-            raise ConfigurationError(f"world size must be positive, got {self.world_size}")
+        if not (0 < width < math.inf and 0 < height < math.inf):
+            raise ConfigurationError(
+                f"world size must be positive and finite, got {self.world_size}"
+            )
 
     @property
     def num_obstacles(self) -> int:

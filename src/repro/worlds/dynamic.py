@@ -7,21 +7,32 @@ closed waypoint loop.  It overrides the timed queries every field offers
 (``collides_many_timed``, ``ray_distances_many_timed``,
 ``segments_collide_timed``) to place each mover at every row's own time, so
 batched callers pass their row times without asking whether the field moves.
-A segment is checked against where the movers are while the vehicle
-traverses it.  :meth:`DynamicObstacleField.at_time` freezes the field at an
-instant ``t`` into a plain static field; it is the reference the timed
-queries are tested against.
+Lockstep rows share few instants (one per step, one per segment sample),
+so the field places all of its movers once per distinct instant of a
+query, in one walk over a loop table, and gathers the centres back to the
+rows.  A segment is checked against where the movers are while the
+vehicle traverses it, and only if its start is close enough to the static
+geometry or to a mover for a collision to be possible.
+:meth:`DynamicObstacleField.at_time` freezes the field at an instant ``t``
+into a plain static field; it is the reference the timed queries are tested
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.envs.obstacles import ObstacleField, circle_distances, row_times
+from repro.envs.obstacles import (
+    ObstacleField,
+    circle_distances,
+    planar_distances,
+    row_times,
+)
 from repro.errors import ConfigurationError
 
 
@@ -39,10 +50,19 @@ class MovingObstacle:
         object.__setattr__(self, "waypoints", waypoints)
         if waypoints.shape[0] < 2:
             raise ConfigurationError("a moving obstacle needs at least two waypoints")
-        if self.radius <= 0:
-            raise ConfigurationError(f"mover radius must be positive, got {self.radius}")
-        if self.speed_m_s < 0:
-            raise ConfigurationError(f"mover speed must be non-negative, got {self.speed_m_s}")
+        if not np.isfinite(waypoints).all():
+            raise ConfigurationError("mover waypoints must be finite")
+        # Chained comparisons are False for NaN, so they reject it too.
+        if not 0.0 < self.radius < math.inf:
+            raise ConfigurationError(
+                f"mover radius must be positive and finite, got {self.radius}"
+            )
+        if not 0.0 <= self.speed_m_s < math.inf:
+            raise ConfigurationError(
+                f"mover speed must be non-negative and finite, got {self.speed_m_s}"
+            )
+        if not math.isfinite(self.phase_m):
+            raise ConfigurationError(f"mover phase must be finite, got {self.phase_m}")
 
     @cached_property
     def _segment_lengths(self) -> np.ndarray:
@@ -92,6 +112,83 @@ class MovingObstacle:
         return self.positions_at(np.array([float(time_s)]))[0]
 
 
+class _MoverLoops:
+    """Every waypoint loop of a field's movers, as one table walked for all.
+
+    Row ``m`` holds mover ``m``'s loop segments in walk order: start point,
+    offset to the next waypoint and arc length.  Its last segment sits in
+    the table's last column, which takes every position still unresolved,
+    as the last segment does in ``positions_at``.  A loop with fewer
+    waypoints than the longest is padded before its last segment with
+    columns that never take a position (threshold ``-inf``) and subtract
+    nothing.  :meth:`place` replays :meth:`MovingObstacle.positions_at`
+    element by element on ``(M, T)`` arrays, one pass per column instead of
+    one call per mover: the same arc-length subtraction chain, the same
+    operations on the same operands, so every position is bitwise the
+    mover's own.
+    """
+
+    def __init__(self, movers: Sequence[MovingObstacle]) -> None:
+        count = len(movers)
+        width = max(len(mover.waypoints) for mover in movers)
+        lengths = np.zeros((count, width))
+        thresholds = np.full((count, width), -np.inf)
+        starts = np.zeros((count, width, 2))
+        offsets = np.zeros((count, width, 2))
+        for row, mover in enumerate(movers):
+            size = len(mover.waypoints)
+            columns = list(range(size - 1)) + [width - 1]
+            lengths[row, columns] = mover._segment_lengths
+            thresholds[row, columns] = mover._segment_lengths
+            starts[row, columns] = mover.waypoints
+            offsets[row, columns] = np.roll(mover.waypoints, -1, axis=0) - mover.waypoints
+        # One tuple of (M, 1) operands per column ((M, 1, 2) for the points):
+        # threshold, length, divisor, zero-length mask, start, offset.  A
+        # zero-length segment's fraction is 0, as in ``positions_at``;
+        # dividing it by 1 keeps the discarded quotient finite.
+        zero = lengths == 0.0
+        divisors = np.where(zero, 1.0, lengths)
+        self.columns = [
+            (
+                thresholds[:, k, None],
+                lengths[:, k, None],
+                divisors[:, k, None],
+                zero[:, k, None],
+                starts[:, k, None],
+                offsets[:, k, None],
+            )
+            for k in range(width)
+        ]
+        self.origins = np.stack([mover.waypoints[:1] for mover in movers])
+        self.phases = np.array([[float(mover.phase_m)] for mover in movers])
+        self.speeds = np.array([[float(mover.speed_m_s)] for mover in movers])
+        totals = np.array([[mover.loop_length_m] for mover in movers])
+        # A mover that cannot move stays on its first waypoint, as in
+        # ``positions_at``: its loop is never walked.
+        self.moving = (totals > 0.0) & (self.speeds != 0.0)
+        self.totals = np.where(self.moving, totals, 1.0)
+        self.max_speed = float(self.speeds.max())
+
+    def place(self, times: np.ndarray) -> np.ndarray:
+        """``(M, T, 2)`` centres: row ``m`` is ``movers[m].positions_at(times)``."""
+        arcs = (self.phases + self.speeds * times) % self.totals
+        positions = np.repeat(self.origins, times.size, axis=1)
+        unresolved = np.repeat(self.moving, times.size, axis=1)
+        last = len(self.columns) - 1
+        for index, (threshold, length, divisor, zero, start, offset) in enumerate(
+            self.columns
+        ):
+            take = unresolved if index == last else unresolved & (arcs <= threshold)
+            fractions = np.where(zero, 0.0, np.minimum(1.0, arcs / divisor))
+            np.copyto(
+                positions, start + fractions[:, :, None] * offset, where=take[:, :, None]
+            )
+            if index < last:
+                unresolved ^= take  # ``take`` is a subset of ``unresolved``
+                np.subtract(arcs, length, out=arcs, where=unresolved)
+        return positions
+
+
 @dataclass(frozen=True)
 class DynamicObstacleField(ObstacleField):
     """A static obstacle field plus moving obstacles, queryable at any time.
@@ -99,7 +196,9 @@ class DynamicObstacleField(ObstacleField):
     The timed queries (:meth:`clearances_timed`, :meth:`collides_many_timed`,
     :meth:`ray_distances_many_timed`, :meth:`segments_collide_timed`) take a
     time per row and place every mover at that row's own time, so one batch
-    can mix desynchronised lanes or vehicles.  Each row's answer is bitwise
+    can mix desynchronised lanes or vehicles; the movers are placed once per
+    distinct time of a query, all together, from a loop table cached on the
+    field.  Each row's answer is bitwise
     the one the plain static query gives on the :meth:`at_time` snapshot at
     that time (for a segment, at each sample's interpolated time); the
     snapshot path is kept as their reference.  Without movers each timed
@@ -122,20 +221,34 @@ class DynamicObstacleField(ObstacleField):
     def _mover_radii(self) -> np.ndarray:
         return np.array([mover.radius for mover in self.movers], dtype=np.float64)
 
+    @cached_property
+    def _mover_loops(self) -> _MoverLoops:
+        return _MoverLoops(self.movers)
+
     def _mover_clearances(self, points: np.ndarray, times_s: np.ndarray) -> np.ndarray:
         """Distance from each point to the nearest mover surface at its own time.
 
         ``points`` is ``(P, 2)`` and ``times_s`` ``(P,)`` — point ``i`` sees
-        every mover placed at ``times_s[i]``.  The distances come from the
-        same :func:`~repro.envs.obstacles.circle_distances` kernel as the
-        static :meth:`~repro.envs.obstacles.ObstacleField.clearances`, so
-        they are exactly the slice of the distance matrix the movers occupy
-        in an :meth:`at_time` snapshot, and combining this with the static
+        every mover placed at ``times_s[i]``.  The movers are placed once per
+        distinct time, all together by the field's loop table, and the
+        ``(M, P)`` centres are gathered from those placements.  Each centre is
+        bitwise :meth:`MovingObstacle.positions_at` of its row's time: the
+        placement is elementwise in time, and the only times ``np.unique``
+        merges while their bits differ, ``0.0`` and ``-0.0``, give the same
+        arc length.  The
+        distances come from the same
+        :func:`~repro.envs.obstacles.circle_distances` kernel as the static
+        :meth:`~repro.envs.obstacles.ObstacleField.clearances`, so they are
+        exactly the slice of the distance matrix the movers occupy in an
+        :meth:`at_time` snapshot, and combining this with the static
         clearance via ``np.minimum`` reproduces the snapshot's clearance
         bitwise.
         """
-        # (M, P, 2) mover centres at every point's instant.
-        centers = np.stack([mover.positions_at(times_s) for mover in self.movers])
+        instants, rows = np.unique(times_s, return_inverse=True)
+        centers = self._mover_loops.place(instants)
+        if instants.size > 1:
+            # One instant needs no gather: its (M, 1) centres broadcast.
+            centers = centers[:, rows]
         distances = circle_distances(
             points[:, 0],
             points[:, 1],
@@ -149,8 +262,8 @@ class DynamicObstacleField(ObstacleField):
         """Clearance of each point with movers placed at the point's own time.
 
         Row ``i`` is bit-identical to ``at_time(times_s[i]).clearances(points[i:i+1])[0]``
-        — one broadcast mover-trajectory evaluation instead of one snapshot
-        field per distinct instant.
+        — the movers are placed once per distinct time instead of one
+        snapshot field being built per distinct time.
         """
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         times = row_times(times_s, points.shape[0], "points")
@@ -189,11 +302,9 @@ class DynamicObstacleField(ObstacleField):
         at ``times_s[i]`` (sensing is instantaneous), so row ``i`` of the
         ``(N, R)`` result is bit-identical to
         ``at_time(times_s[i]).ray_distances_many(origins[i:i+1], ...)`` — but
-        all N desynchronised fans march through one query, with mover centres
-        evaluated by the same broadcast
-        :meth:`MovingObstacle.positions_at` machinery
-        :meth:`segments_collide_timed` uses instead of one snapshot field per
-        distinct time.
+        all N desynchronised fans march through one query, each march step
+        placing the movers once per distinct time among its rays, instead of
+        one snapshot field per distinct time.
         """
         if not self.movers:
             return super().ray_distances_many_timed(origins, angles, times_s, max_range, step)
@@ -243,6 +354,16 @@ class DynamicObstacleField(ObstacleField):
         all movers x samples through one :meth:`_mover_clearances` query at
         the samples' interpolated times.  ``start_times_s`` and
         ``end_times_s`` must each hold one time per segment.
+
+        Only segments that could collide are sampled, as in the static
+        :meth:`~repro.envs.obstacles.ObstacleField.segments_collide`.
+        Clearance is 1-Lipschitz and every sample lies within the segment
+        length of its start, so a start whose static clearance is at least
+        ``length + vehicle_radius`` cannot hit a static circle or wall.  A
+        mover's centre travels at most ``speed * |t1 - t0|`` along its loop
+        while the segment is flown, so a start whose mover clearance at
+        ``t0`` is at least ``length + max_speed * |t1 - t0| + vehicle_radius``
+        cannot hit a mover either.
         """
         if not self.movers:
             return super().segments_collide_timed(
@@ -253,6 +374,17 @@ class DynamicObstacleField(ObstacleField):
         count = starts.shape[0]
         start_times = row_times(start_times_s, count, "segment starts")
         end_times = row_times(end_times_s, count, "segment ends")
+        reach = planar_distances(ends - starts) + vehicle_radius
+        mover_reach = reach + self._mover_loops.max_speed * np.abs(end_times - start_times)
+        candidates = np.nonzero(
+            (ObstacleField.clearances(self, starts) < reach)
+            | (self._mover_clearances(starts, start_times) < mover_reach)
+        )[0]
+        collided = np.zeros(count, dtype=bool)
+        if candidates.size == 0:
+            return collided
+        starts, ends = starts[candidates], ends[candidates]
+        start_times, end_times = start_times[candidates], end_times[candidates]
         fractions = np.linspace(0.0, 1.0, max(2, samples))
         points = starts[:, None, :] + fractions[None, :, None] * (ends - starts)[:, None, :]
         flat_points = points.reshape(-1, 2)
@@ -263,7 +395,8 @@ class DynamicObstacleField(ObstacleField):
                 start_times[:, None] + fractions[None, :] * (end_times - start_times)[:, None]
             ).reshape(-1)
             hit |= self._mover_clearances(flat_points, times) < vehicle_radius
-        return hit.reshape(count, fractions.size).any(axis=1)
+        collided[candidates] = hit.reshape(candidates.size, fractions.size).any(axis=1)
+        return collided
 
     def segment_collides_timed(
         self,

@@ -98,7 +98,7 @@ def test_clearances_on_random_fields(num_circles):
     assert np.array_equal(field.clearances(points), _stacked_clearances(field, points))
 
 
-@pytest.fixture(scope="module", params=["random", "dynamic-preset"])
+@pytest.fixture(scope="module")
 def dynamic_field(request):
     if request.param == "dynamic-preset":
         field = generate_world(WorldSpec("dynamic", seed=0)).field
@@ -122,16 +122,64 @@ def dynamic_field(request):
     )
 
 
-def test_timed_point_queries_equal_stacked_mover_formula(dynamic_field):
+#: How a query's rows share instants: one random time per row, one shared
+#: instant, fleet lockstep (one start/end pair, so one instant per segment
+#: sample) and a mix of 0.0, -0.0 and instants around a loop wrap.
+TIME_LAYOUTS = ("per-row", "shared", "lockstep", "mixed")
+
+#: Every dynamic field under every time layout; the per-row layout keeps the
+#: bare field id these tests had before the layouts were added.
+FIELD_LAYOUTS = [
+    pytest.param(field, layout, id=field if layout == "per-row" else f"{field}-{layout}")
+    for field in ("random", "dynamic-preset")
+    for layout in TIME_LAYOUTS
+]
+
+
+def _mixed_instants(field):
+    """0.0, -0.0, 2.5 and instants at and past a moving mover's first wrap."""
+    mover = next(mover for mover in field.movers if mover.speed_m_s > 0.0)
+    wrap = (mover.loop_length_m - mover.phase_m) / mover.speed_m_s
+    return np.array([0.0, -0.0, wrap, np.nextafter(wrap, np.inf), wrap + 0.3, 2.5])
+
+
+def _point_times(layout, field, count, rng):
+    """One time per point row under a layout other than per-row."""
+    if layout == "shared":
+        return np.full(count, 7.25)
+    if layout == "lockstep":
+        return np.resize(np.linspace(12.5, 13.0, 8), count)
+    return rng.choice(_mixed_instants(field), size=count)
+
+
+def _segment_times(layout, field, count, rng):
+    """A start and an end time per segment under ``layout``."""
+    if layout == "per-row":
+        start_times = rng.uniform(0.0, 60.0, size=count)
+        return start_times, start_times + rng.uniform(0.0, 1.0, size=count)
+    if layout == "shared":
+        return np.full(count, 7.25), np.full(count, 7.25)
+    if layout == "lockstep":
+        return np.full(count, 12.5), np.full(count, 13.0)
+    # Reversed pairs from -0.0 keep -0.0 as a sample time (0 * negative).
+    start_times = rng.choice(_mixed_instants(field), size=count)
+    return start_times, start_times + rng.choice([-0.5, 0.0, 0.5], size=count)
+
+
+@pytest.mark.parametrize("dynamic_field, layout", FIELD_LAYOUTS, indirect=["dynamic_field"])
+def test_timed_point_queries_equal_stacked_mover_formula(dynamic_field, layout):
     field = dynamic_field
     rng = np.random.default_rng(5)
     scattered = _query_points(field, 400, seed=5)
     # Each mover's own centre at t = 0 as well.
     at_mover_centres = np.stack([mover.position_at(0.0) for mover in field.movers])
     points = np.concatenate([scattered, at_mover_centres])
-    times = np.concatenate(
-        [rng.uniform(0.0, 60.0, size=len(scattered)), np.zeros(field.num_movers)]
-    )
+    if layout == "per-row":
+        times = np.concatenate(
+            [rng.uniform(0.0, 60.0, size=len(scattered)), np.zeros(field.num_movers)]
+        )
+    else:
+        times = _point_times(layout, field, len(points), rng)
     static = _stacked_clearances(field, points)
     movers = _stacked_mover_distances(field, points, times).min(axis=0)
     assert np.array_equal(field.clearances_timed(points, times), np.minimum(static, movers))
@@ -141,15 +189,15 @@ def test_timed_point_queries_equal_stacked_mover_formula(dynamic_field):
 
 
 @pytest.mark.parametrize("samples", [2, 8])
-def test_timed_segments_equal_stacked_mover_formula(dynamic_field, samples):
+@pytest.mark.parametrize("dynamic_field, layout", FIELD_LAYOUTS, indirect=["dynamic_field"])
+def test_timed_segments_equal_stacked_mover_formula(dynamic_field, layout, samples):
     field = dynamic_field
     rng = np.random.default_rng(6)
     width, height = field.world_size
     count = 300
     starts = rng.uniform([-1.0, -1.0], [width + 1.0, height + 1.0], size=(count, 2))
     ends = starts + rng.uniform(-1.5, 1.5, size=(count, 2))
-    start_times = rng.uniform(0.0, 60.0, size=count)
-    end_times = start_times + rng.uniform(0.0, 1.0, size=count)
+    start_times, end_times = _segment_times(layout, field, count, rng)
     fractions = np.linspace(0.0, 1.0, samples)
     points = starts[:, None, :] + fractions[None, :, None] * (ends - starts)[:, None, :]
     points = points.reshape(-1, 2)

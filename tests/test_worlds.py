@@ -1,5 +1,7 @@
 """Tests for the procedural world-generation subsystem (repro.worlds)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,64 @@ class TestRegistry:
         assert any("start" in problem for problem in problems)
 
 
+def _snapshot_segment_collides(field, start, end, t0, t1, radius, samples=8):
+    """The reference: freeze an ``at_time`` snapshot at every motion sample."""
+    for fraction in np.linspace(0.0, 1.0, samples):
+        snapshot = field.at_time(float(t0) + float(fraction) * (float(t1) - float(t0)))
+        if snapshot.collides(start + fraction * (end - start), radius):
+            return True
+    return False
+
+
+def _head_on_field():
+    """A 20 x 10 m world: one static circle of radius 1 at (15, 5), and one
+    mover of radius 1 driving +x along y = 2 at 2 m/s (x = 4 at t = 1 s,
+    x = 5 at t = 1.5 s) on a 20 m loop."""
+    return DynamicObstacleField(
+        world_size=(20.0, 10.0),
+        centers=np.array([[15.0, 5.0]]),
+        radii=np.array([1.0]),
+        movers=(
+            MovingObstacle(
+                waypoints=np.array([[2.0, 2.0], [12.0, 2.0]]), radius=1.0, speed_m_s=2.0
+            ),
+        ),
+    )
+
+
+#: Segments of length 0.5 m (or 0) over 0.5 s for a vehicle of radius
+#: 0.25 m, each starting exactly at the prescreen bound of one obstacle of
+#: :func:`_head_on_field` and heading straight at it:
+#: ``(start, motion, t0, t1, unit vector away from the obstacle)``.  The
+#: bound is ``length + radius`` from a static surface or wall and
+#: ``length + speed * |t1 - t0| + radius`` (1.75 m) from a mover's surface.
+PRESCREEN_BOUND_CASES = {
+    "mover": ((6.75, 2.0), (-0.5, 0.0), 1.0, 1.5, (1.0, 0.0)),
+    "static-circle": ((13.25, 5.0), (0.5, 0.0), 1.0, 1.5, (-1.0, 0.0)),
+    "wall": ((0.75, 8.0), (-0.5, 0.0), 1.0, 1.5, (1.0, 0.0)),
+    # Time runs backwards along the segment, so the mover (x = 5 at t0)
+    # comes back toward the vehicle.
+    "reversed-times": ((2.25, 2.0), (0.5, 0.0), 1.5, 1.0, (-1.0, 0.0)),
+    # A hovering vehicle: only the mover's motion can close the gap.
+    "zero-length": ((6.25, 2.0), (0.0, 0.0), 1.0, 1.5, (1.0, 0.0)),
+}
+
+
+def _timed_segment_and_sampled(monkeypatch, field, start, end, t0, t1, radius):
+    """``segments_collide_timed`` on one segment, and whether it was sampled."""
+    sampled = []
+    collide_mask = ObstacleField._collide_mask
+
+    def spy(self, points, vehicle_radius):
+        sampled.append(len(points))
+        return collide_mask(self, points, vehicle_radius)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ObstacleField, "_collide_mask", spy)
+        hit = field.segments_collide_timed(start[None], end[None], [t0], [t1], radius)[0]
+    return bool(hit), bool(sampled)
+
+
 class TestDynamicField:
     def test_mover_follows_waypoints(self):
         mover = MovingObstacle(
@@ -192,6 +252,56 @@ class TestDynamicField:
         assert np.array_equal(batched, expected)
         assert np.array_equal(mover.position_at(7.7), scalar_walk(mover, 7.7))
 
+    def test_loop_table_places_every_mover_like_positions_at(self):
+        """The field's one walk over all mover loops is each mover's own
+        ``positions_at``, bitwise, whatever the loop's shape."""
+        movers = (
+            MovingObstacle(np.array([[1.0, 1.0], [6.0, 2.0]]), 0.3, 1.1, 0.4),
+            MovingObstacle(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0]]), 0.5, 1.3, 2.1),
+            MovingObstacle(
+                np.array([[1.0, 1.0], [9.0, 1.5], [8.0, 7.0], [5.0, 9.0], [1.5, 6.0]]),
+                0.4,
+                0.7,
+                11.0,
+            ),
+            # Just before its wrap, this loop's rounded arc-length chain
+            # overshoots the last segment, which takes it only as the last.
+            MovingObstacle(
+                np.array([[9.0, 4.6], [7.6, 4.9], [7.1, 3.2], [8.9, 2.7]]), 0.4, 1.0, 0.0
+            ),
+            # A repeated waypoint: a zero-length segment inside the loop.
+            MovingObstacle(np.array([[2.0, 2.0], [2.0, 2.0], [5.0, 6.0]]), 0.4, 0.8, 0.0),
+            MovingObstacle(np.array([[3.0, 3.0], [7.0, 3.0]]), 0.4, 0.0, 1.0),
+            # A zero-length loop: every waypoint equal.
+            MovingObstacle(np.array([[8.0, 8.0]] * 3), 0.4, 1.5, 0.5),
+        )
+        field = DynamicObstacleField(
+            world_size=(10.0, 10.0), centers=np.empty((0, 2)), radii=np.empty(0), movers=movers
+        )
+        wraps = np.array(
+            [
+                (mover.loop_length_m - mover.phase_m) / mover.speed_m_s
+                for mover in movers
+                if mover.speed_m_s > 0.0 and mover.loop_length_m > 0.0
+            ]
+        )
+        times = np.concatenate(
+            [
+                np.full(3, 3.7),  # one instant shared by several rows
+                [0.0, -0.0],
+                np.nextafter(wraps, -np.inf),
+                wraps,
+                np.nextafter(wraps, np.inf),
+                wraps + 0.25,  # just past each loop's first wrap
+                3.0 * wraps + 0.1,  # a few laps on
+                np.linspace(0.0, 40.0, 81),
+            ]
+        )
+        placed = field._mover_loops.place(times)
+        assert placed.shape == (len(movers), times.size, 2)
+        for mover, positions in zip(movers, placed):
+            assert positions.tobytes() == mover.positions_at(times).tobytes()
+
     def test_positions_at_stationary_mover(self):
         mover = MovingObstacle(
             waypoints=np.array([[1.0, 2.0], [3.0, 2.0]]), radius=0.5, speed_m_s=0.0
@@ -218,21 +328,13 @@ class TestDynamicField:
             movers=movers,
         )
 
-        def reference(start, end, t0, t1, radius, samples=8):
-            fractions = np.linspace(0.0, 1.0, samples)
-            for fraction in fractions:
-                snapshot = field.at_time(float(t0) + float(fraction) * (float(t1) - float(t0)))
-                if snapshot.collides(start + fraction * (end - start), radius):
-                    return True
-            return False
-
         starts = rng.uniform(0.5, 9.5, size=(24, 2))
         ends = rng.uniform(0.5, 9.5, size=(24, 2))
         t0s = rng.uniform(0.0, 20.0, size=24)
         t1s = t0s + 0.5
         batched = field.segments_collide_timed(starts, ends, t0s, t1s, 0.25)
         expected = [
-            reference(s, e, t0, t1, 0.25)
+            _snapshot_segment_collides(field, s, e, t0, t1, 0.25)
             for s, e, t0, t1 in zip(starts, ends, t0s, t1s)
         ]
         assert batched.tolist() == expected
@@ -240,6 +342,35 @@ class TestDynamicField:
         assert any(expected) and not all(expected)
         for s, e, t0, t1, want in zip(starts, ends, t0s, t1s, expected):
             assert field.segment_collides_timed(s, e, t0, t1, 0.25) == want
+
+    @pytest.mark.parametrize("side", ["inside", "outside"])
+    @pytest.mark.parametrize("case", sorted(PRESCREEN_BOUND_CASES))
+    def test_segment_prescreen_at_its_bound(self, monkeypatch, case, side):
+        """A start 1 nm inside the bound is sampled and collides; 1 nm
+        outside it is cleared without sampling.  Both match the snapshot
+        loop."""
+        field = _head_on_field()
+        start, motion, t0, t1, away = PRESCREEN_BOUND_CASES[case]
+        start = np.array(start) + (-1e-9 if side == "inside" else 1e-9) * np.array(away)
+        end = start + np.array(motion)
+        hit, sampled = _timed_segment_and_sampled(monkeypatch, field, start, end, t0, t1, 0.25)
+        assert hit == _snapshot_segment_collides(field, start, end, t0, t1, 0.25)
+        assert hit == sampled == (side == "inside")
+
+    def test_segment_prescreen_samples_out_of_bounds_starts(self, monkeypatch):
+        field = _head_on_field()
+        for start, end in (
+            ((-0.5, 5.0), (0.0, 5.0)),
+            ((20.3, 9.0), (20.3, 9.0)),
+            ((10.0, -0.1), (10.0, 0.4)),
+            ((10.0, 10.2), (10.0, 11.0)),
+        ):
+            start, end = np.array(start), np.array(end)
+            hit, sampled = _timed_segment_and_sampled(
+                monkeypatch, field, start, end, 1.0, 1.5, 0.25
+            )
+            assert hit and sampled
+            assert _snapshot_segment_collides(field, start, end, 1.0, 1.5, 0.25)
 
     def test_segment_collides_timed(self):
         field = DynamicObstacleField(
@@ -260,6 +391,41 @@ class TestDynamicField:
         assert not field.segment_collides_timed(
             np.array([4.0, 8.0]), np.array([6.0, 8.0]), 0.0, 0.5, vehicle_radius=0.25
         )
+
+
+_GOOD_WAYPOINTS = np.array([[1.0, 1.0], [4.0, 2.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: ObstacleField((bad, 10.0), np.empty((0, 2)), np.empty(0)),
+        lambda bad: ObstacleField((10.0, bad), np.empty((0, 2)), np.empty(0)),
+        lambda bad: ObstacleField((10.0, 10.0), np.array([[bad, 5.0]]), np.array([1.0])),
+        lambda bad: ObstacleField((10.0, 10.0), np.array([[5.0, 5.0]]), np.array([bad])),
+        lambda bad: MovingObstacle(np.array([[1.0, 1.0], [bad, 2.0]]), 0.5, 1.0),
+        lambda bad: MovingObstacle(_GOOD_WAYPOINTS, bad, 1.0),
+        lambda bad: MovingObstacle(_GOOD_WAYPOINTS, 0.5, bad),
+        lambda bad: MovingObstacle(_GOOD_WAYPOINTS, 0.5, 1.0, bad),
+    ],
+    ids=[
+        "world-width",
+        "world-height",
+        "centers",
+        "radii",
+        "waypoints",
+        "mover-radius",
+        "mover-speed",
+        "mover-phase",
+    ],
+)
+def test_non_finite_geometry_is_rejected(build, bad):
+    """NaN passes every ``<= 0`` check, and a NaN or infinite obstacle
+    silently blinds the queries (a NaN radius reads as free space), so
+    construction must refuse it."""
+    with pytest.raises(ConfigurationError):
+        build(bad)
 
 
 class TestPerturbations:
