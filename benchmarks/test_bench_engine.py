@@ -79,7 +79,7 @@ def _journal_records(sweep, directory):
 
 
 @pytest.mark.benchmark(group="engine")
-def test_bench_engine_fusion_speedup(benchmark, tmp_path):
+def test_bench_engine_fusion_speedup(benchmark, tmp_path, store_lines):
     """Gate: >=3x cold wall-clock, bitwise-identical artifacts.
 
     Each round runs one cold (unfused, fused) pair back to back: the unfused
@@ -115,12 +115,9 @@ def test_bench_engine_fusion_speedup(benchmark, tmp_path):
     for attempt, report in fused.items():
         assert report.fused_jobs == len(sweep)
         assert report.results == unfused[attempt].results
-        fused_cache = ResultCache(root=tmp_path / f"fused-cache-{attempt}")
-        unfused_cache = ResultCache(root=tmp_path / f"unfused-cache-{attempt}")
-        for job in sweep.jobs:
-            assert fused_cache.path_for(job).read_text() == unfused_cache.path_for(
-                job
-            ).read_text()
+        fused_lines = store_lines(tmp_path / f"fused-cache-{attempt}")
+        assert set(fused_lines) == {job.spec_hash for job in sweep.jobs}
+        assert fused_lines == store_lines(tmp_path / f"unfused-cache-{attempt}")
         assert _journal_records(sweep, tmp_path / f"fused-journal-{attempt}") == (
             _journal_records(sweep, tmp_path / f"unfused-journal-{attempt}")
         )

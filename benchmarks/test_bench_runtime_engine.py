@@ -12,16 +12,28 @@ The assertions pin the engine's semantics (identical results from both
 backends; a warm re-run executes nothing); the timings are the measurement.
 On a single-core host the pool can at best tie the serial backend (its margin
 over serial *is* the dispatch overhead); the speedup shows up with real cores.
+
+One gate times the result store itself: 1440 ``put`` calls of records shaped
+like the ``generalization`` sweep's results must run at least 2x faster than
+the former one-pretty-printed-file-per-job layout, kept here as the reference.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+import time
+
 import numpy as np
 
 from repro.experiments.fig5 import fig5_sweep_spec
+from repro.experiments.generalization import generalization_sweep_spec
 from repro.runtime.cache import ResultCache
 from repro.runtime.engine import SweepRunner
 from repro.runtime.executor import MultiprocessExecutor, SerialExecutor
+from repro.runtime.jobs import run_job
+from repro.utils.serialization import save_json
 
 #: A dense voltage ladder makes each fig5 cell expensive enough to dispatch.
 DENSE_VOLTAGES = tuple(np.round(np.linspace(0.86, 0.70, 1000), 6))
@@ -64,3 +76,58 @@ def test_bench_runtime_cached_rerun(benchmark, tmp_path):
     assert report.results == warmup.results
     speedup = warmup.wall_time_s / max(report.wall_time_s, 1e-9)
     print(f"\ncached re-run speedup vs fresh serial run: {speedup:.1f}x")
+
+
+def _generalized_records():
+    """The generalization sweep's 1440 specs, each with a result shaped like its own."""
+    sweep = generalization_sweep_spec()
+    template = run_job(sweep.jobs[0])
+    return [
+        (spec, dict(template, scenario=spec.job_id, ber_percent=spec.params["ber_percent"]))
+        for spec in sweep.jobs
+    ]
+
+
+def _per_file_put(root, spec, result):
+    """The former ``ResultCache.put``: temp file, ``save_json(indent=2)``, rename."""
+    digest = spec.spec_hash
+    path = root / "v0.2.0" / digest[:2] / f"{digest}.json"
+    record = {
+        "job_id": spec.job_id,
+        "kind": spec.kind,
+        "params": spec.params,
+        "version": "0.2.0",
+        "result": result,
+    }
+    temp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    save_json(temp, record)
+    os.replace(temp, path)
+
+
+def _seconds_to_put(put, records) -> float:
+    start = time.perf_counter()
+    for spec, result in records:
+        put(spec, result)
+    return time.perf_counter() - start
+
+
+def test_result_store_put_speedup(tmp_path):
+    """Acceptance gate: >= 2x over one JSON file per job on 1440 sweep-shaped puts,
+    with every result read back equal by a fresh store."""
+    records = _generalized_records()
+    assert len(records) == 1440
+    files_s = store_s = float("inf")
+    for attempt in range(5):
+        # Alternate the two so that a slow spell of the host hits both alike.
+        per_file = functools.partial(_per_file_put, tmp_path / f"files-{attempt}")
+        files_s = min(files_s, _seconds_to_put(per_file, records))
+        store = ResultCache(root=tmp_path / f"store-{attempt}")
+        store_s = min(store_s, _seconds_to_put(store.put, records))
+        fresh = ResultCache(root=tmp_path / f"store-{attempt}")
+        assert all(fresh.get(spec) == result for spec, result in records)
+    speedup = files_s / store_s
+    print(
+        f"\n[result store, {len(records)} puts] per-file {files_s * 1e3:.1f} ms, "
+        f"segment {store_s * 1e3:.1f} ms, speedup {speedup:.1f}x"
+    )
+    assert speedup >= 2.0

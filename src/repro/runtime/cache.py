@@ -1,17 +1,17 @@
-"""Content-addressed on-disk result cache.
+"""Content-addressed result store of append-only record segments.
 
-Results are stored as one JSON document per job under
-``<root>/<code-version>/<hash[:2]>/<hash>.json``, keyed by the job's
-:attr:`~repro.runtime.jobs.JobSpec.spec_hash`.  Namespacing by the package
-version means a code change that could alter results invalidates the whole
-cache without any explicit flush; re-running a sweep on unchanged code is a
-pure cache hit.
+Each writer (process and thread) appends one compact JSON line per result,
+``{"job": <spec hash>, "job_id", "kind", "params", "result"}``, to its own
+segment ``<root>/v<namespace>/seg-<pid>-<thread id>.jsonl``.  The namespace
+defaults to the first 16 hex digits of
+:func:`repro.version.source_fingerprint`, so any code edit starts a fresh,
+empty store; re-running a sweep on unchanged code is a pure cache hit.
 
-Writes go through a temp file + ``os.replace`` so a crash mid-write can never
-leave a truncated entry that later reads as a corrupt hit.  Each writer
-(process and thread) has its own temp name, so concurrent writers of one entry
-never rename each other's temp file away; the last rename wins with a
-complete record.
+Writers never share a file, so their records cannot interleave.  A writer
+killed mid-record leaves a torn last line: its next append starts a fresh
+line, and readers skip every line that is not a record.  Reads answer from an
+in-memory map built by an incremental scan that reads each segment from where
+the previous scan stopped up to its last newline.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Optional, Set
+from typing import Any, Dict, Optional, Set
 
-from repro.utils.serialization import PathLike, save_json
-from repro.version import __version__
+from repro.utils.serialization import PathLike, append_jsonl
+from repro.version import source_fingerprint
 
 #: Environment variable overriding the default cache root.
 CACHE_ENV_VAR = "REPRO_RUNTIME_CACHE"
@@ -42,74 +42,79 @@ def default_cache_root() -> Path:
 class ResultCache:
     """Maps job specs to previously computed results on disk."""
 
-    def __init__(self, root: Optional[PathLike] = None, version: str = __version__) -> None:
+    def __init__(self, root: Optional[PathLike] = None, version: Optional[str] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
-        self.version = version
+        self.version = version if version is not None else source_fingerprint()[:16]
+        self._lines: Dict[str, bytes] = {}  # spec hash -> stored record line
+        self._scanned: Dict[str, int] = {}  # segment name -> bytes consumed
 
-    # ------------------------------------------------------------------ layout
     @property
-    def version_root(self) -> Path:
+    def namespace(self) -> Path:
         return self.root / f"v{self.version}"
-
-    def path_for(self, spec) -> Path:
-        digest = spec.spec_hash
-        return self.version_root / digest[:2] / f"{digest}.json"
 
     # ------------------------------------------------------------------ access
     def get(self, spec) -> Any:
-        """The cached result for ``spec``, or :data:`MISS`."""
-        path = self.path_for(spec)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return MISS
-        return record.get("result")
+        """The stored result for ``spec``, or :data:`MISS`.
+
+        Rescans only on a miss.  The stored line is parsed on every call, so
+        no two callers share a result object.
+        """
+        line = self._lines.get(spec.spec_hash)
+        if line is None:
+            self._scan()
+            line = self._lines.get(spec.spec_hash)
+            if line is None:
+                return MISS
+        return json.loads(line)["result"]
 
     def index(self) -> Set[str]:
-        """The spec hashes present on disk, from one directory walk.
-
-        The engine probes the cache once per job; on a warm re-run of a
-        1440-job sweep that used to be 1440 ``stat`` + ``open`` round-trips.
-        One ``glob`` over the two-level fan-out replaces them with a set
-        lookup.  The snapshot is taken at call time — entries added by a
-        concurrent writer afterwards are simply treated as misses, which is
-        the same outcome as probing before that writer finished.
-        """
-        if not self.version_root.exists():
-            return set()
-        return {entry.stem for entry in self.version_root.glob("*/*.json")}
+        """The spec hashes stored so far (records appended later are misses)."""
+        self._scan()
+        return set(self._lines)
 
     def __contains__(self, spec) -> bool:
         return self.get(spec) is not MISS
 
     def put(self, spec, result: Any) -> Path:
-        """Store ``result`` for ``spec`` atomically; returns the entry path."""
-        path = self.path_for(spec)
+        """Append ``result`` for ``spec`` to this writer's segment; returns it."""
+        segment = self.namespace / f"seg-{os.getpid()}-{threading.get_ident()}.jsonl"
         record = {
+            "job": spec.spec_hash,
             "job_id": spec.job_id,
             "kind": spec.kind,
             "params": spec.params,
-            "version": self.version,
             "result": result,
         }
-        temp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        save_json(temp, record)
-        os.replace(temp, path)
-        return path
+        return append_jsonl(segment, record)
+
+    def _scan(self) -> None:
+        if not self.namespace.is_dir():
+            return
+        for segment in sorted(self.namespace.glob("seg-*.jsonl")):
+            start = self._scanned.get(segment.name, 0)
+            with segment.open("rb") as handle:
+                handle.seek(start)
+                chunk = handle.read()
+            end = chunk.rfind(b"\n") + 1
+            self._scanned[segment.name] = start + end
+            for line in chunk[:end].splitlines():
+                try:
+                    record = json.loads(line)
+                except ValueError:  # a torn line, or bytes that are not UTF-8
+                    continue
+                if isinstance(record, dict) and isinstance(record.get("job"), str):
+                    if "result" in record:
+                        self._lines[record["job"]] = line
 
     # ------------------------------------------------------------------ maintenance
     def __len__(self) -> int:
-        if not self.version_root.exists():
-            return 0
-        return sum(1 for _ in self.version_root.glob("*/*.json"))
+        return len(self.index())
 
     def clear(self) -> int:
-        """Delete every entry for the current code version; returns the count."""
-        removed = 0
-        if not self.version_root.exists():
-            return removed
-        for entry in self.version_root.glob("*/*.json"):
-            entry.unlink()
-            removed += 1
+        """Delete every segment of this namespace; returns the records removed."""
+        removed = len(self)
+        for segment in self.namespace.glob("seg-*.jsonl"):
+            segment.unlink()
+        self._lines.clear()
+        self._scanned.clear()
         return removed

@@ -33,8 +33,8 @@ trajectory ``repro-runtime obs history/diff/check`` queries.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import Heartbeat, RunLedger, get_metrics, get_tracer, span
 from repro.runtime.cache import MISS, ResultCache
@@ -85,14 +85,10 @@ class SweepReport:
     #: Merged metrics snapshot (parent + per-job worker deltas); None unless
     #: metrics were enabled for the run.
     metrics: Optional[Dict[str, Any]] = None
-    _result_by_hash: dict = field(default_factory=dict, repr=False)
 
     @property
     def complete(self) -> bool:
         return self.skipped == 0
-
-    def result_for(self, spec) -> Any:
-        return self._result_by_hash.get(spec.spec_hash)
 
     def describe(self) -> str:
         shard = f" shard {self.shard[0]}/{self.shard[1]}" if self.shard else ""
@@ -193,7 +189,6 @@ class SweepRunner:
 
             def settle(index: int, result: Any) -> None:
                 report.results[index] = result
-                report._result_by_hash[sweep.jobs[index].spec_hash] = result
 
             def settle_ok(index: int, spec, payload: Any, duration_s) -> None:
                 with span("job.settle", job=spec.job_id):
@@ -225,11 +220,10 @@ class SweepRunner:
             pending = []
             try:
                 with span("engine.resolve", jobs=len(selected)) as resolve_span:
-                    # One directory walk replaces a stat+open probe per job on
-                    # warm re-runs; single-job runs skip the walk (a lone probe
-                    # is cheaper than an index).
-                    cache_index = None
-                    if cache is not None and len(selected) > 1:
+                    # One scan of the store's segments answers every probe;
+                    # get() then runs only for hashes the snapshot holds.
+                    cache_index: Set[str] = set()
+                    if cache is not None:
                         with span("engine.cache_index"):
                             cache_index = cache.index()
                     for index in sorted(selected):
@@ -241,10 +235,9 @@ class SweepRunner:
                             pulse()
                             continue
                         if cache is not None:
-                            if cache_index is not None and spec.spec_hash not in cache_index:
-                                cached = MISS
-                            else:
-                                cached = cache.get(spec)
+                            cached = (
+                                cache.get(spec) if spec.spec_hash in cache_index else MISS
+                            )
                             if metrics.enabled:
                                 probe = "hit" if cached is not MISS else "miss"
                                 metrics.counter(f"cache.probe.{probe}").inc()

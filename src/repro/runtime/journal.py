@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.utils.serialization import PathLike, append_jsonl, append_jsonl_many, iter_jsonl
-from repro.version import __version__
+from repro.version import __version__, source_fingerprint
 
 from repro.runtime.jobs import JobSpec, SweepSpec
 
@@ -139,15 +139,16 @@ class Journal:
         cls,
         sweep: SweepSpec,
         directory: Optional[PathLike] = None,
-        version: str = __version__,
+        version: Optional[str] = None,
     ) -> "Journal":
-        """The canonical journal for ``sweep`` under the current code version.
+        """The canonical journal for ``sweep`` under the current code.
 
-        Like the result cache, journals are namespaced by package version:
-        results computed by older code must not be resumed after a version
-        bump (the job params can hash identically while the runner changed).
+        Like the result store, journals are namespaced by ``version``, by
+        default the first 16 hex digits of the source fingerprint: results of
+        other code are never resumed, even without a version bump.
         """
         base = Path(directory) if directory is not None else default_journal_dir()
+        version = version if version is not None else source_fingerprint()[:16]
         return cls(base / f"{sweep.name}-{sweep.sweep_hash[:10]}-v{version}.jsonl")
 
     # ------------------------------------------------------------------ writing

@@ -73,17 +73,7 @@ def append_jsonl(path: PathLike, record: Any) -> Path:
     process was killed mid-record), a newline is inserted first so the new
     record starts on a fresh line instead of being glued onto the fragment.
     """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("a+b") as handle:
-        handle.seek(0, 2)
-        if handle.tell() > 0:
-            handle.seek(-1, 2)
-            if handle.read(1) != b"\n":
-                handle.write(b"\n")
-        line = json.dumps(to_jsonable(record), sort_keys=False) + "\n"
-        handle.write(line.encode("utf-8"))
-    return target
+    return append_jsonl_many(path, [record])
 
 
 def append_jsonl_many(path: PathLike, records: Sequence[Any]) -> Path:
@@ -92,12 +82,17 @@ def append_jsonl_many(path: PathLike, records: Sequence[Any]) -> Path:
     Identical on-disk format to calling :func:`append_jsonl` per record —
     including the torn-line repair — but one file-handle round-trip for the
     whole batch, which is what makes journal write batching worthwhile.
+    Parent directories are created only when the open finds them missing.
     """
     target = Path(path)
     if not records:
         return target
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("a+b") as handle:
+    try:
+        handle = target.open("a+b")
+    except FileNotFoundError:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        handle = target.open("a+b")
+    with handle:
         handle.seek(0, 2)
         if handle.tell() > 0:
             handle.seek(-1, 2)

@@ -1,12 +1,15 @@
 """Tests for the sweep engine: executors, cache hit/miss, journal resume, CLI."""
 
 import json
-import os
+import multiprocessing
+import shutil
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import repro.version
 from repro.errors import ConfigurationError
 from repro.experiments.fig5 import assemble_fig5, fig5_sweep_spec, generate_fig5_environments
 from repro.runtime.cache import MISS, ResultCache
@@ -15,6 +18,7 @@ from repro.runtime.executor import MultiprocessExecutor, SerialExecutor, make_ex
 from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.runtime.journal import Journal
 from repro.utils.serialization import save_json
+from repro.version import source_fingerprint
 
 
 @job_kind("test.double")
@@ -78,34 +82,34 @@ class TestCache:
         assert spec in cache
         assert len(cache) == 1
 
-    def test_concurrent_puts_of_one_entry_both_succeed(self, tmp_path, monkeypatch):
-        """A second writer lands between the first's temp write and its rename."""
+    def test_concurrent_puts_of_one_entry_both_succeed(self, tmp_path):
+        """Two threads put the same spec at once: each writes whole lines."""
         cache = ResultCache(root=tmp_path)
         spec = JobSpec(kind="test.double", params={"value": 3})
-        real_replace = os.replace
-        interleaved = []
-        second_paths = []
+        results = [{"value": label, "pad": [label] * 500} for label in ("first", "second")]
+        start = threading.Barrier(2)
 
-        def replace_after_second_put(source, target):
-            if not interleaved:
-                interleaved.append(True)
-                with ThreadPoolExecutor(max_workers=1) as second_writer:
-                    second = second_writer.submit(cache.put, spec, {"value": "second"})
-                    second_paths.append(second.result(timeout=10))
-            real_replace(source, target)
+        def put(result):
+            start.wait(timeout=10)
+            return cache.put(spec, result)
 
-        monkeypatch.setattr(os, "replace", replace_after_second_put)
-        path = cache.put(spec, {"value": "first"})
-        assert second_paths == [path]
-        record = json.loads(path.read_text(encoding="utf-8"))
-        assert record == {
-            "job_id": spec.job_id,
-            "kind": spec.kind,
-            "params": spec.params,
-            "version": cache.version,
-            "result": {"value": "first"},
-        }
-        assert sorted(entry.name for entry in path.parent.iterdir()) == [path.name]
+        with ThreadPoolExecutor(max_workers=2) as writers:
+            segments = list(writers.map(put, results, timeout=10))
+        assert segments[0] != segments[1]
+        for segment, result in zip(segments, results):
+            assert [json.loads(line) for line in segment.read_text().splitlines()] == [
+                {
+                    "job": spec.spec_hash,
+                    "job_id": spec.job_id,
+                    "kind": spec.kind,
+                    "params": spec.params,
+                    "result": result,
+                }
+            ]
+        fresh = ResultCache(root=tmp_path)
+        assert fresh.index() == {spec.spec_hash}
+        assert len(fresh) == 1
+        assert fresh.get(spec) in results
 
     def test_keyed_by_code_version(self, tmp_path):
         spec = JobSpec(kind="test.double", params={"value": 3})
@@ -322,6 +326,156 @@ class TestCacheIndex:
         report = SweepRunner(cache=cache).run(sweep)
         assert (report.executed, report.cache_hits) == (3, 3)
         assert len(_executions(log)) == 3
+
+
+def _writer_records(writer, count):
+    """``count`` (spec, result) pairs; even ones are shared by every writer."""
+    for i in range(count):
+        owner = "shared" if i % 2 == 0 else f"writer-{writer}"
+        spec = JobSpec(kind="test.double", params={"value": i, "owner": owner})
+        yield spec, {"value": 2 * i, "owner": owner, "pad": [owner] * 40}
+
+
+def _put_records(root, writer, count, start):
+    """Spawned writer process: put every record of ``writer`` into ``root``."""
+    cache = ResultCache(root=root, version="concurrent")
+    start.wait(timeout=60)  # every writer is up: put all at once
+    for spec, result in _writer_records(writer, count):
+        cache.put(spec, result)
+
+
+class TestResultStoreFailurePaths:
+    def test_torn_segment_loses_only_the_torn_record(self, tmp_path):
+        """A writer killed mid-record: only that job is lost and re-run."""
+        log = tmp_path / "executions.log"
+        sweep = _double_sweep(4, log=log)
+        SweepRunner(cache=ResultCache(root=tmp_path / "cache")).run(sweep)
+        (segment,) = ResultCache(root=tmp_path / "cache").namespace.iterdir()
+        intact = segment.read_bytes()
+        segment.write_bytes(intact[:-20])  # cut inside the last job's record
+        torn = sweep.jobs[-1]
+        assert ResultCache(root=tmp_path / "cache").index() == {
+            job.spec_hash for job in sweep.jobs[:-1]
+        }
+
+        report = SweepRunner(cache=ResultCache(root=tmp_path / "cache")).run(sweep)
+        assert (report.executed, report.cache_hits) == (1, 3)
+        assert _executions(log)[4:] == [str(torn.params["value"])]
+        # The same writer's next record starts a fresh line after the fragment.
+        lines = segment.read_bytes().splitlines(keepends=True)
+        assert b"".join(lines[:4]) == intact[:-20] + b"\n"
+        assert lines[4] == intact.splitlines(keepends=True)[-1]
+        fresh = ResultCache(root=tmp_path / "cache")
+        assert [fresh.get(job) for job in sweep.jobs] == [
+            {"value": 2 * i} for i in range(4)
+        ]
+
+    def test_concurrent_writer_processes(self, tmp_path):
+        """More writer processes than cores, some hashes shared by all."""
+        writers, count = 4, 200
+        context = multiprocessing.get_context("spawn")
+        start = context.Barrier(writers)
+        processes = [
+            context.Process(
+                target=_put_records, args=(str(tmp_path), writer, count, start), daemon=True
+            )
+            for writer in range(writers)
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=120)
+            assert not process.is_alive()
+            assert process.exitcode == 0
+        cache = ResultCache(root=tmp_path, version="concurrent")
+        expected = {
+            spec.spec_hash: (spec, result)
+            for writer in range(writers)
+            for spec, result in _writer_records(writer, count)
+        }
+        assert len(expected) == count // 2 + writers * count // 2
+        assert cache.index() == set(expected)
+        for spec, result in expected.values():
+            assert cache.get(spec) == result
+
+    def test_scanned_instance_sees_later_records(self, tmp_path):
+        writer = ResultCache(root=tmp_path)
+        reader = ResultCache(root=tmp_path)
+        specs = [JobSpec(kind="test.double", params={"value": i}) for i in range(4)]
+        writer.put(specs[0], {"value": 0})
+        assert reader.index() == {specs[0].spec_hash}
+        writer.put(specs[1], {"value": 2})
+        with ThreadPoolExecutor(max_workers=1) as other_thread:
+            other_thread.submit(writer.put, specs[2], {"value": 4}).result(timeout=10)
+        assert len(list(writer.namespace.iterdir())) == 2  # a second segment
+        assert reader.index() == {spec.spec_hash for spec in specs[:3]}
+        writer.put(specs[3], {"value": 6})
+        assert reader.get(specs[3]) == {"value": 6}  # a miss rescans
+
+    def test_get_returns_a_fresh_object(self, tmp_path):
+        cache = ResultCache(root=tmp_path)
+        spec = JobSpec(kind="test.double", params={"value": 1})
+        cache.put(spec, {"value": [2]})
+        served = cache.get(spec)
+        served["value"].append(3)
+        served["extra"] = True
+        assert cache.get(spec) == {"value": [2]}
+
+    def test_non_record_lines_are_skipped(self, tmp_path):
+        cache = ResultCache(root=tmp_path)
+        spec = JobSpec(kind="test.double", params={"value": 1})
+        segment = cache.put(spec, {"value": 2})
+        with segment.open("a", encoding="utf-8") as handle:
+            handle.write('[1, 2]\n{"result": 3}\n{"job": 7, "result": 3}\n')
+            handle.write('{"job": "no-result"}\n"text"\nnot json\n\n')
+        (cache.namespace / "seg-0-0.jsonl").write_text("[]\n{}\n", encoding="utf-8")
+        fresh = ResultCache(root=tmp_path)
+        assert fresh.index() == {spec.spec_hash}
+        assert fresh.get(spec) == {"value": 2}
+
+
+@pytest.fixture
+def two_fingerprints(tmp_path):
+    """Fingerprints of a copy of the package and of that copy with one byte edited."""
+    source = Path(repro.version.__file__).parent
+    copy = tmp_path / "copy"
+    shutil.copytree(source, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    before = source_fingerprint(copy)
+    version = copy / "version.py"
+    text = version.read_bytes()
+    version.write_bytes(text.replace(b'"0.2.0"', b'"0.2.1"', 1))
+    assert version.read_bytes() != text
+    return before, source_fingerprint(copy)
+
+
+class TestSourceFingerprint:
+    def test_copy_matches_and_one_edited_byte_differs(self, two_fingerprints):
+        before, after = two_fingerprints
+        assert before == source_fingerprint()
+        assert after != before
+        assert len(after) == 64
+
+    def test_store_namespace_follows_the_fingerprint(self, tmp_path, monkeypatch, two_fingerprints):
+        import repro.runtime.cache as cache_module
+
+        spec = JobSpec(kind="test.double", params={"value": 3})
+        for fingerprint in two_fingerprints:
+            monkeypatch.setattr(cache_module, "source_fingerprint", lambda f=fingerprint: f)
+            cache = ResultCache(root=tmp_path / "cache")
+            assert cache.get(spec) is MISS
+            cache.put(spec, {"value": fingerprint})
+            assert ResultCache(root=tmp_path / "cache").get(spec) == {"value": fingerprint}
+
+    def test_journal_follows_the_fingerprint(self, tmp_path, monkeypatch, two_fingerprints):
+        import repro.runtime.journal as journal_module
+
+        sweep = _double_sweep(3)
+        runner = SweepRunner(journal_dir=tmp_path / "journals")
+        for fingerprint in two_fingerprints:
+            monkeypatch.setattr(journal_module, "source_fingerprint", lambda f=fingerprint: f)
+            first = runner.run(sweep)
+            assert (first.executed, first.resumed) == (3, 0)
+            assert runner.run(sweep).resumed == 3
 
 
 class TestJournalBatching:

@@ -161,20 +161,17 @@ class TestEngineFusion:
         assert fused.fused_jobs == 6
         assert unfused.fused_groups == 0
 
-    def test_fused_cache_entries_match_unfused(self, tmp_path):
+    def test_fused_cache_entries_match_unfused(self, tmp_path, store_lines):
         from repro.runtime.cache import ResultCache
 
         _register_test_rule()
         jobs = _fusable_jobs(bases=(5,), levels=(0, 1, 2, 3))
         sweep = SweepSpec(name="fusion-cache", description="", jobs=tuple(jobs))
-        cache_fused = ResultCache(root=tmp_path / "fused")
-        cache_unfused = ResultCache(root=tmp_path / "unfused")
-        SweepRunner(cache=cache_fused).run(sweep)
-        SweepRunner(cache=cache_unfused, fusion_width=1).run(sweep)
-        for job in jobs:
-            fused_entry = cache_fused.path_for(job).read_text()
-            unfused_entry = cache_unfused.path_for(job).read_text()
-            assert fused_entry == unfused_entry
+        SweepRunner(cache=ResultCache(root=tmp_path / "fused")).run(sweep)
+        SweepRunner(cache=ResultCache(root=tmp_path / "unfused"), fusion_width=1).run(sweep)
+        fused_lines = store_lines(tmp_path / "fused")
+        assert set(fused_lines) == {job.spec_hash for job in jobs}
+        assert fused_lines == store_lines(tmp_path / "unfused")
 
     def test_fused_journal_records_match_unfused(self, tmp_path):
         _register_test_rule()
