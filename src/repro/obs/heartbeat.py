@@ -3,12 +3,12 @@
 A :class:`Heartbeat` is fed once per settled job by the sweep engine and
 emits at most one progress line per ``interval_s`` seconds::
 
-    [sweep] 132/1440 jobs (96 cached, 12 resumed) 4.1 jobs/s eta 5m19s
+    [sweep] 132/1440 jobs (96 cached) 4.1 jobs/s eta 5m19s
 
 The rate is computed over jobs settled since the heartbeat started (cache
-hits and resumes count — they are real progress through the sweep), and the
-ETA extrapolates that rate over the remaining jobs, so an interrupted run
-that resumes 90% of its jobs instantly reports a correspondingly short ETA.
+hits count — they are real progress through the sweep), and the ETA
+extrapolates that rate over the remaining jobs, so a re-run that serves 90%
+of its jobs from the cache instantly reports a correspondingly short ETA.
 ``interval_s=0`` emits on every update (useful in tests); a ``None`` emitter
 collects lines instead of printing, which is how tests observe the cadence.
 """
@@ -66,7 +66,7 @@ class Heartbeat:
     def _emit_stderr(line: str) -> None:
         print(line, file=sys.stderr, flush=True)
 
-    def format_line(self, done: int, executed: int, cache_hits: int, resumed: int) -> str:
+    def format_line(self, done: int, cache_hits: int) -> str:
         # Zero-elapsed (first update on a coarse clock) and zero-rate (no jobs
         # settled yet) intervals must never leak inf/nan or divide by zero
         # into the progress line: rate degrades to 0 and the ETA to "?".
@@ -76,23 +76,18 @@ class Heartbeat:
             rate = 0.0
         remaining = self.total_jobs - done
         eta = _format_eta(remaining / rate) if rate > 0 else "?"
-        provenance = []
-        if cache_hits:
-            provenance.append(f"{cache_hits} cached")
-        if resumed:
-            provenance.append(f"{resumed} resumed")
-        detail = f" ({', '.join(provenance)})" if provenance else ""
+        detail = f" ({cache_hits} cached)" if cache_hits else ""
         return (
             f"[{self.label}] {done}/{self.total_jobs} jobs{detail} "
             f"{rate:.1f} jobs/s eta {eta}"
         )
 
-    def update(self, done: int, executed: int, cache_hits: int, resumed: int) -> Optional[str]:
+    def update(self, done: int, cache_hits: int) -> Optional[str]:
         """Emit a progress line if the interval elapsed; returns the line or None."""
         now = self._clock()
         if self._last_emit is not None and now - self._last_emit < self.interval_s:
             return None
-        line = self.format_line(done, executed, cache_hits, resumed)
+        line = self.format_line(done, cache_hits)
         self._last_emit = now
         self.lines.append(line)
         self._emit(line)

@@ -7,7 +7,7 @@ file** holding one record per completed sweep or benchmark run:
 ``{"type": "run", "run_id": <hash>, "kind": "sweep"|"benchmark", ...}``
     A metrics-registry snapshot, a span rollup (per-name count/total — raw
     spans stay in the trace export), provenance counts (executed / cached /
-    resumed / failed), the sweep's content hash and an **environment
+    skipped / failed), the sweep's content hash and an **environment
     fingerprint** (python/numpy/torch versions, compute backend + device,
     platform, git SHA, shared job params such as ``train_lanes``).
 
@@ -374,7 +374,6 @@ class RunLedger:
                 "jobs": len(sweep),
                 "executed": report.executed,
                 "cache_hits": report.cache_hits,
-                "resumed": report.resumed,
                 "skipped": report.skipped,
                 "failed": int(failures),
             },

@@ -1,9 +1,11 @@
 """``repro.runtime`` — the parallel sweep-execution engine.
 
 Declarative :class:`JobSpec`/:class:`SweepSpec` units of work flow through a
-:class:`SweepRunner` that resolves each job from the journal (resume), the
-content-addressed :class:`ResultCache` (re-runs are cache hits) or an
-execution backend (:class:`SerialExecutor` / :class:`MultiprocessExecutor`).
+:class:`SweepRunner` that serves each job from the content-addressed
+:class:`ResultCache` (re-runs, and resumed interrupted or sharded runs, are
+cache hits) or executes it on a backend (:class:`SerialExecutor` /
+:class:`MultiprocessExecutor`), recording progress in the sweep's
+:class:`Journal`.
 ``python -m repro.runtime`` runs any sweep registered in
 :mod:`repro.runtime.registry`.
 

@@ -13,18 +13,20 @@
     python -m repro.runtime obs check --fail-on-regression
 
 ``run`` resolves a registered sweep, executes it through
-:class:`~repro.runtime.engine.SweepRunner` (cached and journaled by default,
-so an interrupted or sharded invocation picks up where it left off), prints
-the assembled table(s) and can write them to JSON.  While it runs, a
-rate-limited heartbeat line on stderr reports jobs done / cache hits /
-jobs-per-sec / ETA.  ``--trace`` captures spans (engine phases plus per-job
-execution, merged from multiprocessing workers) into a Chrome trace-event
-JSON loadable in Perfetto or ``chrome://tracing``; ``--metrics`` writes the
+:class:`~repro.runtime.engine.SweepRunner`, prints the assembled table(s) and
+can write them to JSON.  Results go to the result store by default, so a
+re-run of an interrupted or sharded invocation executes only what the store
+lacks; ``--no-cache`` executes every job and keeps no results.  Progress goes
+to the sweep's journal.  While it runs, a rate-limited heartbeat line on
+stderr reports jobs done / cache hits / jobs-per-sec / ETA.  ``--trace``
+captures spans (engine phases plus per-job execution, merged from
+multiprocessing workers) into a Chrome trace-event JSON loadable in
+Perfetto or ``chrome://tracing``; ``--metrics`` writes the
 merged metrics registry snapshot and ``--prom-file`` the same snapshot as
 OpenMetrics/Prometheus text exposition.  Every run also appends one
 record (metrics, span rollup, environment fingerprint) to the persistent
 **run ledger** (``.repro_runtime/ledger.jsonl`` or ``$REPRO_RUNTIME_LEDGER``;
-``--ledger PATH`` overrides, ``--no-ledger`` opts out).  ``status`` replays a
+``--ledger PATH`` overrides, ``--no-ledger`` opts out).  ``status`` reads a
 sweep's journal without executing anything, and ``report`` turns the
 journal's per-job timings into a latency table (p50/p95/max plus the slowest
 jobs) — ``--format json`` makes it machine-readable.
@@ -39,7 +41,7 @@ CI-ready form.
 ``-v``/``-vv`` before the subcommand enables console logging for the
 ``repro`` namespace (INFO/DEBUG) via
 :func:`repro.utils.logging.enable_console_logging`; the engine's per-job
-cache-hit/resume/execute decisions log at DEBUG.
+cache-hit/execute decisions log at DEBUG.
 """
 
 from __future__ import annotations
@@ -119,12 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run only every N-th job starting at I")
     run.add_argument("--cache-dir", type=Path, default=None,
                      help=f"result cache root (default: {default_cache_root()})")
-    run.add_argument("--no-cache", action="store_true", help="disable the result cache")
+    run.add_argument("--no-cache", action="store_true",
+                     help="execute every job and keep no results (the run cannot be resumed)")
     run.add_argument("--journal-dir", type=Path, default=None,
                      help=f"journal directory (default: {default_journal_dir()})")
     run.add_argument("--no-journal", action="store_true", help="disable progress journaling")
-    run.add_argument("--no-resume", action="store_true",
-                     help="ignore journaled results from earlier runs")
     run.add_argument("--output", type=Path, default=None,
                      help="write the assembled table(s) to this JSON file")
     run.add_argument("--format", choices=("aligned", "markdown", "none"), default="aligned",
@@ -258,7 +259,6 @@ def _cmd_run(args: argparse.Namespace, stream) -> int:
         executor=make_executor(args.workers),
         cache=cache,
         journal_dir=journal_dir,
-        resume=not args.no_resume,
         heartbeat_interval=heartbeat,
         ledger=ledger,
         fusion_width=args.fusion_width,
@@ -303,7 +303,7 @@ def _cmd_run(args: argparse.Namespace, stream) -> int:
         done = len(sweep) - report.skipped
         print(
             f"partial run: {done}/{len(sweep)} jobs in this shard; run the remaining "
-            "shards (same journal) and re-run without --shard to assemble the table",
+            "shards (same cache) and re-run without --shard to assemble the table",
             file=stream,
         )
     return 0
@@ -323,7 +323,7 @@ def latency_tables(sweep, state, top: int = 10) -> List[Table]:
     """Summarise a journal's per-job durations as (summary, slowest-jobs) tables.
 
     Only *executed* durations enter the latency distribution — records tagged
-    ``source: cache`` were journal fills from the result cache, not work.
+    ``source: cache`` were served from the result cache, not executed.
     """
     hashes = {job.spec_hash for job in sweep.jobs}
     timed = [
@@ -386,12 +386,6 @@ def _cmd_report(args: argparse.Namespace, stream) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True), file=stream)
         return 0
-    if not state.durations:
-        print(
-            "journal has no per-job durations (written by an older version?); "
-            "re-run the sweep to collect timings",
-            file=stream,
-        )
     _print_tables(tables, args.format, stream)
     print(f"journal: {journal.path}", file=stream)
     return 0
@@ -575,7 +569,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except KeyboardInterrupt:
         print(
-            "interrupted — completed jobs are journaled; re-run the same command to resume",
+            "interrupted — completed jobs are in the result store; "
+            "re-run the same command to resume",
             file=sys.stderr,
         )
         return 130

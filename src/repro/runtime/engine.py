@@ -1,26 +1,27 @@
-"""The sweep engine: cache -> journal -> executor orchestration.
+"""The sweep engine: cache -> executor orchestration, journaled.
 
 :class:`SweepRunner` is the one entry point every consumer shares — the
 refactored experiment generators (serial, no persistence), the CLI (parallel,
-cached, journaled) and the benchmarks.  For each job of a sweep it resolves
-the result from, in order:
+cached, journaled) and the benchmarks.  Each job of a sweep is either served
+from the content-addressed result cache or executed on the configured
+backend.  The cache is the only place results live: an interrupted, failed,
+partial or sharded run resumes because its completed jobs are cache hits on
+the next run.
 
-1. the sweep's journal (resume of an interrupted/partial/sharded run),
-2. the content-addressed result cache (re-run on unchanged code),
-3. actual execution on the configured backend.
-
-Fresh results are journaled and cached the moment they arrive, so an
-interrupt at any point loses at most the jobs currently in flight.  A job's
-result depends only on its spec, so every run uses the cache, journal and
-ledger the runner was configured with.
+Fresh results are cached the moment they arrive, so an interrupt at any
+point loses at most the jobs currently in flight.  The sweep's journal
+records progress only (which jobs settled, how, and how long they took) for
+``status`` and ``report``; the engine never reads it.  A job's result
+depends only on its spec, so every run uses the cache, journal and ledger
+the runner was configured with.
 
 The engine is the merge point of the observability layer (:mod:`repro.obs`):
 when metrics or tracing are enabled in the parent process it asks the
 executor to capture a per-job delta, merges worker metrics snapshots into
 the parent registry and worker spans into the parent tracer, wraps its own
-phases (journal load, cache resolve, dispatch, per-job settle) in spans, and
-attaches the merged registry snapshot to the returned :class:`SweepReport`.
-Every resolution decision is also routed through the ``repro.runtime.engine``
+phases (cache resolve, dispatch, per-job settle) in spans, and attaches the
+merged registry snapshot to the returned :class:`SweepReport`.  Every
+resolution decision is also routed through the ``repro.runtime.engine``
 logger, and an optional :class:`~repro.obs.Heartbeat` emits a rate-limited
 progress line as jobs settle.
 
@@ -75,7 +76,6 @@ class SweepReport:
     results: List[Any]          #: one entry per job, in sweep order; None if not run (other shard)
     executed: int = 0           #: jobs computed fresh this run
     cache_hits: int = 0         #: jobs resolved from the result cache
-    resumed: int = 0            #: jobs resolved from the journal
     skipped: int = 0            #: jobs outside this run's shard
     fused_jobs: int = 0         #: executed jobs that rode a fused group
     fused_groups: int = 0       #: fused groups dispatched this run
@@ -100,8 +100,7 @@ class SweepReport:
         return (
             f"{self.sweep.name}{shard}: {len(self.sweep)} jobs — "
             f"{self.executed} executed{fused}, {self.cache_hits} cache hits, "
-            f"{self.resumed} resumed, {self.skipped} skipped "
-            f"in {self.wall_time_s:.2f}s"
+            f"{self.skipped} skipped in {self.wall_time_s:.2f}s"
         )
 
 
@@ -120,7 +119,6 @@ class SweepRunner:
         executor: Optional[Executor] = None,
         cache: Optional[ResultCache] = None,
         journal_dir: Optional[PathLike] = None,
-        resume: bool = True,
         heartbeat_interval: Optional[float] = None,
         heartbeat_emit: Optional[Callable[[str], None]] = None,
         ledger: Optional["RunLedger"] = None,
@@ -129,7 +127,6 @@ class SweepRunner:
         self.executor = executor if executor is not None else SerialExecutor()
         self.cache = cache
         self.journal_dir = journal_dir
-        self.resume = resume
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_emit = heartbeat_emit
         self.ledger = ledger
@@ -143,8 +140,8 @@ class SweepRunner:
         """Execute (the selected shard of) ``sweep`` and return a report.
 
         Raises :class:`SweepExecutionError` after the dispatch loop if any
-        job failed; every job that *did* complete is journaled/cached first,
-        so a follow-up run resumes instead of recomputing.
+        job failed; every job that *did* complete is cached first, so a
+        follow-up run with the same cache recomputes only the failures.
         """
         started = time.perf_counter()
         metrics = get_metrics()
@@ -168,23 +165,14 @@ class SweepRunner:
 
         def pulse() -> None:
             if heartbeat is not None:
-                heartbeat.update(
-                    report.resumed + report.cache_hits + report.executed,
-                    report.executed,
-                    report.cache_hits,
-                    report.resumed,
-                )
+                heartbeat.update(report.cache_hits + report.executed, report.cache_hits)
 
         root = span("sweep.run", sweep=sweep.name, jobs=len(sweep))
         with root:
             journal = None
-            journaled: dict = {}
             if self.journal_dir is not None:
                 journal = Journal.for_sweep(sweep, self.journal_dir)
                 journal.record_header(sweep)
-                if self.resume:
-                    with span("engine.journal_load"):
-                        journaled = journal.load().results
             cache = self.cache
 
             def settle(index: int, result: Any) -> None:
@@ -197,7 +185,7 @@ class SweepRunner:
                     if cache is not None:
                         cache.put(spec, payload)
                     if journal is not None:
-                        journal.record_result(spec, payload, duration_s=duration_s)
+                        journal.record_result(spec, duration_s=duration_s)
                 if metrics.enabled:
                     metrics.counter("engine.jobs_executed").inc()
                     if duration_s is not None:
@@ -228,12 +216,6 @@ class SweepRunner:
                             cache_index = cache.index()
                     for index in sorted(selected):
                         spec = sweep.jobs[index]
-                        if spec.spec_hash in journaled:
-                            settle(index, journaled[spec.spec_hash])
-                            report.resumed += 1
-                            logger.debug("job %s: resumed from journal", spec.job_id)
-                            pulse()
-                            continue
                         if cache is not None:
                             cached = (
                                 cache.get(spec) if spec.spec_hash in cache_index else MISS
@@ -245,15 +227,13 @@ class SweepRunner:
                                 settle(index, cached)
                                 report.cache_hits += 1
                                 if journal is not None:
-                                    journal.record_result(spec, cached, source="cache")
+                                    journal.record_result(spec, source="cache")
                                 logger.debug("job %s: result cache hit", spec.job_id)
                                 pulse()
                                 continue
                         pending.append((index, spec))
-                    resolve_span.set_attribute("resumed", report.resumed)
                     resolve_span.set_attribute("cache_hits", report.cache_hits)
                 if metrics.enabled:
-                    metrics.counter("engine.jobs_resumed").inc(report.resumed)
                     metrics.counter("engine.jobs_cache_hit").inc(report.cache_hits)
 
                 # Fusion planning: group cache-miss jobs that differ only
@@ -357,7 +337,6 @@ class SweepRunner:
                         )
             root.set_attribute("executed", report.executed)
             root.set_attribute("cache_hits", report.cache_hits)
-            root.set_attribute("resumed", report.resumed)
             root.set_attribute("failed", len(failures))
         logger.info(report.describe())
         if failures:

@@ -1,27 +1,27 @@
-"""JSONL progress journaling with checkpoint/resume.
+"""JSONL progress journal of one sweep.
 
-Every journaled sweep run appends to one append-only JSON-lines file named
-after the sweep's identity hash, so interrupted, re-started and *sharded*
-runs of the same sweep all converge on the same journal:
+Every journaled run of a sweep appends to one append-only JSON-lines file
+named after the sweep's identity hash and the code's source fingerprint, so
+interrupted, re-started and *sharded* runs of the same sweep on the same
+code all write to one journal:
 
 ``{"type": "sweep", ...}``
     Header written once per file: sweep name/hash, job count, code version.
-``{"type": "result", "job": <hash>, "result": ..., "ts": ..., "duration_s": ...}``
-    One record per completed job, written the moment the job finishes.
-``{"type": "error", "job": <hash>, "error": ..., "ts": ..., "duration_s": ...}``
+``{"type": "result", "job": <hash>, "job_id": ..., "ts": ..., "duration_s": ..., "source": ...}``
+    One record per completed job, written the moment the job settles.
+``{"type": "error", "job": <hash>, "job_id": ..., "error": ..., "ts": ..., "duration_s": ...}``
     A failed job; failures are re-attempted on the next run.
 
-Result/error records carry a wall-clock timestamp (``ts``, seconds since the
-epoch) and — when the engine measured one — the job's execution time on its
-worker (``duration_s``, monotonic).  Both fields are additive: journals
-written before they existed replay exactly as before (resume only reads
-``job``/``result``), and old readers ignore the extra keys.  Records whose
-result came from the result cache are tagged ``"source": "cache"`` so the
-latency report can separate real executions from cache fills.
+Every record carries a wall-clock timestamp (``ts``, seconds since the
+epoch).  ``duration_s`` is the job's execution time on its worker
+(monotonic), present when the engine measured one.  A job served from the
+result store is tagged ``"source": "cache"`` so the latency report can
+separate real executions from cache hits.
 
-Resume is simply "replay the journal before executing": completed jobs are
-reloaded from their records and skipped.  Records for jobs no longer in the
-sweep (stale code) are ignored by virtue of content-hash addressing.
+The journal records progress only.  Results live in the result store
+(:class:`~repro.runtime.cache.ResultCache`), which is also what a re-run
+resumes from; the engine only writes journals, and ``status``/``report``
+read them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Set
 
 from repro.utils.serialization import PathLike, append_jsonl, append_jsonl_many, iter_jsonl
 from repro.version import __version__, source_fingerprint
@@ -39,6 +39,12 @@ from repro.runtime.jobs import JobSpec, SweepSpec
 
 #: Environment variable overriding the default journal directory.
 JOURNAL_ENV_VAR = "REPRO_RUNTIME_JOURNAL"
+
+#: Records a journal buffers before appending them in one write.
+BUFFER_SIZE = 64
+
+#: Seconds since the last flush after which the next record flushes the buffer.
+FLUSH_INTERVAL_S = 0.5
 
 
 def default_journal_dir() -> Path:
@@ -50,15 +56,14 @@ def default_journal_dir() -> Path:
 
 @dataclass
 class JournalState:
-    """Everything a resume needs: per-job results and errors keyed by hash.
+    """Each job's latest outcome and timing, keyed by spec hash.
 
-    ``durations``/``job_ids``/``sources`` mirror the optional timing fields of
-    newer journal records (absent entries mean the record predates them); they
-    feed the ``status`` durations summary and the ``report`` latency table.
+    ``durations``/``job_ids``/``sources`` mirror the optional fields of the
+    records; they feed the ``status`` durations summary and the ``report``
+    latency table.
     """
 
-    header: Optional[Dict[str, Any]] = None
-    results: Dict[str, Any] = field(default_factory=dict)
+    results: Set[str] = field(default_factory=set)  #: hashes of completed jobs
     errors: Dict[str, str] = field(default_factory=dict)
     durations: Dict[str, float] = field(default_factory=dict)
     job_ids: Dict[str, str] = field(default_factory=dict)
@@ -74,8 +79,8 @@ class SweepStatus:
     """Progress summary of one sweep's journal (the CLI ``status`` view).
 
     The duration fields summarise the journal's per-record ``duration_s``
-    values; they are ``None`` when the journal predates job timing (or nothing
-    has executed yet), and the textual summary degrades gracefully then.
+    values; they are ``None`` when nothing has executed yet (cache hits carry
+    no duration), and the textual summary leaves them out then.
     """
 
     name: str
@@ -111,26 +116,17 @@ class Journal:
     """Append-only progress log for one sweep, with batched writes.
 
     Records accumulate in an in-memory buffer and are appended in one
-    open/write once ``buffer_size`` records queue up or ``flush_interval_s``
-    has elapsed since the last flush — on a fused sweep settling hundreds of
-    jobs per second, per-record opens were a measurable engine cost.  The
-    on-disk format is byte-identical to unbuffered appends (torn-line repair
-    included), ``load``/``status`` flush first so readers never miss buffered
-    records, and the engine flushes in a ``finally`` so an interrupt loses at
-    most the final partial batch — the same exposure window the old
-    one-record-per-write scheme had for the job in flight.
-    ``buffer_size=1`` restores strict write-through.
+    open/write once :data:`BUFFER_SIZE` records queue up or
+    :data:`FLUSH_INTERVAL_S` has elapsed since the last flush — on a fused
+    sweep settling hundreds of jobs per second, per-record opens were a
+    measurable engine cost.  The on-disk format is byte-identical to
+    per-record appends (torn-line repair included), ``load``/``status`` flush
+    first so readers never miss buffered records, and the engine flushes in a
+    ``finally`` so an interrupt loses at most the final partial batch.
     """
 
-    def __init__(
-        self,
-        path: PathLike,
-        buffer_size: int = 64,
-        flush_interval_s: float = 0.5,
-    ) -> None:
+    def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
-        self.buffer_size = max(1, int(buffer_size))
-        self.flush_interval_s = float(flush_interval_s)
         self._buffer: list = []
         self._last_flush = time.monotonic()
 
@@ -144,8 +140,8 @@ class Journal:
         """The canonical journal for ``sweep`` under the current code.
 
         Like the result store, journals are namespaced by ``version``, by
-        default the first 16 hex digits of the source fingerprint: results of
-        other code are never resumed, even without a version bump.
+        default the first 16 hex digits of the source fingerprint: progress
+        made by other code is never reported as this code's.
         """
         base = Path(directory) if directory is not None else default_journal_dir()
         version = version if version is not None else source_fingerprint()[:16]
@@ -155,8 +151,8 @@ class Journal:
     def _append(self, record: Dict[str, Any]) -> None:
         self._buffer.append(record)
         if (
-            len(self._buffer) >= self.buffer_size
-            or time.monotonic() - self._last_flush >= self.flush_interval_s
+            len(self._buffer) >= BUFFER_SIZE
+            or time.monotonic() - self._last_flush >= FLUSH_INTERVAL_S
         ):
             self.flush()
 
@@ -166,10 +162,6 @@ class Journal:
             buffered, self._buffer = self._buffer, []
             append_jsonl_many(self.path, buffered)
         self._last_flush = time.monotonic()
-
-    @property
-    def pending_writes(self) -> int:
-        return len(self._buffer)
 
     def record_header(self, sweep: SweepSpec) -> None:
         """Write the sweep header if this journal file is new.
@@ -193,7 +185,6 @@ class Journal:
     def record_result(
         self,
         spec: JobSpec,
-        result: Any,
         duration_s: Optional[float] = None,
         source: Optional[str] = None,
     ) -> None:
@@ -201,7 +192,6 @@ class Journal:
             "type": "result",
             "job": spec.spec_hash,
             "job_id": spec.job_id,
-            "result": result,
             "ts": time.time(),
         }
         if duration_s is not None:
@@ -226,26 +216,24 @@ class Journal:
 
     # ------------------------------------------------------------------ reading
     def load(self) -> JournalState:
-        """Replay the journal into a resumable state snapshot.
+        """Replay the journal into each job's *latest* outcome.
 
         A later success clears an earlier error for the same job and vice
-        versa, so the snapshot reflects each job's *latest* outcome.
+        versa.
         """
         self.flush()
         state = JournalState()
         for record in iter_jsonl(self.path):
             kind = record.get("type")
-            if kind == "sweep" and state.header is None:
-                state.header = record
-            elif kind == "result":
+            if kind == "result":
                 digest = record["job"]
-                state.results[digest] = record.get("result")
+                state.results.add(digest)
                 state.errors.pop(digest, None)
                 self._load_timing(state, digest, record)
             elif kind == "error":
                 digest = record["job"]
                 state.errors[digest] = str(record.get("error", ""))
-                state.results.pop(digest, None)
+                state.results.discard(digest)
                 self._load_timing(state, digest, record)
         return state
 
@@ -266,12 +254,12 @@ class Journal:
             state.sources.pop(digest, None)
 
     @staticmethod
-    def _duration_summary(state: JournalState, hashes=None):
+    def _duration_summary(state: JournalState, hashes: Set[str]):
         """(total, slowest, slowest_job_id) over the journaled durations."""
         items = [
             (digest, duration)
             for digest, duration in state.durations.items()
-            if hashes is None or digest in hashes
+            if digest in hashes
         ]
         if not items:
             return None, None, None
@@ -279,32 +267,17 @@ class Journal:
         total = sum(duration for _, duration in items)
         return total, slowest, state.job_ids.get(slowest_digest, slowest_digest[:12])
 
-    def status(self, sweep: Optional[SweepSpec] = None) -> SweepStatus:
-        """Progress against ``sweep`` (or against the journal's own header)."""
+    def status(self, sweep: SweepSpec) -> SweepStatus:
+        """Progress against ``sweep``."""
         state = self.load()
-        if sweep is not None:
-            hashes = {job.spec_hash for job in sweep.jobs}
-            completed = sum(1 for digest in state.results if digest in hashes)
-            failed = sum(1 for digest in state.errors if digest in hashes)
-            total_s, slowest_s, slowest_id = self._duration_summary(state, hashes)
-            return SweepStatus(
-                name=sweep.name,
-                sweep_hash=sweep.sweep_hash,
-                total_jobs=len(sweep),
-                completed=completed,
-                failed=failed,
-                total_duration_s=total_s,
-                slowest_job_s=slowest_s,
-                slowest_job_id=slowest_id,
-            )
-        header = state.header or {}
-        total_s, slowest_s, slowest_id = self._duration_summary(state)
+        hashes = {job.spec_hash for job in sweep.jobs}
+        total_s, slowest_s, slowest_id = self._duration_summary(state, hashes)
         return SweepStatus(
-            name=str(header.get("name", self.path.stem)),
-            sweep_hash=str(header.get("sweep_hash", "")),
-            total_jobs=int(header.get("total_jobs", state.completed)),
-            completed=state.completed,
-            failed=len(state.errors),
+            name=sweep.name,
+            sweep_hash=sweep.sweep_hash,
+            total_jobs=len(sweep),
+            completed=sum(1 for digest in state.results if digest in hashes),
+            failed=sum(1 for digest in state.errors if digest in hashes),
             total_duration_s=total_s,
             slowest_job_s=slowest_s,
             slowest_job_id=slowest_id,

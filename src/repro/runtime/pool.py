@@ -23,7 +23,8 @@ separate control round-trip.  Observability: ``pool.spawned_workers``,
 ``pool.workers`` occupancy gauge, and a ``pool.submit`` span per run.
 
 Worker failures surface, they do not hang: results are collected with a
-liveness-checked timeout, and a dead worker with work outstanding raises.
+liveness-checked timeout, and a dead worker with work outstanding shuts the
+pool down and raises; the next :func:`get_pool` starts a fresh one.
 Job-level exceptions were already converted to ``"error"`` events inside the
 worker, so the only way a worker dies is an interpreter-level crash.
 """
@@ -176,7 +177,11 @@ class PersistentWorkerPool:
                 with self._lock:
                     dead = [p for p in self._workers if not p.is_alive()]
                 if dead:
+                    # A worker killed while holding a queue lock leaves every
+                    # live worker blocked on that queue: no later submission
+                    # could complete on these queues, so retire the pool.
                     names = ", ".join(p.name for p in dead)
+                    self.shutdown()
                     raise RuntimeError(
                         f"worker pool lost processes with work outstanding: {names}"
                     )
@@ -205,10 +210,10 @@ _GLOBAL_POOL_LOCK = threading.Lock()
 
 
 def get_pool() -> PersistentWorkerPool:
-    """The process-wide persistent pool, created on first use."""
+    """The process-wide persistent pool, created on first use and after a shutdown."""
     global _GLOBAL_POOL
     with _GLOBAL_POOL_LOCK:
-        if _GLOBAL_POOL is None:
+        if _GLOBAL_POOL is None or _GLOBAL_POOL._closed:
             _GLOBAL_POOL = PersistentWorkerPool()
             atexit.register(_GLOBAL_POOL.shutdown)
         return _GLOBAL_POOL

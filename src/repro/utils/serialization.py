@@ -109,7 +109,7 @@ def iter_jsonl(path: PathLike) -> Iterator[Any]:
     """Yield records from a JSON-lines file; missing files yield nothing.
 
     A truncated final line (e.g. from a run interrupted mid-write) is skipped
-    rather than raised, so a journal can always be re-opened for resume.
+    rather than raised, so a torn journal or ledger can always be read.
     """
     target = Path(path)
     if not target.exists():

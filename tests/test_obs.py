@@ -449,8 +449,8 @@ class TestJournalTiming:
         journal = Journal.for_sweep(sweep, tmp_path)
         journal.record_header(sweep)
         before = time.time()
-        journal.record_result(sweep.jobs[0], {"value": 1}, duration_s=0.25)
-        journal.record_result(sweep.jobs[1], {"value": 2}, duration_s=1.75)
+        journal.record_result(sweep.jobs[0], duration_s=0.25)
+        journal.record_result(sweep.jobs[1], duration_s=1.75)
         records = [json.loads(line) for line in journal.path.read_text().splitlines()][1:]
         assert all(before <= r["ts"] <= time.time() for r in records)
         status = journal.status(sweep)
@@ -464,7 +464,7 @@ class TestJournalTiming:
         sweep = self._sweep()
         journal = Journal.for_sweep(sweep, tmp_path)
         journal.record_header(sweep)
-        journal.record_result(sweep.jobs[0], {"value": 1}, source="cache")
+        journal.record_result(sweep.jobs[0], source="cache")
         state = journal.load()
         assert state.sources[sweep.jobs[0].spec_hash] == "cache"
 
@@ -482,32 +482,32 @@ class TestHeartbeat:
     def test_quiet_for_the_first_interval(self):
         heartbeat, clock, lines = self._beat(5.0)
         clock[0] = 1.0
-        assert heartbeat.update(1, 1, 0, 0) is None
+        assert heartbeat.update(1, 0) is None
         clock[0] = 4.9
-        assert heartbeat.update(2, 2, 0, 0) is None
+        assert heartbeat.update(2, 0) is None
         assert lines == []
 
     def test_emits_once_per_interval(self):
         heartbeat, clock, lines = self._beat(5.0)
         clock[0] = 5.0
-        assert heartbeat.update(3, 1, 1, 1) is not None
+        assert heartbeat.update(3, 1) is not None
         clock[0] = 7.0
-        assert heartbeat.update(4, 2, 1, 1) is None  # rate limited
+        assert heartbeat.update(4, 1) is None  # rate limited
         clock[0] = 10.5
-        assert heartbeat.update(5, 3, 1, 1) is not None
+        assert heartbeat.update(5, 1) is not None
         assert len(lines) == 2
 
     def test_interval_zero_emits_every_update(self):
         heartbeat, clock, lines = self._beat(0.0)
         for done in range(1, 4):
-            assert heartbeat.update(done, done, 0, 0) is not None
+            assert heartbeat.update(done, 0) is not None
         assert len(lines) == 3
 
     def test_line_format(self):
         heartbeat, clock, _ = self._beat(0.0, total=100)
         clock[0] = 10.0
-        line = heartbeat.format_line(20, 10, 6, 4)
-        assert line.startswith("[test] 20/100 jobs (6 cached, 4 resumed)")
+        line = heartbeat.format_line(20, 6)
+        assert line.startswith("[test] 20/100 jobs (6 cached) ")
         assert "2.0 jobs/s" in line
         assert "eta 40s" in line
 
@@ -524,7 +524,7 @@ class TestHeartbeat:
         the line must degrade to 0.0 jobs/s + unknown ETA, not crash or
         print inf/nan."""
         heartbeat, clock, _ = self._beat(0.0, total=10)
-        line = heartbeat.format_line(3, 3, 0, 0)  # clock never advanced
+        line = heartbeat.format_line(3, 0)  # clock never advanced
         assert "0.0 jobs/s" in line
         assert "eta ?" in line
         for forbidden in ("inf", "nan"):
@@ -533,7 +533,7 @@ class TestHeartbeat:
     def test_zero_rate_interval_reports_unknown_eta(self):
         heartbeat, clock, _ = self._beat(0.0, total=10)
         clock[0] = 4.0
-        line = heartbeat.format_line(0, 0, 0, 0)  # nothing settled yet
+        line = heartbeat.format_line(0, 0)  # nothing settled yet
         assert "0.0 jobs/s" in line
         assert "eta ?" in line
 

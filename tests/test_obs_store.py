@@ -283,8 +283,7 @@ class TestEngineLedgerIntegration:
         assert record.name == "ledger-probe"
         assert record.spec_hash == self._sweep().sweep_hash
         assert record.counts == {
-            "jobs": 3, "executed": 3, "cache_hits": 0,
-            "resumed": 0, "skipped": 0, "failed": 0,
+            "jobs": 3, "executed": 3, "cache_hits": 0, "skipped": 0, "failed": 0,
         }
         assert record.wall_time_s > 0
         assert record.fingerprint["python"]

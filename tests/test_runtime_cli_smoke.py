@@ -53,8 +53,8 @@ class TestGeneralizationRolloutsCliSmoke:
         assert ledger_records[0].counts["executed"] == 4
         assert ledger_records[0].fingerprint["python"]
 
-        # The slice is journaled under the sweep's identity, so the remaining
-        # shards (or a full re-run) resume from these four results.
+        # The slice's progress is journaled under the sweep's identity, so
+        # `status` counts these four jobs for the remaining shards too.
         sweep = get_registered_sweep("generalization-rollouts").spec()
         journal = Journal.for_sweep(sweep, tmp_path / "journals")
         status = journal.status(sweep)

@@ -1,7 +1,8 @@
-"""Tests for the sweep engine: executors, cache hit/miss, journal resume, CLI."""
+"""Tests for the sweep engine: executors, cache hit/miss, resume, journal, CLI."""
 
 import json
 import multiprocessing
+import re
 import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,7 @@ from repro.runtime.engine import SweepExecutionError, SweepRunner, run_sweep
 from repro.runtime.executor import MultiprocessExecutor, SerialExecutor, make_executor
 from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.runtime.journal import Journal
-from repro.utils.serialization import save_json
+from repro.utils.serialization import append_jsonl, save_json
 from repro.version import source_fingerprint
 
 
@@ -134,16 +135,21 @@ class TestCache:
         assert len(_executions(log)) == 4  # nothing re-ran
 
 
+def _store_runner(tmp_path):
+    """A runner that resumes through a result store under ``tmp_path``."""
+    return SweepRunner(cache=ResultCache(root=tmp_path / "cache"), journal_dir=tmp_path / "journal")
+
+
 class TestJournalResume:
     def test_resume_after_partial_run(self, tmp_path):
         log = tmp_path / "executions.log"
         sweep = _double_sweep(6, log=log)
-        runner = SweepRunner(journal_dir=tmp_path / "journal")
+        runner = _store_runner(tmp_path)
         partial = runner.run(sweep, shard=(0, 2))
         assert partial.executed == 3
         assert not partial.complete
         full = runner.run(sweep)
-        assert full.resumed == 3
+        assert full.cache_hits == 3
         assert full.executed == 3
         assert full.complete
         assert full.results == [{"value": 2 * i} for i in range(6)]
@@ -151,13 +157,13 @@ class TestJournalResume:
 
     def test_sharded_runs_share_one_journal(self, tmp_path):
         sweep = _double_sweep(5)
-        runner = SweepRunner(journal_dir=tmp_path)
+        runner = _store_runner(tmp_path)
         runner.run(sweep, shard=(0, 2))
         runner.run(sweep, shard=(1, 2))
-        status = Journal.for_sweep(sweep, tmp_path).status(sweep)
+        status = Journal.for_sweep(sweep, tmp_path / "journal").status(sweep)
         assert status.complete
         replay = runner.run(sweep)
-        assert (replay.resumed, replay.executed) == (5, 0)
+        assert (replay.cache_hits, replay.executed) == (5, 0)
 
     def test_resume_after_failure(self, tmp_path):
         """A failing job doesn't lose completed work; the retry only re-runs it."""
@@ -166,38 +172,59 @@ class TestJournalResume:
         jobs = [JobSpec(kind="test.double", params={"value": i, "log": str(log)}) for i in range(3)]
         jobs.append(JobSpec(kind="test.fail_until_marker", params={"value": 9, "marker": str(marker)}))
         sweep = SweepSpec(name="test-flaky", jobs=tuple(jobs))
-        runner = SweepRunner(journal_dir=tmp_path / "journal")
+        runner = _store_runner(tmp_path)
         with pytest.raises(SweepExecutionError):
             runner.run(sweep)
-        assert len(_executions(log)) == 3  # the healthy jobs completed and were journaled
+        assert len(_executions(log)) == 3  # the healthy jobs completed and were stored
+        status = Journal.for_sweep(sweep, tmp_path / "journal").status(sweep)
+        assert (status.completed, status.failed) == (3, 1)
         report = runner.run(sweep)
-        assert report.resumed == 3
+        assert report.cache_hits == 3
         assert report.executed == 1  # only the previously failed job
         assert report.results[-1] == {"value": 9}
         assert len(_executions(log)) == 3
 
-    def test_no_resume_flag_recomputes(self, tmp_path):
-        log = tmp_path / "executions.log"
-        sweep = _double_sweep(2, log=log)
-        SweepRunner(journal_dir=tmp_path / "journal").run(sweep)
-        report = SweepRunner(journal_dir=tmp_path / "journal", resume=False).run(sweep)
-        assert report.executed == 2
-        assert len(_executions(log)) == 4
-
     def test_resume_after_torn_journal_write(self, tmp_path):
-        """A journal cut mid-record (killed process) resumes cleanly: the torn
-        fragment is skipped and new records start on a fresh line."""
+        """A journal cut mid-record (killed process) takes new records cleanly:
+        the torn fragment is skipped and new records start on a fresh line."""
         sweep = _double_sweep(4)
-        runner = SweepRunner(journal_dir=tmp_path)
+        runner = _store_runner(tmp_path)
         runner.run(sweep)
-        journal = Journal.for_sweep(sweep, tmp_path)
+        journal = Journal.for_sweep(sweep, tmp_path / "journal")
         lines = journal.path.read_text().splitlines(keepends=True)
         # Keep the header + 2 results, then a torn (newline-less) partial record.
         journal.path.write_text("".join(lines[:3]) + '{"type": "result", "job": "dead')
+        assert journal.status(sweep).completed == 2
         report = runner.run(sweep)
-        assert (report.resumed, report.executed) == (2, 2)
+        assert (report.cache_hits, report.executed) == (4, 0)
         assert report.results == [{"value": 2 * i} for i in range(4)]
         assert journal.status(sweep).complete
+        torn = journal.path.read_text().splitlines()[3]
+        assert torn == '{"type": "result", "job": "dead'
+
+    def test_journal_without_store_records_progress_only(self, tmp_path):
+        """No store, no resume: the journal shows progress but serves nothing."""
+        log = tmp_path / "executions.log"
+        sweep = _double_sweep(3, log=log)
+        runner = SweepRunner(journal_dir=tmp_path)
+        assert runner.run(sweep).executed == 3
+        assert Journal.for_sweep(sweep, tmp_path).status(sweep).complete
+        again = runner.run(sweep)
+        assert (again.executed, again.cache_hits) == (3, 0)
+        assert again.results == [{"value": 2 * i} for i in range(3)]
+        assert len(_executions(log)) == 6
+
+    def test_result_records_carry_no_payload(self, tmp_path):
+        sweep = _double_sweep(3)
+        runner = _store_runner(tmp_path)
+        runner.run(sweep)  # executed
+        runner.run(sweep)  # served from the store
+        journal = Journal.for_sweep(sweep, tmp_path / "journal")
+        records = [json.loads(line) for line in journal.path.read_text().splitlines()]
+        results = [record for record in records if record["type"] == "result"]
+        assert len(results) == 6
+        assert [record.get("source") for record in results] == [None] * 3 + ["cache"] * 3
+        assert all("result" not in record for record in records)
 
     def test_status_without_journal(self, tmp_path):
         sweep = _double_sweep(2)
@@ -206,17 +233,21 @@ class TestJournalResume:
         assert not status.complete
 
     def test_journals_are_version_namespaced(self, tmp_path):
-        """Results journaled by an older code version must not be resumed."""
+        """Progress and results of an older code version are never resumed."""
         sweep = _double_sweep(2)
-        old = Journal.for_sweep(sweep, tmp_path, version="0.0.9")
-        new = Journal.for_sweep(sweep, tmp_path)
+        old = Journal.for_sweep(sweep, tmp_path / "journal", version="0.0.9")
+        new = Journal.for_sweep(sweep, tmp_path / "journal")
         assert old.path != new.path
         old.record_header(sweep)
+        stale = ResultCache(root=tmp_path / "cache", version="0.0.9")
         for job in sweep.jobs:
-            old.record_result(job, {"value": "stale"})
-        report = SweepRunner(journal_dir=tmp_path).run(sweep)
-        assert report.resumed == 0
-        assert report.executed == 2
+            old.record_result(job)
+            stale.put(job, {"value": "stale"})
+        assert old.status(sweep).complete
+        assert new.status(sweep).completed == 0
+        report = _store_runner(tmp_path).run(sweep)
+        assert (report.cache_hits, report.executed) == (0, 2)
+        assert report.results == [{"value": 0}, {"value": 2}]
 
 
 class TestRunSweepHelper:
@@ -266,16 +297,32 @@ class TestCli:
 
     def test_sharded_runs_then_assembly(self, tmp_path, capsys):
         base = [
-            "run", "fig5", "--no-cache",
-            "--journal-dir", str(tmp_path), "--format", "none", "--quiet",
+            "run", "fig5", "--cache-dir", str(tmp_path / "cache"),
+            "--journal-dir", str(tmp_path / "journal"), "--format", "none",
         ]
-        assert self._run(base + ["--shard", "0/2"]) == 0
+        assert self._run(base + ["--quiet", "--shard", "0/2"]) == 0
         assert "partial run" in capsys.readouterr().out
-        assert self._run(base + ["--shard", "1/2"]) == 0
+        assert self._run(base + ["--quiet", "--shard", "1/2"]) == 0
         capsys.readouterr()
-        assert self._run(["status", "fig5", "--journal-dir", str(tmp_path)]) == 0
+        assert self._run(["status", "fig5", "--journal-dir", str(tmp_path / "journal")]) == 0
         assert "6/6 jobs done (complete)" in capsys.readouterr().out
-        assert self._run(base) == 0  # assembles from the journal, executes nothing
+        assert self._run(base) == 0  # assembles from the store, executes nothing
+        assert "0 executed, 6 cache hits" in capsys.readouterr().out
+
+    def test_report_after_a_run_served_from_the_cache(self, tmp_path, capsys):
+        argv = lambda journal: [
+            "run", "table2", "--cache-dir", str(tmp_path / "cache"),
+            "--journal-dir", str(tmp_path / journal), "--format", "none", "--quiet",
+        ]
+        assert self._run(argv("journal-a")) == 0
+        assert self._run(argv("journal-b")) == 0
+        capsys.readouterr()
+        report = ["report", "table2", "--journal-dir", str(tmp_path / "journal-b")]
+        assert self._run(report) == 0
+        assert "older version" not in capsys.readouterr().out
+        assert self._run(report + ["--format", "json"]) == 0
+        (summary,) = json.loads(capsys.readouterr().out)["tables"][0]["rows"]
+        assert (summary["jobs"], summary["timed"], summary["cached"]) == (14, 0, 14)
 
     def test_status_unknown_sweep(self, capsys):
         assert self._run(["status", "definitely-not-a-sweep"]) == 2
@@ -473,58 +520,73 @@ class TestSourceFingerprint:
         runner = SweepRunner(journal_dir=tmp_path / "journals")
         for fingerprint in two_fingerprints:
             monkeypatch.setattr(journal_module, "source_fingerprint", lambda f=fingerprint: f)
-            first = runner.run(sweep)
-            assert (first.executed, first.resumed) == (3, 0)
-            assert runner.run(sweep).resumed == 3
+            journal = Journal.for_sweep(sweep, tmp_path / "journals")
+            assert journal.status(sweep).completed == 0
+            assert runner.run(sweep).executed == 3
+            assert journal.status(sweep).complete
 
 
 class TestJournalBatching:
-    def _journal(self, tmp_path, name, **kwargs):
-        return Journal(tmp_path / f"{name}.jsonl", **kwargs)
+    @pytest.fixture(autouse=True)
+    def _hold_records(self, monkeypatch):
+        """Buffer up to 64 records and never flush on the clock."""
+        import repro.runtime.journal as journal_module
+
+        monkeypatch.setattr(journal_module, "BUFFER_SIZE", 64)
+        monkeypatch.setattr(journal_module, "FLUSH_INTERVAL_S", 3600.0)
+        return journal_module
+
+    @staticmethod
+    def _lines(path):
+        return path.read_text().splitlines() if path.exists() else []
 
     def test_buffered_records_match_write_through(self, tmp_path):
-        """Batched flushes must leave the identical record stream on disk."""
+        """Batched flushes leave the bytes of one append per record, ts aside."""
         sweep = _double_sweep(5, name="batch-bytes")
-        buffered = self._journal(tmp_path, "buffered", buffer_size=64, flush_interval_s=3600)
-        through = self._journal(tmp_path, "through", buffer_size=1)
-        for journal in (buffered, through):
-            journal.record_header(sweep)
-            for i, spec in enumerate(sweep.jobs):
-                journal.record_result(spec, {"value": 2 * i}, duration_s=0.25)
-            journal.record_error(sweep.jobs[0], "boom", duration_s=0.1)
-            journal.flush()
-        strip_ts = lambda path: [
-            {k: v for k, v in json.loads(line).items() if k != "ts"}
-            for line in path.read_text().splitlines()
-        ]
-        assert strip_ts(buffered.path) == strip_ts(through.path)
+        buffered = Journal(tmp_path / "buffered.jsonl")
+        through = tmp_path / "through.jsonl"
+        buffered.record_header(sweep)
+        append_jsonl(through, json.loads(buffered.path.read_text()))
+        append = lambda kind, spec, **fields: append_jsonl(
+            through, {"type": kind, "job": spec.spec_hash, "job_id": spec.job_id, **fields}
+        )
+        for spec in sweep.jobs:
+            buffered.record_result(spec, duration_s=0.25)
+            append("result", spec, ts=0, duration_s=0.25)
+        buffered.record_result(sweep.jobs[1], source="cache")
+        append("result", sweep.jobs[1], ts=0, source="cache")
+        buffered.record_error(sweep.jobs[0], "boom", duration_s=0.1)
+        append("error", sweep.jobs[0], error="boom", ts=0, duration_s=0.1)
+        assert len(self._lines(buffered.path)) == 1  # the header only, so far
+        buffered.flush()
+        zero_ts = lambda path: re.sub(rb'"ts": [0-9.e+-]+', b'"ts": 0', path.read_bytes())
+        assert zero_ts(buffered.path) == through.read_bytes()
 
     def test_header_bypasses_the_buffer(self, tmp_path):
         sweep = _double_sweep(2, name="batch-header")
-        journal = self._journal(tmp_path, "header", buffer_size=64, flush_interval_s=3600)
+        journal = Journal(tmp_path / "header.jsonl")
         journal.record_header(sweep)
-        journal.record_result(sweep.jobs[0], {"value": 0})
-        assert journal.pending_writes == 1
-        assert len(journal.path.read_text().splitlines()) == 1  # header only
+        journal.record_result(sweep.jobs[0])
+        assert len(self._lines(journal.path)) == 1  # header only
 
     def test_load_flushes_pending_records(self, tmp_path):
         sweep = _double_sweep(2, name="batch-load")
-        journal = self._journal(tmp_path, "load", buffer_size=64, flush_interval_s=3600)
+        journal = Journal(tmp_path / "load.jsonl")
         journal.record_header(sweep)
-        journal.record_result(sweep.jobs[0], {"value": 0})
+        journal.record_result(sweep.jobs[0])
         state = journal.load()
-        assert journal.pending_writes == 0
+        assert len(self._lines(journal.path)) == 2
         assert state.completed == 1
 
-    def test_buffer_flushes_at_size_threshold(self, tmp_path):
+    def test_buffer_flushes_at_size_threshold(self, tmp_path, monkeypatch, _hold_records):
+        monkeypatch.setattr(_hold_records, "BUFFER_SIZE", 3)
         sweep = _double_sweep(4, name="batch-size")
-        journal = self._journal(tmp_path, "size", buffer_size=3, flush_interval_s=3600)
+        journal = Journal(tmp_path / "size.jsonl")
         for spec in list(sweep.jobs)[:2]:
-            journal.record_result(spec, {"value": 1})
-        assert journal.pending_writes == 2
-        journal.record_result(sweep.jobs[2], {"value": 1})
-        assert journal.pending_writes == 0
-        assert len(journal.path.read_text().splitlines()) == 3
+            journal.record_result(spec)
+        assert self._lines(journal.path) == []
+        journal.record_result(sweep.jobs[2])
+        assert len(self._lines(journal.path)) == 3
 
     def test_engine_leaves_no_pending_writes(self, tmp_path):
         """The engine flushes in a finally: a finished run is fully on disk."""
@@ -538,10 +600,10 @@ class TestJournalBatching:
         """Satellite regression: buffered journals keep resume/shard semantics."""
         log = tmp_path / "executions.log"
         sweep = _double_sweep(6, log=log, name="batch-shard")
-        runner = SweepRunner(journal_dir=tmp_path)
+        runner = _store_runner(tmp_path)
         partial = runner.run(sweep, shard=(0, 2))
         assert partial.executed == 3
         resumed = runner.run(sweep)
-        assert (resumed.resumed, resumed.executed) == (3, 3)
+        assert (resumed.cache_hits, resumed.executed) == (3, 3)
         assert len(_executions(log)) == 6  # every job ran exactly once
-        assert Journal.for_sweep(sweep, tmp_path).status(sweep).complete
+        assert Journal.for_sweep(sweep, tmp_path / "journal").status(sweep).complete

@@ -195,12 +195,17 @@ class TestEngineFusion:
         assert sorted(fused_records, key=key) == sorted(unfused_records, key=key)
 
     def test_fused_journal_resumes_like_unfused(self, tmp_path):
+        from repro.runtime.cache import ResultCache
+
         _register_test_rule()
         jobs = _fusable_jobs(bases=(5,), levels=(0, 1, 2, 3))
         sweep = SweepSpec(name="fusion-resume", description="", jobs=tuple(jobs))
-        first = SweepRunner(journal_dir=tmp_path).run(sweep)
-        second = SweepRunner(journal_dir=tmp_path).run(sweep)
-        assert second.resumed == len(jobs)
+        runner = lambda: SweepRunner(
+            cache=ResultCache(root=tmp_path / "cache"), journal_dir=tmp_path / "journal"
+        )
+        first = runner().run(sweep)
+        second = runner().run(sweep)
+        assert second.cache_hits == len(jobs)
         assert second.executed == 0
         assert second.results == first.results
 

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.runtime import pool as pool_module
+from repro.runtime.cache import ResultCache
 from repro.runtime.engine import SweepRunner
 from repro.runtime.executor import (
     SerialExecutor,
@@ -38,6 +45,17 @@ def _pool_world(spec):
 
     world = generate_world(WorldSpec.from_jsonable(spec.params["world"]))
     return {"start": list(world.start), "index": int(spec.params["index"])}
+
+
+@job_kind("test.pool_die_once")
+def _pool_die_once(spec):
+    """Test kind: the first run dies holding the result queue's write lock."""
+    marker = Path(spec.params["marker"])
+    if marker.exists():
+        return {"value": "second attempt"}
+    marker.write_text("died")
+    pool_module._GLOBAL_POOL._results._wlock.acquire()
+    os._exit(1)
 
 
 def _jobs(kind, count, **extra):
@@ -214,3 +232,45 @@ class TestEngineOnWarmPool:
         # build per (worker, world) pair; the ISSUE gate wants >=90% warm hits
         # on the re-run, which the cumulative rate comfortably implies here.
         assert hit_rate(worlds_stats) >= 0.5
+
+
+def _crash_then_recover(root: str) -> None:
+    """Child process: a sweep whose worker dies mid-put, its re-run, a new sweep."""
+    os.setpgid(0, 0)  # its pool workers join this group, so a hang is killed whole
+    pool_module._LIVENESS_INTERVAL_S = 0.05
+    cache_root = Path(root) / "cache"
+    jobs = [spec for _, spec in _jobs("test.pool_double", 12)]
+    jobs.insert(6, JobSpec(kind="test.pool_die_once", params={"marker": f"{root}/died"}))
+    sweep = SweepSpec(name="pool-crash", jobs=tuple(jobs))
+    runner = SweepRunner(executor=WarmPoolExecutor(workers=2), cache=ResultCache(cache_root))
+    with pytest.raises(RuntimeError, match="lost processes"):
+        runner.run(sweep)
+    stored = ResultCache(cache_root).index()
+    rerun = runner.run(sweep)
+    assert (rerun.executed, rerun.cache_hits) == (len(sweep) - len(stored), len(stored))
+    assert rerun.results == SweepRunner().run(sweep).results
+    fresh = tuple(spec for _, spec in _jobs("test.pool_double", 40))
+    report = SweepRunner(executor=WarmPoolExecutor(workers=2)).run(
+        SweepSpec(name="pool-fresh", jobs=fresh)
+    )
+    assert report.results == [{"value": 2 * i} for i in range(40)]
+    shutdown_pool()
+
+
+class TestWorkerCrash:
+    def test_worker_dying_mid_put_fails_only_its_sweep(self, fresh_pool, tmp_path):
+        """Regression: a worker killed while holding the result queue's lock
+        left every later sweep on the process-wide pool waiting forever.
+
+        The sweeps run in a forked child (which, like the pool's workers,
+        knows this module's job kinds) so that a hang fails this test."""
+        child = multiprocessing.get_context("fork").Process(
+            target=_crash_then_recover, args=(str(tmp_path),)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            os.killpg(child.pid, signal.SIGKILL)
+            child.join(timeout=10)
+            pytest.fail("the sweeps after a worker crash did not finish within 60 s")
+        assert child.exitcode == 0

@@ -590,10 +590,10 @@ class TestGeneralizationSweep:
         )
         first = runner.run(sweep, shard=(0, 12))
         assert first.executed == len(sweep) // 12
-        # Same shard again: everything resumes from the journal.
+        # Same shard again: everything resumes from the result store.
         second = runner.run(sweep, shard=(0, 12))
         assert second.executed == 0
-        assert second.resumed == first.executed
+        assert second.cache_hits == first.executed
 
     def test_assemble_aggregates_by_family_and_ber(self):
         sweep = generalization_sweep_spec(presets=(("uniform", {"density": "sparse"}),), seeds=(0,))
