@@ -386,40 +386,17 @@ def _scenario_row(params: Dict[str, object], shared) -> Dict[str, object]:
     }
 
 
-@job_kind("scenario.generalized")
-def _run_scenario_generalized(spec: JobSpec) -> Dict[str, object]:
-    """Evaluate one generated-world scenario.
+@job_kind("scenario.generalized", fuse_along=("ber_percent",))
+def _run_scenario_generalized(specs: Sequence[JobSpec]) -> List[Dict[str, object]]:
+    """Evaluate generated-world scenarios that differ only in ``ber_percent``.
 
     Regenerates the world from its spec (any worker produces the identical
     world), measures its geometry, evaluates the calibrated pipeline at the
     world's effective difficulty, and reports robustness plus
-    quality-of-flight at the scenario's best BERRY operating point.
-    """
-    return _scenario_row(spec.params, _scenario_shared(spec.params))
-
-
-def _run_scenario_generalized_fused(specs: Sequence[JobSpec]) -> List[Dict[str, object]]:
-    """Fused evaluation of scenarios differing only in ``ber_percent``.
-
-    The shared half (world + metrics + pipeline + operating point) runs once;
-    each member contributes two robustness-curve lookups.  Results are the
-    same floats the unfused path produces — the shared computation is pure
-    and deterministic, so computing it once instead of N times is invisible.
+    quality-of-flight at each scenario's best BERRY operating point.  The
+    BER-invariant half (:func:`_scenario_shared`) runs once for the group;
+    each member adds two robustness-curve lookups.  A lone job is a group of
+    one, so fused and unfused runs compute the same floats.
     """
     shared = _scenario_shared(specs[0].params)
     return [_scenario_row(spec.params, shared) for spec in specs]
-
-
-def _register_fusion_rules() -> None:
-    from repro.runtime.fusion import FusionRule, register_fusion_rule
-
-    register_fusion_rule(
-        FusionRule(
-            kind="scenario.generalized",
-            axis=("ber_percent",),
-            run_fused=_run_scenario_generalized_fused,
-        )
-    )
-
-
-_register_fusion_rules()

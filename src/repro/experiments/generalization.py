@@ -363,52 +363,26 @@ def _evaluate_rollout(spec: JobSpec, env, network) -> Dict[str, Any]:
     }
 
 
-@job_kind("rollout.generalized")
-def _run_rollout_generalized(spec: JobSpec) -> Dict[str, Any]:
-    """Train + roll out one reduced-scale policy in one generated world.
+@job_kind("rollout.generalized", fuse_along=("ber_percent",))
+def _run_rollout_generalized(specs: Sequence[JobSpec]) -> List[Dict[str, Any]]:
+    """Train one reduced-scale policy in one generated world, then roll it
+    out at each member's BER level.
 
     Everything — the world, the policy initialisation, training exploration,
-    fault maps and evaluation episodes — derives from the job spec, so any
+    fault maps and evaluation episodes — derives from the job specs, so any
     worker reproduces the identical measured numbers.  Training collects
     experience on ``train_lanes`` lockstep lanes and rollouts run on the
     batched core (`~repro.envs.batch.BatchedNavigationEnv`); the measured
     per-episode path lengths then advance through the vectorized UAV flight
     chain in one `~repro.uav.flight.FlightModel.fly_missions` call.
 
-    The training half is seeded from the BER-invariant params
-    (:func:`_training_seed`), so jobs differing only in ``ber_percent`` train
-    the identical policy — run separately or fused.
-    """
-    env, network = _train_rollout_policy(spec.params)
-    return _evaluate_rollout(spec, env, network)
-
-
-def _run_rollout_generalized_fused(specs: Sequence[JobSpec]) -> List[Dict[str, Any]]:
-    """Fused rollout jobs: train the shared policy once, evaluate per BER.
-
-    The members differ only along ``ber_percent`` (the fusion rule's axis),
-    so they describe the same world, policy and training budget; one training
-    run feeds every member's fault-injection evaluation.  Per-member results
-    are bitwise-identical to the unfused runner because the training seed
-    never saw the BER axis in the first place.
+    The members differ only in ``ber_percent``, and the training half is
+    seeded from the BER-invariant params (:func:`_training_seed`), so one
+    training run feeds every member: a lone job (a group of one) trains the
+    identical policy.  Each member's evaluation keeps its own ``spec.seed``.
     """
     env, network = _train_rollout_policy(specs[0].params)
     return [_evaluate_rollout(spec, env, network) for spec in specs]
-
-
-def _register_fusion_rules() -> None:
-    from repro.runtime.fusion import FusionRule, register_fusion_rule
-
-    register_fusion_rule(
-        FusionRule(
-            kind="rollout.generalized",
-            axis=("ber_percent",),
-            run_fused=_run_rollout_generalized_fused,
-        )
-    )
-
-
-_register_fusion_rules()
 
 
 def assemble_generalization_rollouts(

@@ -30,7 +30,7 @@ from repro.faults.fault_map import FaultMap
 from repro.nn.backend import ArrayBackend, resolve_backend
 from repro.nn.network import Sequential
 from repro.obs import get_metrics, span
-from repro.quant.fixed_point import QuantizationConfig, quantize
+from repro.quant.fixed_point import QuantizationConfig, quantize_state_dict
 from repro.quant.qtensor import QuantizedTensor
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.warmcache import warm_cache
@@ -141,19 +141,17 @@ class BitErrorInjector:
         """Quantize every tensor of ``state`` once, for repeated corruption.
 
         The fault-map evaluation protocol corrupts the *same* deployed
-        parameters under hundreds of maps; quantization (per-tensor scale
-        search plus rounding) is by far the most expensive part of the
-        ``BErr_p`` operator, so it is hoisted here and
-        :meth:`perturb_quantized_state` then corrupts per-map views of the
-        stored integer codes.
+        parameters under hundreds of maps; quantization (scale search plus
+        rounding) is by far the most expensive part of the ``BErr_p``
+        operator, so it is hoisted here and :meth:`perturb_quantized_state`
+        then corrupts per-map views of the stored integer codes.  Scales
+        follow the quantization config exactly as
+        :func:`~repro.quant.fixed_point.quantize_state_dict` does: one per
+        tensor, or one for the whole state under ``per_layer=False``.
         """
-        quantized: Dict[str, QuantizedTensor] = {}
-        for name, values in state.items():
+        for name in state:
             self.layout.segment(name)  # validate the tensor has a placement
-            quantized[name] = quantize(
-                np.asarray(values, dtype=np.float64), self.quantization, backend=self.backend
-            )
-        return quantized
+        return quantize_state_dict(state, self.quantization, backend=self.backend)
 
     def quantize_state_cached(
         self, state: Mapping[str, np.ndarray]
@@ -261,14 +259,10 @@ class BitErrorInjector:
         """
         be = self.backend
         flipped = 0
-        for name, values in state.items():
-            segment = self.layout.segment(name)
-            tensor = quantize(
-                np.asarray(values, dtype=np.float64), self.quantization, backend=be
-            )
+        for name, tensor in self.quantize_state(state).items():
             words = tensor.to_unsigned().ravel()
             corrupted = fault_map.apply_to_words(
-                words, tensor.bits, segment.bit_offset, backend=be
+                words, tensor.bits, self.layout.segment(name).bit_offset, backend=be
             )
             difference = be.bitwise_xor(be.from_numpy(words), corrupted)
             flipped += be.popcount(difference)

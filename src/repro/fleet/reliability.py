@@ -82,9 +82,16 @@ def fleet_reliability_sweep_spec(
     )
 
 
-@job_kind("fleet.reliability")
-def _run_fleet_reliability(spec: JobSpec) -> Dict[str, Any]:
-    """Run one (voltage, world) fleet cell; returns streaming moments only."""
+@job_kind("fleet.reliability", fuse_along=("voltage",))
+def _run_fleet_reliability(specs: Sequence[JobSpec]) -> List[Dict[str, Any]]:
+    """Run the (voltage, world) fleet cells of one world; streaming moments only.
+
+    Voltage only scales the BER/corruption/compute-power inputs, so the
+    members share the compiled dynamic world and the platform.  Each member
+    runs its own episodes from its own ``spec.seed``, so a lone job (a group
+    of one) gives the identical result; fusing pins the whole voltage axis
+    to one worker instead of leaving world reuse to scheduling luck.
+    """
     from repro.faults.ber_model import DEFAULT_BER_MODEL
     from repro.fleet.sim import FleetConfig, run_fleet_episodes
     from repro.hardware.dvfs import DEFAULT_VOLTAGE_SCALING
@@ -92,66 +99,43 @@ def _run_fleet_reliability(spec: JobSpec) -> Dict[str, Any]:
     from repro.worlds.registry import generate_world
     from repro.worlds.spec import WorldSpec
 
-    params = spec.params
-    voltage = float(params["voltage"])
-    world_spec = WorldSpec.from_jsonable(params["world"])
+    world_spec = WorldSpec.from_jsonable(specs[0].params["world"])
     world = generate_world(world_spec)
-    platform = get_platform(str(params["platform"]))
-    ber_percent = DEFAULT_BER_MODEL.ber_percent(voltage)
-    volts = DEFAULT_VOLTAGE_SCALING.to_volts(voltage)
-    compute_power_w = platform.compute_power_nominal_w * DEFAULT_VOLTAGE_SCALING.energy_scale(
-        volts
-    )
-    config = FleetConfig(
-        num_vehicles=int(params["num_vehicles"]),
-        max_steps=int(params["max_steps"]),
-        platform=str(params["platform"]),
-        separation_m=float(params["separation_m"]),
-        compute_power_w=float(compute_power_w),
-        action_corruption_prob=corruption_probability(ber_percent),
-        launch_per_step=max(1, int(params["num_vehicles"]) // 8),
-    )
-    moments = run_fleet_episodes(
-        world.field, config, int(params["episodes"]), rng=spec.seed
-    )
-    return {
-        "voltage": voltage,
-        "world": world_spec.name,
-        "world_seed": world_spec.seed,
-        "ber_percent": ber_percent,
-        "corruption_prob": config.action_corruption_prob,
-        "compute_power_w": float(compute_power_w),
-        "episodes": int(params["episodes"]),
-        "moments": {name: acc.to_jsonable() for name, acc in moments.items()},
-    }
-
-
-def _run_fleet_reliability_fused(specs: Sequence[JobSpec]) -> List[Dict[str, Any]]:
-    """Fused fleet cells: all voltage levels of one world on one worker.
-
-    Voltage only scales the BER/corruption/compute-power inputs — the shared
-    expensive input is the compiled dynamic world, which the first member
-    builds into the process warm cache and the rest reuse.  Each member runs
-    the ordinary unfused runner with its own ``spec.seed``, so results are
-    trivially bitwise-identical; fusing pins the whole voltage axis to one
-    worker instead of leaving world reuse to scheduling luck.
-    """
-    return [_run_fleet_reliability(spec) for spec in specs]
-
-
-def _register_fusion_rules() -> None:
-    from repro.runtime.fusion import FusionRule, register_fusion_rule
-
-    register_fusion_rule(
-        FusionRule(
-            kind="fleet.reliability",
-            axis=("voltage",),
-            run_fused=_run_fleet_reliability_fused,
+    platform = get_platform(str(specs[0].params["platform"]))
+    results = []
+    for spec in specs:
+        params = spec.params
+        voltage = float(params["voltage"])
+        ber_percent = DEFAULT_BER_MODEL.ber_percent(voltage)
+        volts = DEFAULT_VOLTAGE_SCALING.to_volts(voltage)
+        compute_power_w = (
+            platform.compute_power_nominal_w * DEFAULT_VOLTAGE_SCALING.energy_scale(volts)
         )
-    )
-
-
-_register_fusion_rules()
+        config = FleetConfig(
+            num_vehicles=int(params["num_vehicles"]),
+            max_steps=int(params["max_steps"]),
+            platform=str(params["platform"]),
+            separation_m=float(params["separation_m"]),
+            compute_power_w=float(compute_power_w),
+            action_corruption_prob=corruption_probability(ber_percent),
+            launch_per_step=max(1, int(params["num_vehicles"]) // 8),
+        )
+        moments = run_fleet_episodes(
+            world.field, config, int(params["episodes"]), rng=spec.seed
+        )
+        results.append(
+            {
+                "voltage": voltage,
+                "world": world_spec.name,
+                "world_seed": world_spec.seed,
+                "ber_percent": ber_percent,
+                "corruption_prob": config.action_corruption_prob,
+                "compute_power_w": float(compute_power_w),
+                "episodes": int(params["episodes"]),
+                "moments": {name: acc.to_jsonable() for name, acc in moments.items()},
+            }
+        )
+    return results
 
 
 def assemble_fleet_reliability(sweep: SweepSpec, results: Sequence[Any]) -> Table:

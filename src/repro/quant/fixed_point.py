@@ -121,8 +121,13 @@ def quantize_state_dict(
     compute = resolve_backend(backend)
     if config.per_layer:
         return {name: quantize(values, config, backend=compute) for name, values in state.items()}
-    flat = np.concatenate([np.asarray(v, dtype=np.float64).ravel() for v in state.values()])
-    scale = _scale_for(compute.asarray(flat, "float64"), config, compute)
+    flat = compute.asarray(
+        np.concatenate([np.asarray(v, dtype=np.float64).ravel() for v in state.values()]),
+        "float64",
+    )
+    if not compute.all_finite(flat):
+        raise QuantizationError("cannot quantize an array containing NaN or infinity")
+    scale = _scale_for(flat, config, compute)
     quantized: Dict[str, QuantizedTensor] = {}
     for name, values in state.items():
         codes = _encode(compute.asarray(values, "float64"), scale, config.bits, compute)

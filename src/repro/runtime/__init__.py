@@ -23,11 +23,7 @@ from repro.runtime.executor import (
     make_executor,
     plan_chunks,
 )
-from repro.runtime.fusion import (
-    FusionRule,
-    plan_fusion,
-    register_fusion_rule,
-)
+from repro.runtime.fusion import plan_fusion
 from repro.runtime.jobs import (
     JobSpec,
     SweepSpec,
@@ -40,7 +36,6 @@ from repro.runtime.pool import WarmPoolExecutor, shutdown_pool
 
 __all__ = [
     "Executor",
-    "FusionRule",
     "JobSpec",
     "Journal",
     "MultiprocessExecutor",
@@ -56,7 +51,6 @@ __all__ = [
     "make_executor",
     "plan_chunks",
     "plan_fusion",
-    "register_fusion_rule",
     "registered_kinds",
     "run_job",
     "run_sweep",

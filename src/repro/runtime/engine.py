@@ -141,7 +141,9 @@ class SweepRunner:
 
         Raises :class:`SweepExecutionError` after the dispatch loop if any
         job failed; every job that *did* complete is cached first, so a
-        follow-up run with the same cache recomputes only the failures.
+        follow-up run with the same cache recomputes only the failures.  The
+        members of a failed fused group are re-run alone before that, so one
+        bad job fails only itself.
         """
         started = time.perf_counter()
         metrics = get_metrics()
@@ -237,9 +239,9 @@ class SweepRunner:
                     metrics.counter("engine.jobs_cache_hit").inc(report.cache_hits)
 
                 # Fusion planning: group cache-miss jobs that differ only
-                # along a registered axis into synthetic engine.fused jobs.
-                # Synthetic indices live past the end of the sweep so they can
-                # never collide with real job indices.
+                # along their kind's fusion axis into synthetic engine.fused
+                # jobs.  Synthetic indices live past the end of the sweep so
+                # they can never collide with real job indices.
                 dispatch_items: List[Tuple[int, Any]] = pending
                 groups_by_index: Dict[int, FusedGroup] = {}
                 if len(pending) > 1:
@@ -259,61 +261,52 @@ class SweepRunner:
                             metrics.counter("fusion.unfused_jobs").inc(len(plan.singles))
                         logger.info("fusion: %s", describe_plan(plan))
 
-                with span(
-                    "engine.dispatch", jobs=len(pending), backend=self.executor.name
-                ):
-                    for index, status, payload, obs in self.executor.submit(
-                        dispatch_items, observe
-                    ):
-                        duration_s = obs.get("duration_s") if obs else None
-                        if obs:
-                            if metrics.enabled and obs.get("metrics") is not None:
-                                metrics.merge(obs["metrics"])
-                            if tracer is not None and obs.get("spans"):
-                                tracer.absorb(obs["spans"])
-                        group = groups_by_index.get(index)
-                        if group is not None:
-                            if status == "ok" and (
-                                not isinstance(payload, list)
-                                or len(payload) != len(group.members)
-                            ):
-                                status = "error"
-                                payload = (
-                                    f"fused group returned "
-                                    f"{len(payload) if isinstance(payload, list) else type(payload).__name__} "
-                                    f"results for {len(group.members)} members"
-                                )
-                            if status == "ok":
-                                report.fused_groups += 1
-                                report.fused_jobs += len(group.members)
-                                # The group measured one wall-clock duration;
-                                # attribute an equal share to each member so
-                                # per-job latency stays integrable.
-                                member_duration = (
-                                    duration_s / len(group.members)
-                                    if duration_s is not None
-                                    else None
-                                )
-                                for member_index, member_spec, member_result in zip(
-                                    group.indices, group.members, payload
-                                ):
-                                    settle_ok(
-                                        member_index,
-                                        member_spec,
-                                        member_result,
-                                        member_duration,
-                                    )
-                            else:
-                                for member_spec in group.members:
-                                    settle_error(member_spec, str(payload), None)
-                            pulse()
-                            continue
+                # Members of a failed fused group, re-run alone after the
+                # dispatch loop so that one bad job fails only itself.
+                contained: List[Tuple[int, Any]] = []
+
+                def settle_event(index: int, status: str, payload: Any, obs) -> None:
+                    duration_s = obs.get("duration_s") if obs else None
+                    if obs:
+                        if metrics.enabled and obs.get("metrics") is not None:
+                            metrics.merge(obs["metrics"])
+                        if tracer is not None and obs.get("spans"):
+                            tracer.absorb(obs["spans"])
+                    group = groups_by_index.get(index)
+                    if group is None:
                         spec = sweep.jobs[index]
                         if status == "ok":
                             settle_ok(index, spec, payload, duration_s)
                         else:
                             settle_error(spec, str(payload), duration_s)
-                        pulse()
+                    elif status == "ok":
+                        report.fused_groups += 1
+                        report.fused_jobs += len(group.members)
+                        # The group measured one wall-clock duration; attribute
+                        # an equal share to each member so per-job latency
+                        # stays integrable.
+                        member_duration = (
+                            duration_s / len(group.members) if duration_s is not None else None
+                        )
+                        for member_index, member_spec, member_result in zip(
+                            group.indices, group.members, payload
+                        ):
+                            settle_ok(member_index, member_spec, member_result, member_duration)
+                    else:
+                        logger.warning(
+                            "fused group failed; re-running its members alone\n%s", payload
+                        )
+                        contained.extend(zip(group.indices, group.members))
+                    pulse()
+
+                with span(
+                    "engine.dispatch", jobs=len(pending), backend=self.executor.name
+                ):
+                    for event in self.executor.submit(dispatch_items, observe):
+                        settle_event(*event)
+                    if contained:
+                        for event in self.executor.submit(contained, observe):
+                            settle_event(*event)
             finally:
                 if journal is not None:
                     journal.flush()

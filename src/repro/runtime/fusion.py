@@ -7,16 +7,17 @@ geometry metrics, pipeline construction, policy training — does not depend on
 that axis.  PR 4's quantize-once/corrupt-per-map fault machinery was built to
 share exactly that work *inside* one job; fusion extends the sharing *across*
 jobs: the engine groups cache-miss jobs whose params are identical except
-along a registered fusion axis and dispatches each group as one synthetic
-``engine.fused`` job.  The fused runner computes the shared half once and
-emits one result per member, which the engine splits back into per-job cache
-entries and journal records — bitwise-identical to the unfused path, because
-the shared computation is pure and deterministic.
+along their kind's fusion axis and dispatches each group as one synthetic
+``engine.fused`` job.
 
-A kind opts in by registering a :class:`FusionRule`.  The rule names the
-axis (the params allowed to vary) and supplies ``run_fused``, which receives
-the member :class:`JobSpec`s **in sweep order** and must return one result
-per member, in order, equal to what the unfused runner would have produced.
+A kind opts in with ``@job_kind(name, fuse_along=(...))`` (see
+:mod:`repro.runtime.jobs`).  It then has one runner, which takes the member
+:class:`JobSpec`s in sweep order, computes the shared half once and returns
+one result per member.  A lone job of the kind runs as a group of one, so the
+fused and unfused paths are the same function, and the engine's per-job cache
+entries and journal records are bitwise-identical either way.  When a fused
+group fails, the engine re-runs its members alone, so one bad job fails only
+itself.
 
 Fused jobs are ordinary :class:`JobSpec`s (kind ``engine.fused``, params =
 inner kind + the member param dicts), so they flow through any executor,
@@ -27,10 +28,10 @@ The fused spec itself is never cached or journaled — only its members are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.runtime.jobs import JobSpec, job_kind
+from repro.runtime.jobs import JobSpec, fusion_axis, job_kind, run_group
 from repro.utils.serialization import stable_hash
 
 FUSED_KIND = "engine.fused"
@@ -41,49 +42,14 @@ FUSED_KIND = "engine.fused"
 DEFAULT_FUSION_WIDTH = 16
 
 
-@dataclass(frozen=True)
-class FusionRule:
-    """Declares that ``kind`` may be fused along ``axis``.
+def fusion_key(spec: JobSpec, axis: Sequence[str]) -> str:
+    """Content hash of every param of ``spec`` *off* the fusion ``axis``.
 
-    ``run_fused(members)`` must return one result per member, in member
-    order, with values identical to running each member unfused.
+    Two jobs share a key iff they are of one kind and identical except along
+    the axis — the precondition for sharing the axis-independent computation.
     """
-
-    kind: str
-    axis: Tuple[str, ...]
-    run_fused: Callable[[Sequence[JobSpec]], List[object]]
-
-    def fusion_key(self, spec: JobSpec) -> str:
-        """Content hash of every param *off* the fusion axis.
-
-        Two jobs share a key iff they are identical except along the axis —
-        the precondition for sharing the axis-independent computation.
-        """
-        invariant = {k: v for k, v in spec.params.items() if k not in self.axis}
-        return stable_hash({"kind": self.kind, "invariant": invariant})
-
-
-_RULES: Dict[str, FusionRule] = {}
-
-
-def register_fusion_rule(rule: FusionRule) -> FusionRule:
-    """Register ``rule``; re-registration must be idempotent (same axis)."""
-    existing = _RULES.get(rule.kind)
-    if existing is not None and existing.axis != rule.axis:
-        raise ConfigurationError(
-            f"fusion rule for {rule.kind!r} already registered with axis "
-            f"{existing.axis}, refusing to replace with {rule.axis}"
-        )
-    _RULES[rule.kind] = rule
-    return rule
-
-
-def fusion_rule_for(kind: str) -> Optional[FusionRule]:
-    return _RULES.get(kind)
-
-
-def fusable_kinds() -> Tuple[str, ...]:
-    return tuple(sorted(_RULES))
+    invariant = {k: v for k, v in spec.params.items() if k not in axis}
+    return stable_hash({"kind": spec.kind, "invariant": invariant})
 
 
 @dataclass(frozen=True)
@@ -136,20 +102,14 @@ def plan_fusion(
     if max_width < 1:
         raise ConfigurationError(f"fusion width must be >= 1, got {max_width}")
     plan = FusionPlan()
-    buckets: "Dict[Tuple[str, str], List[Tuple[int, JobSpec]]]" = {}
-    order: List[Tuple[str, str]] = []
+    buckets: Dict[str, List[Tuple[int, JobSpec]]] = {}
     for index, spec in pending:
-        rule = _RULES.get(spec.kind)
-        if rule is None or max_width < 2:
+        axis = fusion_axis(spec.kind) if max_width > 1 else ()
+        if not axis:
             plan.singles.append((index, spec))
             continue
-        key = (spec.kind, rule.fusion_key(spec))
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append((index, spec))
-    for key in order:
-        bucket = buckets[key]
+        buckets.setdefault(fusion_key(spec, axis), []).append((index, spec))
+    for bucket in buckets.values():
         for start in range(0, len(bucket), max_width):
             chunk = bucket[start : start + max_width]
             if len(chunk) < 2:
@@ -164,36 +124,17 @@ def plan_fusion(
 
 
 @job_kind(FUSED_KIND)
-def _run_fused(spec: JobSpec) -> List[object]:
-    """Execute one fused group: shared work once, one result per member."""
+def _run_fused_group(spec: JobSpec) -> List[object]:
+    """Execute one fused group: the inner kind's runner over every member."""
     from repro.obs import get_metrics
 
     inner_kind = str(spec.params["kind"])
-    rule = _RULES.get(inner_kind)
-    if rule is None:
-        raise ConfigurationError(
-            f"no fusion rule registered for job kind {inner_kind!r}"
-        )
-    member_params = spec.params["members"]
-    members = [JobSpec(kind=inner_kind, params=dict(p)) for p in member_params]
+    members = [JobSpec(kind=inner_kind, params=dict(p)) for p in spec.params["members"]]
     metrics = get_metrics()
     if metrics.enabled:
         metrics.counter("fusion.executed_groups").inc()
         metrics.counter("fusion.executed_members").inc(len(members))
-    results = rule.run_fused(members)
-    if len(results) != len(members):
-        raise RuntimeError(
-            f"fused runner for {inner_kind!r} returned {len(results)} results "
-            f"for {len(members)} members"
-        )
-    return list(results)
-
-
-def member_specs(fused: JobSpec) -> List[JobSpec]:
-    """Reconstruct the member specs of a fused job (hash-identical to the
-    originals — JobSpec params are canonicalized on construction)."""
-    inner_kind = str(fused.params["kind"])
-    return [JobSpec(kind=inner_kind, params=dict(p)) for p in fused.params["members"]]
+    return run_group(inner_kind, members)
 
 
 def describe_plan(plan: FusionPlan) -> str:
@@ -213,12 +154,8 @@ __all__ = [
     "FUSED_KIND",
     "FusedGroup",
     "FusionPlan",
-    "FusionRule",
     "describe_plan",
-    "fusable_kinds",
     "fused_spec",
-    "fusion_rule_for",
-    "member_specs",
+    "fusion_key",
     "plan_fusion",
-    "register_fusion_rule",
 ]

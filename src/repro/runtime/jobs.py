@@ -21,13 +21,21 @@ Experiment modules register their job kinds with the :func:`job_kind`
 decorator; :func:`run_job` dispatches a spec to its runner.  A runner sees
 only its spec, so a job's result depends on nothing its hash does not cover:
 that is what lets the engine cache, journal and ledger every run.
+
+A kind registered with ``fuse_along`` (the params that may vary inside a
+group, such as the BER axis) is *fusable*: its one runner takes a group of
+specs that agree on every other param, in sweep order, and returns one
+result per spec, so the axis-independent work runs once per group.
+:func:`run_group` runs a fused group (see :mod:`repro.runtime.fusion`) and
+:func:`run_job` runs a lone job of such a kind as a group of one, both under
+one result-count check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Dict, Iterator, Mapping, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.utils.serialization import canonical_json, stable_hash, to_jsonable
@@ -119,20 +127,39 @@ class SweepSpec:
 
 
 # ---------------------------------------------------------------------- job kinds
-JobRunner = Callable[[JobSpec], Any]
+#: A plain kind's runner maps one spec to one result; a fusable kind's runner
+#: maps a group of specs to one result per spec, in order.
+JobRunner = Callable[[Any], Any]
 
-_JOB_KINDS: Dict[str, JobRunner] = {}
+
+@dataclass(frozen=True)
+class JobKind:
+    """A registered kind: its runner and the params a fused group may vary."""
+
+    runner: JobRunner
+    fuse_along: Tuple[str, ...]
+
+
+_JOB_KINDS: Dict[str, JobKind] = {}
 _KINDS_LOADED = False
 
 
-def job_kind(name: str) -> Callable[[JobRunner], JobRunner]:
-    """Register ``name`` as an executable job kind (module-level decorator)."""
+def job_kind(name: str, fuse_along: Sequence[str] = ()) -> Callable[[JobRunner], JobRunner]:
+    """Register ``name`` as an executable job kind (module-level decorator).
+
+    With ``fuse_along`` empty the runner takes one :class:`JobSpec`.  With
+    it set the kind is fusable: the runner takes a list of specs that differ
+    only in the ``fuse_along`` params, in sweep order, and returns one result
+    per spec.  Re-registering the same runner with the same axis is a no-op.
+    """
+    axis = tuple(fuse_along)
 
     def decorator(runner: JobRunner) -> JobRunner:
+        entry = JobKind(runner=runner, fuse_along=axis)
         existing = _JOB_KINDS.get(name)
-        if existing is not None and existing is not runner:
+        if existing is not None and existing != entry:
             raise ConfigurationError(f"job kind {name!r} is already registered")
-        _JOB_KINDS[name] = runner
+        _JOB_KINDS[name] = entry
         return runner
 
     return decorator
@@ -154,17 +181,25 @@ def _ensure_kinds_loaded() -> None:
     _KINDS_LOADED = True
 
 
-def runner_for(kind: str) -> JobRunner:
-    """Resolve a kind string to its registered runner."""
-    runner = _JOB_KINDS.get(kind)
-    if runner is None:
+def _lookup(kind: str) -> Optional[JobKind]:
+    if kind not in _JOB_KINDS:
         _ensure_kinds_loaded()
-        runner = _JOB_KINDS.get(kind)
-    if runner is None:
+    return _JOB_KINDS.get(kind)
+
+
+def _registered(kind: str) -> JobKind:
+    entry = _lookup(kind)
+    if entry is None:
         raise ConfigurationError(
             f"unknown job kind {kind!r}; registered kinds: {sorted(_JOB_KINDS)}"
         )
-    return runner
+    return entry
+
+
+def fusion_axis(kind: str) -> Tuple[str, ...]:
+    """The params along which jobs of ``kind`` fuse; empty if they do not."""
+    entry = _lookup(kind)
+    return entry.fuse_along if entry is not None else ()
 
 
 def registered_kinds() -> Tuple[str, ...]:
@@ -172,6 +207,24 @@ def registered_kinds() -> Tuple[str, ...]:
     return tuple(sorted(_JOB_KINDS))
 
 
+def run_group(kind: str, specs: Sequence[JobSpec]) -> List[Any]:
+    """Run ``specs`` of fusable ``kind`` in one runner call, one result each."""
+    entry = _registered(kind)
+    if not entry.fuse_along:
+        raise ConfigurationError(f"job kind {kind!r} does not fuse")
+    results = list(entry.runner(list(specs)))
+    if len(results) != len(specs):
+        raise RuntimeError(
+            f"runner for {kind!r} returned {len(results)} results for {len(specs)} jobs"
+        )
+    return results
+
+
 def run_job(spec: JobSpec) -> Any:
     """Execute one job and return its JSON-able result."""
-    return to_jsonable(runner_for(spec.kind)(spec))
+    entry = _registered(spec.kind)
+    if entry.fuse_along:
+        (result,) = run_group(spec.kind, [spec])
+    else:
+        result = entry.runner(spec)
+    return to_jsonable(result)

@@ -10,7 +10,7 @@ from repro.faults.fault_map import FaultKind, FaultMap, FaultMapLibrary
 from repro.faults.injection import BitErrorInjector, MemoryLayout, inject_bit_errors
 from repro.faults.sram import SramGeometry
 from repro.nn.policies import build_policy, mlp
-from repro.quant.fixed_point import QuantizationConfig
+from repro.quant.fixed_point import QuantizationConfig, quantize_state_dict
 
 
 class TestFaultMap:
@@ -212,6 +212,23 @@ class TestMemoryLayoutAndInjector:
         fault_map = FaultMap.random(injector.memory_bits, 0.02, rng=0)
         flipped = injector.count_flipped_bits(network.state_dict(), fault_map)
         assert 0 <= flipped <= fault_map.num_faults
+
+    def test_global_scale_config_reaches_the_operator(self):
+        rng = np.random.default_rng(1)
+        state = {"a.weight": rng.normal(size=(4, 3)), "b.weight": 10.0 * rng.normal(size=(2,))}
+        config = QuantizationConfig(per_layer=False)
+        injector = BitErrorInjector(MemoryLayout.from_state_dict(state), config)
+        expected = quantize_state_dict(state, config)
+        quantized = injector.quantize_state(state)
+        fault_map = FaultMap.random(injector.memory_bits, 0.25, rng=3)
+        flipped = 0
+        for name, segment in injector.layout.segments().items():
+            assert quantized[name].scale == expected[name].scale
+            assert np.array_equal(quantized[name].codes, expected[name].codes)
+            words = expected[name].to_unsigned().ravel()
+            corrupted = fault_map.apply_to_words(words, 8, segment.bit_offset)
+            flipped += sum(bin(int(w)).count("1") for w in np.bitwise_xor(words, corrupted))
+        assert injector.count_flipped_bits(state, fault_map) == flipped
 
     def test_inject_bit_errors_convenience(self, network):
         perturbed = inject_bit_errors(network, 0.02, rng=0)

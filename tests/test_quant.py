@@ -1,5 +1,7 @@
 """Tests for fixed-point quantization, including property-based round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +92,14 @@ class TestStateDict:
     def test_global_scale_shared(self):
         quantized = quantize_state_dict(self.make_state(), QuantizationConfig(per_layer=False))
         assert quantized["a.weight"].scale == quantized["b.weight"].scale
+
+    def test_global_scale_rejects_nan_before_encoding(self):
+        state = self.make_state()
+        state["b.weight"][0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NaN reaches the integer cast
+            with pytest.raises(QuantizationError):
+                quantize_state_dict(state, QuantizationConfig(per_layer=False))
 
     def test_round_trip_preserves_shapes(self):
         state = self.make_state()
