@@ -12,16 +12,24 @@ environment-steps/sec over the serial reference loop at B >= 8 lanes (the
 gate runs B = 64, the rollout core's default lane width) on a
 collection-bound cadence.  The pytest-benchmark groups additionally record
 the serial / B=8 / B=64 shapes for tracking.
+
+``test_berry_perturbed_pass_speedup`` gates BERRY's ``BErr_p`` pass on the
+``FAST_PROFILE`` MLP: quantizing, corrupting and dequantizing θ and θ⁻ over
+one flat word memory must be >= 3x faster than the per-tensor operator.
 """
 
+import statistics
 import time
 
+import numpy as np
 import pytest
 
 from repro.envs.navigation import NavigationEnv
 from repro.envs.obstacles import ObstacleDensity
 from repro.experiments.profiles import FAST_PROFILE
-from repro.nn.policies import mlp
+from repro.faults.fault_map import FaultMap
+from repro.faults.injection import BitErrorInjector
+from repro.nn.policies import build_policy, mlp
 from repro.rl.dqn import DqnConfig, DqnTrainer
 from repro.rl.schedules import LinearDecay
 
@@ -157,3 +165,69 @@ def test_batched_training_speedup():
         f"{batched:.0f} steps/s -> {speedup:.2f}x"
     )
     assert speedup >= 3.0
+
+
+#: Gate of one flat-memory BERRY perturbed pass over the per-tensor operator.
+MIN_PERTURBED_PASS_SPEEDUP = 3.0
+
+#: Interleaved (flat, per-tensor) pairs timed by the gate.
+PERTURBED_PASS_PAIRS = 200
+
+
+def test_berry_perturbed_pass_speedup(per_tensor_berr):
+    """Acceptance gate: one BERRY perturbed pass >= 3x faster on the flat memory.
+
+    A pass turns θ and θ⁻ into their perturbed networks θ̃ and θ̃⁻ under one
+    fresh 1% map, quantizing, corrupting and dequantizing both.  The flat
+    pass loads the values into two networks made once, as ``BerryTrainer``
+    does; the reference clones both networks and runs the per-tensor
+    operator, as the trainer did before.  Each pair times both back to back
+    on the same map, so drift of the host hits both alike, and checks that
+    they agree bitwise.
+    """
+    config = FAST_PROFILE.navigation_for_density(ObstacleDensity.SPARSE)
+    env = NavigationEnv(config, rng=5)
+    shape, actions = env.observation_space.shape, env.action_space.n
+    networks = [
+        build_policy(FAST_PROFILE.policy_spec, shape, actions, rng=seed) for seed in (0, 1)
+    ]
+    perturbed = [network.clone() for network in networks]
+    injector = BitErrorInjector.for_network(networks[0])
+
+    def flat_pass(fault_map):
+        for network, scratch in zip(networks, perturbed):
+            memory = injector.quantize_state(network.state_dict())
+            scratch.load_state_dict(injector.perturb_quantized_state(memory, fault_map))
+        return perturbed
+
+    def per_tensor_pass(fault_map):
+        clones = [network.clone() for network in networks]
+        for network, clone in zip(networks, clones):
+            clone.load_state_dict(per_tensor_berr(injector, network.state_dict(), fault_map))
+        return clones
+
+    rng = np.random.default_rng(9)
+    flat_s, reference_s = [], []
+    for _ in range(PERTURBED_PASS_PAIRS):
+        fault_map = FaultMap.random(injector.memory_bits, 0.01, rng=rng)
+        started = time.perf_counter()
+        flat = flat_pass(fault_map)
+        flat_s.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        reference = per_tensor_pass(fault_map)
+        reference_s.append(time.perf_counter() - started)
+        for got, expected in zip(flat, reference):
+            got = got.state_dict()
+            for name, values in expected.state_dict().items():
+                assert got[name].tobytes() == values.tobytes()
+    flat_median = statistics.median(flat_s)
+    reference_median = statistics.median(reference_s)
+    speedup = reference_median / flat_median
+    print(
+        f"\nBERRY perturbed pass (θ and θ⁻): per-tensor {reference_median * 1e6:.0f} us "
+        f"vs flat memory {flat_median * 1e6:.0f} us -> {speedup:.2f}x"
+    )
+    assert speedup >= MIN_PERTURBED_PASS_SPEEDUP, (
+        f"flat perturbed pass only {speedup:.2f}x faster than the per-tensor operator "
+        f"(gate: {MIN_PERTURBED_PASS_SPEEDUP}x over {PERTURBED_PASS_PAIRS} pairs)"
+    )

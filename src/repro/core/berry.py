@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.envs.navigation import NavigationEnv
 from repro.faults.fault_map import FaultMap
-from repro.faults.injection import BitErrorInjector
+from repro.faults.injection import BitErrorInjector, QuantizedMemory
 from repro.nn.network import Sequential
 from repro.nn.policies import PolicySpec
 from repro.quant.fixed_point import QuantizationConfig
@@ -133,6 +133,13 @@ class BerryTrainer(DqnTrainer):
         self.device_fault_map = device_fault_map
         #: Number of perturbed passes executed (equals the number of gradient steps).
         self.num_injections = 0
+        # θ̃ and θ̃⁻ live in two networks made once; every perturbed pass
+        # overwrites their parameters.
+        self._perturbed_q = self.q_network.clone()
+        self._perturbed_target = self.target_network.clone() if berry.perturb_target else None
+        # θ⁻'s codes and the flat values they encode (see _target_codes).
+        self._target_memory: Optional[QuantizedMemory] = None
+        self._target_values: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ fault sampling
     def sample_fault_map(self) -> FaultMap:
@@ -161,9 +168,16 @@ class BerryTrainer(DqnTrainer):
 
         # Perturbed pass (lines 15-17): BErr_p on θ and θ⁻, straight-through gradient.
         fault_map = self.sample_fault_map()
-        perturbed_q = self.injector.perturb_network(self.q_network, fault_map)
+        injector = self.injector
+        perturbed_q = self._perturbed_q
+        perturbed_q.load_state_dict(
+            injector.perturb_state_dict(self.q_network.state_dict(), fault_map)
+        )
         if self.berry.perturb_target:
-            perturbed_target = self.injector.perturb_network(self.target_network, fault_map)
+            perturbed_target = self._perturbed_target
+            perturbed_target.load_state_dict(
+                injector.perturb_quantized_state(self._target_codes(), fault_map)
+            )
         else:
             perturbed_target = self.target_network
         perturbed_targets = self.compute_td_targets(batch, perturbed_target)
@@ -174,12 +188,30 @@ class BerryTrainer(DqnTrainer):
         # Combine gradients (line 19).  The perturbed gradient is computed with
         # respect to θ̃; the straight-through estimator uses it as the gradient
         # with respect to θ (quantization + bit errors have no useful gradient).
+        # Both networks share one architecture, so their parameters pair up in
+        # order; θ̃'s gradient buffer is scratch and is scaled in place.
         scale = 0.5 if self.berry.gradient_combination == "mean" else 1.0
-        if scale != 1.0:
-            for parameter in self.q_network.parameters():
-                self.backend.multiply(parameter.grad, scale, out=parameter.grad)
-        self.q_network.add_gradients(perturbed_q.gradients(), scale=scale)
+        backend = self.backend
+        for parameter, perturbed in zip(self.q_network.parameters(), perturbed_q.parameters()):
+            backend.multiply(parameter.grad, scale, out=parameter.grad)
+            backend.multiply(perturbed.grad, scale, out=perturbed.grad)
+            backend.add(parameter.grad, perturbed.grad, out=parameter.grad)
         return 0.5 * (clean_loss + perturbed_loss)
+
+    def _target_codes(self) -> QuantizedMemory:
+        """θ⁻'s quantized memory, re-quantized only when θ⁻'s values change.
+
+        θ⁻ changes at ``sync_target_network``, but also through anything else
+        that writes it (``load_state_dict``, a warm start), so the codes are
+        checked against θ⁻'s current values, not against one call site.
+        Values that compare equal quantize to equal codes (±0 included).
+        """
+        state = self.target_network.state_dict()
+        values = self.injector.layout.flatten(state)
+        if self._target_memory is None or not np.array_equal(values, self._target_values):
+            self._target_memory = self.injector.quantize_state(state)
+            self._target_values = values
+        return self._target_memory
 
     def learn_on_batch(self, batch: Transition) -> float:
         """One optimizer update, followed by the robust-training weight clip."""

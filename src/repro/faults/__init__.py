@@ -16,7 +16,12 @@ The failure locations are random but fixed per chip/voltage, and both 0->1 and
 from repro.faults.ber_model import VoltageBerModel, DEFAULT_BER_MODEL
 from repro.faults.sram import SramGeometry
 from repro.faults.fault_map import FaultKind, FaultMap, FaultMapLibrary
-from repro.faults.injection import BitErrorInjector, MemoryLayout, inject_bit_errors
+from repro.faults.injection import (
+    BitErrorInjector,
+    MemoryLayout,
+    QuantizedMemory,
+    inject_bit_errors,
+)
 from repro.faults.chips import ChipProfile, CHIP_RANDOM, CHIP_COLUMN_ALIGNED, get_chip
 
 __all__ = [
@@ -28,6 +33,7 @@ __all__ = [
     "FaultMapLibrary",
     "BitErrorInjector",
     "MemoryLayout",
+    "QuantizedMemory",
     "inject_bit_errors",
     "ChipProfile",
     "CHIP_RANDOM",

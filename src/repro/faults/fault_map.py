@@ -50,12 +50,14 @@ class FaultMap:
         if self.indices.shape != self.kinds.shape:
             raise FaultModelError("indices and kinds must have identical shapes")
         if self.indices.size:
-            if self.indices.min() < 0 or self.indices.max() >= self.memory_bits:
+            ordered = np.sort(self.indices, axis=None)
+            if ordered[0] < 0 or ordered[-1] >= self.memory_bits:
                 raise FaultModelError("fault indices must lie inside the memory")
-            if len(np.unique(self.indices)) != self.indices.size:
+            if (ordered[1:] == ordered[:-1]).any():
                 raise FaultModelError("fault indices must be unique")
-            valid_kinds = {int(kind) for kind in FaultKind}
-            if not set(np.unique(self.kinds)).issubset(valid_kinds):
+            # FaultKind values are 0..N-1, so one unsigned compare finds any other.
+            if (self.kinds.view(np.uint8) >= len(FaultKind)).any():
+                valid_kinds = sorted(int(kind) for kind in FaultKind)
                 raise FaultModelError(f"kinds must be valid FaultKind values {valid_kinds}")
 
     # ------------------------------------------------------------------ statistics
@@ -221,25 +223,24 @@ class FaultMap:
         if self.num_faults == 0 or be.numel(words) == 0:
             return words
         in_range = (self.indices >= bit_offset) & (self.indices < bit_offset + total_bits)
-        if not np.any(in_range):
+        if not in_range.any():
             return words
         local = self.indices[in_range] - bit_offset
         kinds = self.kinds[in_range]
-        word_index = local // bits_per_word
-        bit_position = local % bits_per_word
+        word_index, bit_position = np.divmod(local, bits_per_word)
         masks = np.int64(1) << bit_position
 
         flip = kinds == int(FaultKind.FLIP)
         stuck0 = kinds == int(FaultKind.STUCK_AT_0)
         stuck1 = kinds == int(FaultKind.STUCK_AT_1)
         # The *_at scatter ops handle several faults landing in the same word.
-        if np.any(flip):
+        if flip.any():
             be.bitwise_xor_at(words, be.from_numpy(word_index[flip]), be.from_numpy(masks[flip]))
-        if np.any(stuck0):
+        if stuck0.any():
             be.bitwise_and_at(
                 words, be.from_numpy(word_index[stuck0]), be.from_numpy(~masks[stuck0])
             )
-        if np.any(stuck1):
+        if stuck1.any():
             be.bitwise_or_at(words, be.from_numpy(word_index[stuck1]), be.from_numpy(masks[stuck1]))
         return words
 

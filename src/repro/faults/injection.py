@@ -9,11 +9,14 @@ layout of the parameters (which bit cell holds which weight bit) is fixed by
 :class:`MemoryLayout` so that a *persistent* fault map hits the same weights
 every time, as it does on real silicon.
 
-The quantization scale search and the word-level corruption — the two profiled
-hot paths of the operator — run on a pluggable
-:class:`~repro.nn.backend.ArrayBackend` (``backend=`` on the injector, default
-the process-wide selection); flipped-bit accounting uses the backend's
-vectorised ``popcount`` instead of a per-word python loop.
+The layout places the tensors back to back, so a network's parameters are one
+flat word memory (:class:`QuantizedMemory`): each step of the operator is one
+pass over that memory — one encode, one ``apply_to_words``, one signed
+conversion and one per-value ``× scale`` — whatever the number of tensors.
+The scale search, the encoding and the word-level corruption run on a
+pluggable :class:`~repro.nn.backend.ArrayBackend` (``backend=`` on the
+injector, default the process-wide selection); flipped-bit accounting is one
+XOR and one vectorised ``popcount`` over the memory.
 """
 
 from __future__ import annotations
@@ -21,17 +24,17 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from repro.errors import FaultModelError
+from repro.errors import FaultModelError, QuantizationError
 from repro.faults.fault_map import FaultMap
 from repro.nn.backend import ArrayBackend, resolve_backend
 from repro.nn.network import Sequential
 from repro.obs import get_metrics, span
-from repro.quant.fixed_point import QuantizationConfig, quantize_state_dict
-from repro.quant.qtensor import QuantizedTensor
+from repro.quant.fixed_point import QuantizationConfig, _encode, _scale_for
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.warmcache import warm_cache
 
@@ -55,6 +58,12 @@ class _Segment:
     bit_offset: int
     num_values: int
     shape: Tuple[int, ...]
+    value_offset: int
+
+    @cached_property
+    def value_slice(self) -> slice:
+        """This tensor's slice of the flat value (or word) memory."""
+        return slice(self.value_offset, self.value_offset + self.num_values)
 
 
 class MemoryLayout:
@@ -67,14 +76,26 @@ class MemoryLayout:
         self._segments: Dict[str, _Segment] = {}
         offset = 0
         for name, shape in shapes.items():
+            shape = tuple(int(size) for size in shape)
             num_values = int(np.prod(shape)) if shape else 1
             self._segments[name] = _Segment(
-                name=name, bit_offset=offset, num_values=num_values, shape=tuple(shape)
+                name=name,
+                bit_offset=offset * bits_per_value,
+                num_values=num_values,
+                shape=shape,
+                value_offset=offset,
             )
-            offset += num_values * bits_per_value
-        self.total_bits = offset
+            offset += num_values
+        self.num_values = offset
+        self.total_bits = offset * bits_per_value
         if self.total_bits == 0:
             raise FaultModelError("memory layout contains no parameters")
+        #: Word width, then names and shapes in memory order: everything the
+        #: order of a flat memory's words depends on.
+        self.key = (bits_per_value, tuple((s.name, s.shape) for s in self._segments.values()))
+        #: Values per segment, in memory order (for per-value scales).
+        self.counts = np.array([s.num_values for s in self._segments.values()], dtype=np.int64)
+        self.counts.flags.writeable = False
 
     @classmethod
     def from_network(cls, network: Sequential, bits_per_value: int = 8) -> "MemoryLayout":
@@ -98,6 +119,64 @@ class MemoryLayout:
     @property
     def total_bytes(self) -> int:
         return (self.total_bits + 7) // 8
+
+    def flatten(self, state: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``state``'s values in memory order, as one float64 array.
+
+        ``state`` must hold exactly this layout's tensors, each in its placed
+        shape; anything else raises :class:`FaultModelError`, since a tensor
+        of another shape would be read into another tensor's cells.
+        """
+        if state.keys() != self._segments.keys():
+            missing = sorted(set(self._segments) - set(state))
+            unknown = sorted(set(state) - set(self._segments))
+            raise FaultModelError(
+                f"state does not match the memory layout: missing={missing}, unknown={unknown}"
+            )
+        flat = np.empty(self.num_values, dtype=np.float64)
+        for name, segment in self._segments.items():
+            values = np.asarray(state[name])
+            if values.shape != segment.shape:
+                raise FaultModelError(
+                    f"tensor {name!r} has shape {values.shape}, but the memory layout "
+                    f"places {segment.shape}"
+                )
+            flat[segment.value_slice] = values.ravel()
+        return flat
+
+    def unflatten(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
+        """Per-name views of a flat value memory, in their placed shapes."""
+        return {
+            name: flat[segment.value_slice].reshape(segment.shape)
+            for name, segment in self._segments.items()
+        }
+
+
+@dataclass(frozen=True, eq=False)
+class QuantizedMemory:
+    """One state's quantized parameters as a flat word memory.
+
+    ``words[i]`` is the unsigned two's-complement code of value ``i`` of
+    ``layout``, stored in bit cells ``[i * bits, (i + 1) * bits)``;
+    ``scales`` holds one dequantization scale per segment, in memory order.
+    Both arrays are read-only: one memory serves any number of fault maps
+    and, through the warm cache, any number of callers.
+    """
+
+    layout: MemoryLayout
+    words: np.ndarray
+    scales: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.words.flags.writeable = False
+        self.scales.flags.writeable = False
+
+    def dequantize(self, words) -> np.ndarray:
+        """Flat float values of ``words`` (this memory's words, maybe corrupted)."""
+        words = np.asarray(words, dtype=np.int64)
+        half = 1 << (self.layout.bits_per_value - 1)
+        signed = np.subtract(np.bitwise_xor(words, half), half)
+        return np.multiply(signed, np.repeat(self.scales, self.layout.counts))
 
 
 class BitErrorInjector:
@@ -135,39 +214,51 @@ class BitErrorInjector:
         return self.layout.total_bits
 
     # ------------------------------------------------------------------ core operator
-    def quantize_state(
-        self, state: Mapping[str, np.ndarray]
-    ) -> Dict[str, QuantizedTensor]:
-        """Quantize every tensor of ``state`` once, for repeated corruption.
+    def quantize_state(self, state: Mapping[str, np.ndarray]) -> QuantizedMemory:
+        """Quantize ``state`` into one flat word memory, for repeated corruption.
 
         The fault-map evaluation protocol corrupts the *same* deployed
-        parameters under hundreds of maps; quantization (scale search plus
-        rounding) is by far the most expensive part of the ``BErr_p``
-        operator, so it is hoisted here and :meth:`perturb_quantized_state`
-        then corrupts per-map views of the stored integer codes.  Scales
-        follow the quantization config exactly as
-        :func:`~repro.quant.fixed_point.quantize_state_dict` does: one per
-        tensor, or one for the whole state under ``per_layer=False``.
+        parameters under hundreds of maps, and BERRY's target network keeps
+        its parameters between syncs; quantization (scale search plus
+        rounding) is hoisted here so :meth:`perturb_quantized_state` only
+        corrupts and dequantizes.  Scales follow the quantization config
+        exactly as :func:`~repro.quant.fixed_point.quantize_state_dict` does
+        (one per tensor, or one for the whole state under
+        ``per_layer=False``); every value is then encoded in one pass.
+        ``state`` must hold exactly the layout's tensors in their placed
+        shapes (:meth:`MemoryLayout.flatten`).
         """
-        for name in state:
-            self.layout.segment(name)  # validate the tensor has a placement
-        return quantize_state_dict(state, self.quantization, backend=self.backend)
+        be = self.backend
+        config = self.quantization
+        layout = self.layout
+        values = be.asarray(layout.flatten(state), "float64")
+        if not be.all_finite(values):
+            raise QuantizationError("cannot quantize an array containing NaN or infinity")
+        segments = layout.segments().values()
+        if config.per_layer:
+            scales = [_scale_for(values[segment.value_slice], config, be) for segment in segments]
+        else:
+            scales = [_scale_for(values, config, be)] * len(segments)
+        scales = np.array(scales, dtype=np.float64)
+        per_value = be.asarray(np.repeat(scales, layout.counts), "float64")
+        codes = _encode(values, per_value, config.bits, be)
+        modulus = 1 << config.bits
+        words = np.bitwise_and(codes, modulus - 1).astype(np.min_scalar_type(modulus - 1))
+        return QuantizedMemory(layout=layout, words=words, scales=scales)
 
-    def quantize_state_cached(
-        self, state: Mapping[str, np.ndarray]
-    ) -> Dict[str, QuantizedTensor]:
-        """Like :meth:`quantize_state`, but warm-cached by parameter content.
+    def quantize_state_cached(self, state: Mapping[str, np.ndarray]) -> QuantizedMemory:
+        """Like :meth:`quantize_state`, but warm-cached by layout and parameter content.
 
         Fused sweep jobs and warm pool workers evaluate the *same* trained
         policy at several BER levels (one :func:`evaluate_under_faults` call
-        each); keying the quantized codes by a content hash of the raw
-        parameters + quantization config + backend lets every call after the
-        first skip the per-tensor scale search entirely.  Safe because
-        :meth:`perturb_quantized_state` never mutates its input — a single
-        quantized state legitimately serves any number of fault maps, and by
-        the same invariant, any number of callers.
+        each); keying the quantized memory by the layout, a content hash of
+        the raw parameters, the quantization config and the backend lets
+        every call after the first skip the scale search entirely.  The key
+        names the layout because a memory's words are in layout order.  Safe
+        because a :class:`QuantizedMemory` is read-only.
         """
         key = (
+            self.layout.key,
             state_fingerprint(state),
             self.quantization,
             self.backend.metric_tag,
@@ -177,41 +268,24 @@ class BitErrorInjector:
         )
 
     def perturb_quantized_state(
-        self, quantized: Mapping[str, QuantizedTensor], fault_map: FaultMap
+        self, quantized: QuantizedMemory, fault_map: FaultMap
     ) -> Dict[str, np.ndarray]:
-        """Corrupt an already-quantized state under one fault map and dequantize.
+        """Corrupt an already-quantized memory under one fault map and dequantize.
 
-        ``quantized`` is never modified; each call produces an independent
-        dequantized view, so one :meth:`quantize_state` result serves any
-        number of fault maps.
+        Returns one array per tensor, in its placed shape (views of one flat
+        array).  ``quantized`` is never modified, so one
+        :meth:`quantize_state` result serves any number of fault maps.
         """
-        if fault_map.memory_bits < self.layout.total_bits:
-            raise FaultModelError(
-                f"fault map covers {fault_map.memory_bits} bits but the parameters occupy "
-                f"{self.layout.total_bits} bits"
-            )
-        be = self.backend
         metrics = get_metrics()
         started = time.perf_counter() if metrics.enabled else 0.0
-        flipped = 0
-        perturbed: Dict[str, np.ndarray] = {}
         with span("faults.corrupt"):
-            for name, tensor in quantized.items():
-                segment = self.layout.segment(name)
-                corrupted = self._corrupt_tensor(tensor, fault_map, segment.bit_offset)
-                if metrics.enabled:
-                    flipped += be.popcount(
-                        be.bitwise_xor(
-                            be.from_numpy(tensor.to_unsigned().ravel()),
-                            be.from_numpy(corrupted.to_unsigned().ravel()),
-                        )
-                    )
-                perturbed[name] = corrupted.dequantize().reshape(segment.shape)
+            corrupted = self._corrupt(quantized, fault_map)
+            values = quantized.dequantize(self.backend.to_numpy(corrupted))
         if metrics.enabled:
             metrics.counter("faults.maps_applied").inc()
-            metrics.counter("faults.bits_flipped").inc(flipped)
+            metrics.counter("faults.bits_flipped").inc(self._flipped_bits(quantized, corrupted))
             metrics.histogram("faults.corrupt_s").observe(time.perf_counter() - started)
-        return perturbed
+        return self.layout.unflatten(values)
 
     def perturb_state_dict(
         self, state: Mapping[str, np.ndarray], fault_map: FaultMap
@@ -235,18 +309,23 @@ class BitErrorInjector:
         empty = FaultMap.empty(self.layout.total_bits)
         return self.perturb_state_dict(state, empty)
 
-    def _corrupt_tensor(
-        self, tensor: QuantizedTensor, fault_map: FaultMap, bit_offset: int
-    ) -> QuantizedTensor:
-        words = tensor.to_unsigned().ravel()
-        corrupted = fault_map.apply_to_words(
-            words, tensor.bits, bit_offset, backend=self.backend
+    def _corrupt(self, quantized: QuantizedMemory, fault_map: FaultMap):
+        """The memory's words after ``fault_map``'s faults (a backend int64 array)."""
+        if quantized.layout.key != self.layout.key:
+            raise FaultModelError("the quantized memory belongs to another memory layout")
+        if fault_map.memory_bits < self.layout.total_bits:
+            raise FaultModelError(
+                f"fault map covers {fault_map.memory_bits} bits but the parameters occupy "
+                f"{self.layout.total_bits} bits"
+            )
+        return fault_map.apply_to_words(
+            quantized.words, self.layout.bits_per_value, backend=self.backend
         )
-        return QuantizedTensor.from_unsigned(
-            self.backend.to_numpy(corrupted).reshape(tensor.shape),
-            scale=tensor.scale,
-            bits=tensor.bits,
-        )
+
+    def _flipped_bits(self, quantized: QuantizedMemory, corrupted) -> int:
+        """Stored bits that ``corrupted`` changes: one XOR and one popcount."""
+        be = self.backend
+        return be.popcount(be.bitwise_xor(be.from_numpy(quantized.words), corrupted))
 
     # ------------------------------------------------------------------ measurement helpers
     def count_flipped_bits(
@@ -257,16 +336,8 @@ class BitErrorInjector:
         Stuck-at faults only corrupt a bit when the stored value differs from
         the stuck value, so this is typically about half of ``num_faults``.
         """
-        be = self.backend
-        flipped = 0
-        for name, tensor in self.quantize_state(state).items():
-            words = tensor.to_unsigned().ravel()
-            corrupted = fault_map.apply_to_words(
-                words, tensor.bits, self.layout.segment(name).bit_offset, backend=be
-            )
-            difference = be.bitwise_xor(be.from_numpy(words), corrupted)
-            flipped += be.popcount(difference)
-        return flipped
+        quantized = self.quantize_state(state)
+        return self._flipped_bits(quantized, self._corrupt(quantized, fault_map))
 
 
 def inject_bit_errors(

@@ -69,8 +69,11 @@ def _scale_for(values, config: QuantizationConfig, backend: ArrayBackend) -> flo
     return max_abs / max_code
 
 
-def _encode(values, scale: float, bits: int, backend: ArrayBackend) -> np.ndarray:
-    """Round ``values / scale`` into clipped signed codes as a numpy int32 array."""
+def _encode(values, scale, bits: int, backend: ArrayBackend) -> np.ndarray:
+    """Round ``values / scale`` into clipped signed codes as a numpy int32 array.
+
+    ``scale`` is one float or a backend array holding one scale per value.
+    """
     low, high = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
     codes = backend.astype(
         backend.clip(backend.round(backend.divide(values, scale)), low, high), "int32"

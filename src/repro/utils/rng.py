@@ -86,9 +86,14 @@ def choice_without_replacement(
 ) -> np.ndarray:
     """Sample ``size`` distinct indices from ``range(population)``.
 
-    Uses Floyd's algorithm when ``size`` is much smaller than ``population``
-    to avoid materialising a full permutation (fault maps over multi-megabit
-    memories sample a tiny fraction of all bit cells).
+    When ``size`` is much smaller than ``population`` this is batched
+    rejection sampling, which avoids materialising a full permutation (fault
+    maps over multi-megabit memories sample a tiny fraction of all bit
+    cells): each round draws ``2 * needed`` candidates and keeps, in draw
+    order, the first occurrence of every value not taken yet, until ``size``
+    values are taken.  A round's first occurrences come from one
+    ``np.unique(..., return_index=True)``, and the values taken in earlier
+    rounds are screened out with one ``searchsorted``.
     """
     if size > population:
         raise ValueError(f"cannot sample {size} items from population of {population}")
@@ -96,20 +101,19 @@ def choice_without_replacement(
         return np.empty(0, dtype=np.int64)
     if size > population // 8:
         return rng.permutation(population)[:size].astype(np.int64)
-    selected: set[int] = set()
     result = np.empty(size, dtype=np.int64)
     count = 0
     while count < size:
         needed = size - count
         candidates = rng.integers(0, population, size=needed * 2)
-        for value in candidates:
-            value = int(value)
-            if value not in selected:
-                selected.add(value)
-                result[count] = value
-                count += 1
-                if count == size:
-                    break
+        distinct, first = np.unique(candidates, return_index=True)
+        if count:
+            taken = np.sort(result[:count])
+            slots = np.minimum(np.searchsorted(taken, distinct), count - 1)
+            first = first[taken[slots] != distinct]
+        fresh = candidates[np.sort(first)[:needed]]
+        result[count : count + fresh.size] = fresh
+        count += fresh.size
     return result
 
 

@@ -8,7 +8,9 @@ from repro.core.modes import OnDeviceSession, train_classical, train_offline_ber
 from repro.errors import TrainingError
 from repro.faults.chips import CHIP_RANDOM
 from repro.faults.fault_map import FaultMap
-from repro.nn.policies import mlp
+from repro.faults.injection import BitErrorInjector
+from repro.nn.policies import build_policy, mlp
+from repro.quant.fixed_point import QuantizationConfig
 from repro.rl.dqn import DqnConfig
 from repro.rl.replay_buffer import Transition
 from repro.rl.schedules import LinearDecay
@@ -170,6 +172,167 @@ class TestBerryTrainer:
         assert history.num_episodes == 4
         if history.gradient_steps > 0:
             assert trainer.num_injections == history.gradient_steps
+
+
+#: Share of faulty cells that invert their bit, so all three fault kinds occur.
+FLIP_FRACTION = 0.3
+
+
+class FlipMaps:
+    """Offline fault maps with inverting cells as well as stuck-at cells."""
+
+    def sample_fault_map(self) -> FaultMap:
+        if self.berry.injection_mode == "on_device":
+            return self.device_fault_map
+        return FaultMap.random(
+            self.injector.memory_bits,
+            self.berry.ber_fraction,
+            rng=self._fault_rng,
+            stuck_at_1_bias=self.berry.stuck_at_1_bias,
+            flip_fraction=FLIP_FRACTION,
+        )
+
+
+class FlatBerryTrainer(FlipMaps, BerryTrainer):
+    """The trainer under test: BERRY's own perturbed pass, on maps with flips."""
+
+
+class PerTensorBerryTrainer(FlipMaps, BerryTrainer):
+    """The reference perturbed pass: clone θ and θ⁻ at every step and run the
+    per-tensor operator on both, re-quantizing θ⁻ every time."""
+
+    def __init__(self, *args, perturb, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.perturb = perturb
+
+    def _perturbed(self, network, fault_map):
+        clone = network.clone()
+        clone.load_state_dict(self.perturb(self.injector, network.state_dict(), fault_map))
+        return clone
+
+    def accumulate_gradients(self, batch: Transition) -> float:
+        clean_targets = self.compute_td_targets(batch, self.target_network)
+        clean_loss = self.td_loss_and_backward(self.q_network, batch, clean_targets)
+        fault_map = self.sample_fault_map()
+        perturbed_q = self._perturbed(self.q_network, fault_map)
+        if self.berry.perturb_target:
+            perturbed_target = self._perturbed(self.target_network, fault_map)
+        else:
+            perturbed_target = self.target_network
+        perturbed_targets = self.compute_td_targets(batch, perturbed_target)
+        perturbed_q.zero_grad()
+        perturbed_loss = self.td_loss_and_backward(perturbed_q, batch, perturbed_targets)
+        self.num_injections += 1
+        scale = 0.5 if self.berry.gradient_combination == "mean" else 1.0
+        for parameter in self.q_network.parameters():
+            self.backend.multiply(parameter.grad, scale, out=parameter.grad)
+        self.q_network.add_gradients(perturbed_q.gradients(), scale=scale)
+        return 0.5 * (clean_loss + perturbed_loss)
+
+
+def berry_pair(env, config, berry, per_tensor_berr):
+    """A trainer under test and its per-tensor reference, from the same seeds."""
+    device_fault_map = None
+    if berry.injection_mode == "on_device":
+        network = build_policy(mlp((16,)), env.observation_space.shape, env.action_space.n)
+        device_fault_map = FaultMap.random(
+            BitErrorInjector.for_network(network).memory_bits,
+            berry.ber_fraction,
+            rng=11,
+            flip_fraction=FLIP_FRACTION,
+        )
+    common = dict(
+        policy_spec=mlp((16,)), config=config, berry=berry,
+        device_fault_map=device_fault_map, rng=0,
+    )
+    flat = FlatBerryTrainer(env, **common)
+    reference = PerTensorBerryTrainer(env, perturb=per_tensor_berr, **common)
+    return flat, reference
+
+
+def drive(trainer, steps: int, sync_every: int, first_batch: int = 0) -> list:
+    """``steps`` gradient steps on fixed batches, syncing θ⁻ every ``sync_every``."""
+    losses = []
+    for step in range(steps):
+        losses.append(trainer.learn_on_batch(make_batch(trainer.env, rng_seed=first_batch + step)))
+        if (step + 1) % sync_every == 0:
+            trainer.sync_target_network()
+    return losses
+
+
+def assert_same_weights(trainer, reference) -> None:
+    for network in ("q_network", "target_network"):
+        state = getattr(trainer, network).state_dict()
+        expected = getattr(reference, network).state_dict()
+        assert list(state) == list(expected)
+        for name, values in expected.items():
+            assert state[name].tobytes() == values.tobytes(), (network, name)
+
+
+class TestFlatPerturbedPass:
+    """BERRY's perturbed pass on the flat word memory trains bitwise like the
+    per-tensor operator: same losses, same θ and θ⁻ after every step."""
+
+    @pytest.mark.parametrize(
+        "mode,perturb_target,ber_percent,quantization",
+        [
+            (mode, perturb_target, ber_percent, QuantizationConfig())
+            for mode in ("offline", "on_device")
+            for perturb_target in (True, False)
+            for ber_percent in (1.0, 30.0)
+        ]
+        + [
+            ("offline", True, 1.0, QuantizationConfig(per_layer=False)),
+            ("offline", True, 1.0, QuantizationConfig(clip_quantile=0.9)),
+        ],
+        ids=lambda value: str(value) if not isinstance(value, QuantizationConfig) else (
+            f"per_layer={value.per_layer}-clip={value.clip_quantile}"
+        ),
+    )
+    def test_weights_match_the_per_tensor_reference(
+        self, small_env, fast_config, per_tensor_berr,
+        mode, perturb_target, ber_percent, quantization,
+    ):
+        berry = BerryConfig(
+            ber_percent=ber_percent, injection_mode=mode,
+            perturb_target=perturb_target, quantization=quantization,
+        )
+        flat, reference = berry_pair(small_env, fast_config, berry, per_tensor_berr)
+        losses = drive(flat, steps=40, sync_every=10)
+        expected = drive(reference, steps=40, sync_every=10)
+        assert losses == expected
+        assert flat.num_injections == reference.num_injections == 40
+        assert_same_weights(flat, reference)
+
+    def test_training_loop_matches_the_per_tensor_reference(
+        self, small_env, fast_config, per_tensor_berr
+    ):
+        flat, reference = berry_pair(
+            small_env, fast_config, BerryConfig(ber_percent=1.0), per_tensor_berr
+        )
+        flat.train(20)
+        reference.train(20)
+        assert flat.history.gradient_steps == reference.history.gradient_steps >= 30
+        assert flat.history.losses == reference.history.losses
+        assert_same_weights(flat, reference)
+
+    def test_target_written_without_sync_reaches_the_next_pass(
+        self, small_env, fast_config, per_tensor_berr
+    ):
+        flat, reference = berry_pair(
+            small_env, fast_config, BerryConfig(ber_percent=5.0), per_tensor_berr
+        )
+        for trainer in (flat, reference):
+            drive(trainer, steps=5, sync_every=100)
+        rng = np.random.default_rng(5)
+        rewritten = {
+            name: values + rng.normal(scale=0.05, size=values.shape)
+            for name, values in flat.target_network.state_dict().items()
+        }
+        for trainer in (flat, reference):
+            trainer.target_network.load_state_dict(rewritten)
+            drive(trainer, steps=3, sync_every=100, first_batch=5)
+        assert_same_weights(flat, reference)
 
 
 class TestModes:

@@ -10,7 +10,9 @@ from repro.faults.fault_map import FaultKind, FaultMap, FaultMapLibrary
 from repro.faults.injection import BitErrorInjector, MemoryLayout, inject_bit_errors
 from repro.faults.sram import SramGeometry
 from repro.nn.policies import build_policy, mlp
+from repro.obs import collecting_metrics
 from repro.quant.fixed_point import QuantizationConfig, quantize_state_dict
+from repro.utils.warmcache import clear_warm_caches
 
 
 class TestFaultMap:
@@ -49,6 +51,25 @@ class TestFaultMap:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(FaultModelError):
             FaultMap(memory_bits=10, indices=np.array([1, 1]), kinds=np.array([1, 1]))
+        with pytest.raises(FaultModelError, match="unique"):
+            FaultMap(memory_bits=10, indices=np.array([7, 2, 9, 2]), kinds=np.zeros(4))
+
+    @pytest.mark.parametrize("indices", [[3, -1], [0, 10], [12, 4]])
+    def test_indices_outside_the_memory_rejected(self, indices):
+        with pytest.raises(FaultModelError, match="inside the memory"):
+            FaultMap(memory_bits=10, indices=np.array(indices), kinds=np.zeros(2))
+
+    @pytest.mark.parametrize("bad_kind", [3, -1, 127])
+    def test_invalid_kinds_rejected(self, bad_kind):
+        with pytest.raises(FaultModelError, match="FaultKind"):
+            FaultMap(memory_bits=10, indices=np.array([4, 1, 8]), kinds=np.array([0, bad_kind, 2]))
+
+    def test_valid_map_keeps_its_index_order(self):
+        fault_map = FaultMap(
+            memory_bits=10, indices=np.array([9, 0, 4]), kinds=np.array([2, 0, 1])
+        )
+        assert fault_map.indices.tolist() == [9, 0, 4]
+        assert fault_map.kinds.tolist() == [2, 0, 1]
 
     def test_apply_stuck_at_1_sets_bit(self):
         fault_map = FaultMap(
@@ -222,10 +243,10 @@ class TestMemoryLayoutAndInjector:
         quantized = injector.quantize_state(state)
         fault_map = FaultMap.random(injector.memory_bits, 0.25, rng=3)
         flipped = 0
-        for name, segment in injector.layout.segments().items():
-            assert quantized[name].scale == expected[name].scale
-            assert np.array_equal(quantized[name].codes, expected[name].codes)
+        for index, (name, segment) in enumerate(injector.layout.segments().items()):
             words = expected[name].to_unsigned().ravel()
+            assert quantized.scales[index] == expected[name].scale
+            assert np.array_equal(quantized.words[segment.value_slice], words)
             corrupted = fault_map.apply_to_words(words, 8, segment.bit_offset)
             flipped += sum(bin(int(w)).count("1") for w in np.bitwise_xor(words, corrupted))
         assert injector.count_flipped_bits(state, fault_map) == flipped
@@ -233,6 +254,111 @@ class TestMemoryLayoutAndInjector:
     def test_inject_bit_errors_convenience(self, network):
         perturbed = inject_bit_errors(network, 0.02, rng=0)
         assert set(perturbed) == set(network.state_dict())
+
+
+def _small_state(seed: int = 0) -> dict:
+    rng = np.random.default_rng(seed)
+    return {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(5,))}
+
+
+class TestFlatMemory:
+    """The operator over one flat word memory, against the per-tensor operator."""
+
+    @pytest.fixture
+    def injector(self):
+        return BitErrorInjector(MemoryLayout({"a": (4, 3), "b": (5,)}))
+
+    def test_matches_the_per_tensor_operator(self, per_tensor_berr):
+        for trial in range(60):
+            rng = np.random.default_rng(trial)
+            state = {
+                f"t{index}": rng.normal(size=tuple(rng.integers(1, 7, size=rng.integers(1, 3))))
+                * rng.uniform(0.01, 10.0)
+                for index in range(rng.integers(1, 6))
+            }
+            if trial % 5 == 0:
+                state["t0"][...] = 0.0
+            config = QuantizationConfig(
+                bits=int(rng.choice([4, 8, 16])),
+                per_layer=bool(trial % 3),
+                clip_quantile=float(rng.choice([1.0, 0.9])),
+            )
+            injector = BitErrorInjector(MemoryLayout.from_state_dict(state, config.bits), config)
+            fault_map = FaultMap.random(
+                injector.memory_bits,
+                float(rng.uniform(0.0, 0.5)),
+                rng=trial,
+                flip_fraction=float(rng.uniform()),
+            )
+            flat = injector.perturb_state_dict(state, fault_map)
+            expected = per_tensor_berr(injector, state, fault_map)
+            assert list(flat) == list(expected)
+            for name, values in expected.items():
+                assert flat[name].shape == values.shape
+                assert flat[name].tobytes() == values.tobytes(), (trial, name)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            {"a": (4, 3)},
+            {"a": (4, 3), "b": (5,), "c": (1,)},
+            {"a": (3, 4), "b": (5,)},
+            {"a": (2,), "b": (5,)},
+            {"a": (13,), "b": (5,)},
+        ],
+        ids=["missing", "unknown", "reshaped", "two-values", "thirteen-values"],
+    )
+    def test_state_must_match_the_layout(self, injector, shapes):
+        state = {name: np.full(shape, 0.3) for name, shape in shapes.items()}
+        fault_map = FaultMap.random(injector.memory_bits, 0.1, rng=0)
+        with pytest.raises(FaultModelError):
+            injector.quantize_state(state)
+        with pytest.raises(FaultModelError):
+            injector.count_flipped_bits(state, fault_map)
+        with pytest.raises(FaultModelError):
+            injector.perturb_state_dict(state, fault_map)
+
+    def test_cached_memory_is_keyed_by_layout_order(self):
+        clear_warm_caches()
+        state = _small_state()
+        forward = BitErrorInjector(MemoryLayout({"a": (4, 3), "b": (5,)}))
+        backward = BitErrorInjector(MemoryLayout({"b": (5,), "a": (4, 3)}))
+        first = forward.quantize_state_cached(state)
+        second = backward.quantize_state_cached(state)
+        assert second is not first
+        assert forward.quantize_state_cached(state) is first
+        assert backward.quantize_state_cached(state) is second
+        fault_map = FaultMap.random(forward.memory_bits, 0.2, rng=1)
+        for injector, memory in ((forward, first), (backward, second)):
+            expected = injector.perturb_state_dict(state, fault_map)
+            cached = injector.perturb_quantized_state(memory, fault_map)
+            for name in state:
+                assert np.array_equal(cached[name], expected[name])
+        clear_warm_caches()
+
+    def test_memory_of_another_layout_rejected(self):
+        state = _small_state()
+        forward = BitErrorInjector(MemoryLayout({"a": (4, 3), "b": (5,)}))
+        backward = BitErrorInjector(MemoryLayout({"b": (5,), "a": (4, 3)}))
+        fault_map = FaultMap.random(forward.memory_bits, 0.2, rng=1)
+        with pytest.raises(FaultModelError):
+            backward.perturb_quantized_state(forward.quantize_state(state), fault_map)
+
+    def test_quantized_memory_is_read_only(self, injector):
+        memory = injector.quantize_state(_small_state())
+        with pytest.raises(ValueError):
+            memory.words[0] = 0
+        with pytest.raises(ValueError):
+            memory.scales[0] = 1.0
+
+    def test_bits_flipped_counter_equals_count_flipped_bits(self, injector):
+        state = _small_state()
+        fault_map = FaultMap.random(injector.memory_bits, 0.2, rng=2, flip_fraction=0.3)
+        memory = injector.quantize_state(state)
+        with collecting_metrics() as metrics:
+            injector.perturb_quantized_state(memory, fault_map)
+        flipped = metrics.counter("faults.bits_flipped").value
+        assert flipped == injector.count_flipped_bits(state, fault_map) > 0
 
 
 class TestChips:

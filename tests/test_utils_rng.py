@@ -87,6 +87,76 @@ class TestChoiceWithoutReplacement:
         with pytest.raises(ValueError):
             choice_without_replacement(np.random.default_rng(0), 5, 6)
 
+    @staticmethod
+    def _reference(rng, population, size):
+        """The per-value set loop the vectorised rejection rounds reproduce."""
+        if size > population // 8:
+            return rng.permutation(population)[:size].astype(np.int64)
+        selected = set()
+        result = np.empty(size, dtype=np.int64)
+        count = 0
+        while count < size:
+            needed = size - count
+            for value in rng.integers(0, population, size=needed * 2):
+                value = int(value)
+                if value not in selected:
+                    selected.add(value)
+                    result[count] = value
+                    count += 1
+                    if count == size:
+                        break
+        return result
+
+    def _assert_matches_reference(self, seed, population, size):
+        sampler, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        result = choice_without_replacement(sampler, population, size)
+        expected = self._reference(reference, population, size)
+        assert result.dtype == np.int64
+        assert result.tolist() == expected.tolist(), (seed, population, size)
+        assert sampler.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "population,size", [(8, 1), (9, 1), (16, 2), (17, 2), (24, 3), (64, 8), (80, 10)]
+    )
+    def test_small_collision_heavy_populations_match_the_loop(self, population, size):
+        # Two draws per needed value from a population only 8x the sample:
+        # repeats inside one round and across rounds are common.
+        for seed in range(200):
+            self._assert_matches_reference(seed, population, size)
+
+    def test_random_cases_match_the_loop(self):
+        cases = np.random.default_rng(2024)
+        for seed in range(400):
+            population = int(cases.integers(1, 40_000 if seed % 2 else 200))
+            size = int(cases.integers(0, population // 8 + 2))
+            self._assert_matches_reference(seed, population, min(size, population))
+
+    def test_repeated_draws_take_several_rounds_like_the_loop(self):
+        # Uniform draws almost never leave a round short, so the screen
+        # against values taken in earlier rounds needs skewed draws.
+        for seed in range(100):
+            sampler, reference = _SkewedDraws(seed), _SkewedDraws(seed)
+            result = choice_without_replacement(sampler, 400, 50)
+            expected = self._reference(reference, 400, 50)
+            assert result.tolist() == expected.tolist(), seed
+            assert sampler.rounds == reference.rounds >= 2
+            assert sampler.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+class _SkewedDraws:
+    """A generator stand-in whose draws mostly repeat four hot values."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.rounds = 0
+
+    def integers(self, low, high, size):
+        self.rounds += 1
+        draws = self.rng.integers(low, high, size=size)
+        hot = self.rng.random(size) < 0.75
+        draws[hot] = self.rng.integers(low, low + 4, size=int(hot.sum()))
+        return draws
+
 
 def test_iter_seeds_deterministic():
     assert list(iter_seeds(1, 5)) == list(iter_seeds(1, 5))
