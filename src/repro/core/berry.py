@@ -22,7 +22,7 @@ lower voltages (Table IV).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -33,7 +33,6 @@ from repro.faults.fault_map import FaultMap
 from repro.faults.injection import BitErrorInjector, QuantizedMemory
 from repro.nn.network import Sequential
 from repro.nn.policies import PolicySpec
-from repro.quant.fixed_point import QuantizationConfig
 from repro.rl.dqn import DqnConfig, DqnTrainer
 from repro.rl.replay_buffer import Transition
 from repro.utils.rng import SeedLike, as_generator
@@ -67,7 +66,6 @@ class BerryConfig:
     perturb_target: bool = True
     stuck_at_1_bias: float = 0.5
     weight_clip: Optional[float] = 0.5
-    quantization: QuantizationConfig = field(default_factory=QuantizationConfig)
 
     def __post_init__(self) -> None:
         if self.ber_percent < 0 or self.ber_percent > 100:
@@ -113,7 +111,7 @@ class BerryTrainer(DqnTrainer):
     ) -> None:
         super().__init__(env, policy_spec=policy_spec, config=config, rng=rng)
         self.berry = berry
-        self.injector = BitErrorInjector.for_network(self.q_network, berry.quantization)
+        self.injector = BitErrorInjector.for_network(self.q_network)
         self._fault_rng = as_generator(self._rng.integers(0, 2**31 - 1))
         if berry.injection_mode == "on_device":
             if device_fault_map is None:

@@ -95,7 +95,6 @@ class OnDeviceSession:
         normalized_voltage: float,
         policy_spec: Optional[PolicySpec] = None,
         config: DqnConfig = DqnConfig(),
-        quant_bits: int = 8,
         accelerator: Optional[AcceleratorModel] = None,
         rng: SeedLike = 0,
     ) -> None:

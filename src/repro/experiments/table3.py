@@ -83,7 +83,8 @@ def measure_table3_on_chips(
         columns=["chip", "pattern", "ber_percent", "success_rate_pct"],
     )
     injector = BitErrorInjector.for_network(berry_network)
-    generators = spawn_generators(seed, len(chips) * 2)
+    # One map stream per (chip, error rate) row.
+    generators = spawn_generators(seed, sum(len(chip.reference_ber_percent) for chip in chips))
     generator_index = 0
     for chip in chips:
         for ber in chip.reference_ber_percent:

@@ -9,19 +9,15 @@ The failure locations are random but fixed per chip/voltage, and both 0->1 and
 * :mod:`repro.faults.ber_model`   — voltage -> bit-error-rate calibration (Fig. 2 / Table II)
 * :mod:`repro.faults.sram`        — SRAM array geometry and bit-cell addressing
 * :mod:`repro.faults.fault_map`   — persistent fault maps (random / column-aligned patterns)
-* :mod:`repro.faults.injection`   — the ``BErr_p`` operator applied to quantized parameters
+* :mod:`repro.faults.injection`   — 8-bit fixed-point quantization of a network into one
+  flat word memory, and the ``BErr_p`` operator on that memory
 * :mod:`repro.faults.chips`       — profiled chips used in Table III
 """
 
 from repro.faults.ber_model import VoltageBerModel, DEFAULT_BER_MODEL
 from repro.faults.sram import SramGeometry
 from repro.faults.fault_map import FaultKind, FaultMap, FaultMapLibrary
-from repro.faults.injection import (
-    BitErrorInjector,
-    MemoryLayout,
-    QuantizedMemory,
-    inject_bit_errors,
-)
+from repro.faults.injection import BitErrorInjector, MemoryLayout, QuantizedMemory
 from repro.faults.chips import ChipProfile, CHIP_RANDOM, CHIP_COLUMN_ALIGNED, get_chip
 
 __all__ = [
@@ -34,7 +30,6 @@ __all__ = [
     "BitErrorInjector",
     "MemoryLayout",
     "QuantizedMemory",
-    "inject_bit_errors",
     "ChipProfile",
     "CHIP_RANDOM",
     "CHIP_COLUMN_ALIGNED",

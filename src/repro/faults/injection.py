@@ -10,18 +10,22 @@ layout of the parameters (which bit cell holds which weight bit) is fixed by
 every time, as it does on real silicon.
 
 The layout places the tensors back to back, so a network's parameters are one
-flat word memory (:class:`QuantizedMemory`): each step of the operator is one
-pass over that memory — one encode, one ``apply_to_words``, one signed
-conversion and one per-value ``× scale`` — whatever the number of tensors.
-The scale search, the encoding and the word-level corruption run on a
-pluggable :class:`~repro.nn.backend.ArrayBackend` (``backend=`` on the
-injector, default the process-wide selection); flipped-bit accounting is one
-XOR and one vectorised ``popcount`` over the memory.
+flat word memory (:class:`QuantizedMemory`), the only quantized form of a
+network in this package: each tensor gets the symmetric max-abs scale of its
+own values, and the word width is the layout's ``bits_per_value`` (8 in the
+paper).  Each step of the operator is one pass over that memory — one
+encode, one ``apply_to_words``, one signed conversion and one per-value
+``× scale`` — whatever the number of tensors.  The scale search, the
+encoding and the word-level corruption run on a pluggable
+:class:`~repro.nn.backend.ArrayBackend` (``backend=`` on the injector,
+default the process-wide selection); flipped-bit accounting is one XOR and
+one vectorised ``popcount`` over the memory.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,9 +38,34 @@ from repro.faults.fault_map import FaultMap
 from repro.nn.backend import ArrayBackend, resolve_backend
 from repro.nn.network import Sequential
 from repro.obs import get_metrics, span
-from repro.quant.fixed_point import QuantizationConfig, _encode, _scale_for
-from repro.utils.rng import SeedLike, as_generator
 from repro.utils.warmcache import warm_cache
+
+
+def _scale_for(values, bits: int, backend: ArrayBackend) -> float:
+    """The symmetric max-abs scale of one tensor (``values`` is a backend array)."""
+    magnitudes = backend.abs(values)
+    if backend.numel(magnitudes) == 0:
+        raise QuantizationError("cannot quantize an empty array")
+    max_abs = float(backend.max(magnitudes))
+    max_code = float(2 ** (bits - 1) - 1)
+    if max_abs == 0.0 or not math.isfinite(max_abs) or max_abs / max_code == 0.0:
+        # All-zero (or degenerate) tensors still need a valid scale; the codes
+        # will all be zero so the actual value does not matter.  A subnormal
+        # max_abs whose division underflows to 0.0 lands here too.
+        max_abs = 1.0
+    return max_abs / max_code
+
+
+def _encode(values, scale, bits: int, backend: ArrayBackend) -> np.ndarray:
+    """Round ``values / scale`` into clipped signed codes as a numpy int32 array.
+
+    ``scale`` is one float or a backend array holding one scale per value.
+    """
+    low, high = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    codes = backend.astype(
+        backend.clip(backend.round(backend.divide(values, scale)), low, high), "int32"
+    )
+    return backend.to_numpy(codes)
 
 
 def state_fingerprint(state: Mapping[str, np.ndarray]) -> str:
@@ -70,8 +99,8 @@ class MemoryLayout:
     """Sequential placement of named parameter tensors in a flat weight memory."""
 
     def __init__(self, shapes: Mapping[str, Tuple[int, ...]], bits_per_value: int = 8) -> None:
-        if bits_per_value <= 0:
-            raise FaultModelError(f"bits_per_value must be positive, got {bits_per_value}")
+        if not 2 <= bits_per_value <= 16:
+            raise FaultModelError(f"bits_per_value must be in [2, 16], got {bits_per_value}")
         self.bits_per_value = bits_per_value
         self._segments: Dict[str, _Segment] = {}
         offset = 0
@@ -182,32 +211,18 @@ class QuantizedMemory:
 class BitErrorInjector:
     """Applies a persistent fault map to a network's quantized parameters."""
 
-    def __init__(
-        self,
-        layout: MemoryLayout,
-        quantization: QuantizationConfig = QuantizationConfig(),
-        backend: "ArrayBackend | str | None" = None,
-    ) -> None:
-        if layout.bits_per_value != quantization.bits:
-            raise FaultModelError(
-                f"memory layout uses {layout.bits_per_value}-bit words but quantization "
-                f"is configured for {quantization.bits} bits"
-            )
+    def __init__(self, layout: MemoryLayout, backend: "ArrayBackend | str | None" = None) -> None:
         self.layout = layout
-        self.quantization = quantization
         self.backend = resolve_backend(backend)
 
     # ------------------------------------------------------------------ construction helpers
     @classmethod
     def for_network(
-        cls,
-        network: Sequential,
-        quantization: QuantizationConfig = QuantizationConfig(),
-        backend: "ArrayBackend | str | None" = None,
+        cls, network: Sequential, backend: "ArrayBackend | str | None" = None
     ) -> "BitErrorInjector":
-        """Injector for ``network``, sharing its compute backend unless overridden."""
+        """8-bit injector for ``network``, sharing its compute backend unless overridden."""
         compute = network.backend if backend is None else resolve_backend(backend)
-        return cls(MemoryLayout.from_network(network, quantization.bits), quantization, compute)
+        return cls(MemoryLayout.from_network(network), compute)
 
     @property
     def memory_bits(self) -> int:
@@ -221,28 +236,25 @@ class BitErrorInjector:
         parameters under hundreds of maps, and BERRY's target network keeps
         its parameters between syncs; quantization (scale search plus
         rounding) is hoisted here so :meth:`perturb_quantized_state` only
-        corrupts and dequantizes.  Scales follow the quantization config
-        exactly as :func:`~repro.quant.fixed_point.quantize_state_dict` does
-        (one per tensor, or one for the whole state under
-        ``per_layer=False``); every value is then encoded in one pass.
-        ``state`` must hold exactly the layout's tensors in their placed
-        shapes (:meth:`MemoryLayout.flatten`).
+        corrupts and dequantizes.  Each tensor gets the max-abs scale of its
+        own values (:func:`_scale_for`); every value is then encoded in one
+        pass.  ``state`` must hold exactly the layout's tensors in their
+        placed shapes (:meth:`MemoryLayout.flatten`), and every value must be
+        finite.
         """
         be = self.backend
-        config = self.quantization
         layout = self.layout
+        bits = layout.bits_per_value
         values = be.asarray(layout.flatten(state), "float64")
         if not be.all_finite(values):
             raise QuantizationError("cannot quantize an array containing NaN or infinity")
-        segments = layout.segments().values()
-        if config.per_layer:
-            scales = [_scale_for(values[segment.value_slice], config, be) for segment in segments]
-        else:
-            scales = [_scale_for(values, config, be)] * len(segments)
-        scales = np.array(scales, dtype=np.float64)
+        scales = np.array(
+            [_scale_for(values[s.value_slice], bits, be) for s in layout.segments().values()],
+            dtype=np.float64,
+        )
         per_value = be.asarray(np.repeat(scales, layout.counts), "float64")
-        codes = _encode(values, per_value, config.bits, be)
-        modulus = 1 << config.bits
+        codes = _encode(values, per_value, bits, be)
+        modulus = 1 << bits
         words = np.bitwise_and(codes, modulus - 1).astype(np.min_scalar_type(modulus - 1))
         return QuantizedMemory(layout=layout, words=words, scales=scales)
 
@@ -251,18 +263,13 @@ class BitErrorInjector:
 
         Fused sweep jobs and warm pool workers evaluate the *same* trained
         policy at several BER levels (one :func:`evaluate_under_faults` call
-        each); keying the quantized memory by the layout, a content hash of
-        the raw parameters, the quantization config and the backend lets
+        each); keying the quantized memory by the layout (word width
+        included), a content hash of the raw parameters and the backend lets
         every call after the first skip the scale search entirely.  The key
         names the layout because a memory's words are in layout order.  Safe
         because a :class:`QuantizedMemory` is read-only.
         """
-        key = (
-            self.layout.key,
-            state_fingerprint(state),
-            self.quantization,
-            self.backend.metric_tag,
-        )
+        key = (self.layout.key, state_fingerprint(state), self.backend.metric_tag)
         return warm_cache("quantized_states", capacity=16).get_or_build(
             key, lambda: self.quantize_state(state)
         )
@@ -305,9 +312,12 @@ class BitErrorInjector:
         return clone
 
     def quantize_only(self, state: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """The error-free deployment view: quantize and dequantize without faults."""
-        empty = FaultMap.empty(self.layout.total_bits)
-        return self.perturb_state_dict(state, empty)
+        """The error-free deployment view: quantize and dequantize without faults.
+
+        No fault map is applied, so no ``faults.*`` metric moves.
+        """
+        memory = self.quantize_state(state)
+        return self.layout.unflatten(memory.dequantize(memory.words))
 
     def _corrupt(self, quantized: QuantizedMemory, fault_map: FaultMap):
         """The memory's words after ``fault_map``'s faults (a backend int64 array)."""
@@ -338,27 +348,3 @@ class BitErrorInjector:
         """
         quantized = self.quantize_state(state)
         return self._flipped_bits(quantized, self._corrupt(quantized, fault_map))
-
-
-def inject_bit_errors(
-    network: Sequential,
-    ber_fraction: float,
-    rng: SeedLike = None,
-    quantization: QuantizationConfig = QuantizationConfig(),
-    stuck_at_1_bias: float = 0.5,
-) -> Dict[str, np.ndarray]:
-    """One-shot ``BErr_p``: sample a fresh random fault map and perturb ``network``.
-
-    This is the operator used during *offline* BERRY training, where a new
-    random fault realisation is drawn at every injection so the learned policy
-    generalises across chips rather than memorising one map.
-    """
-    injector = BitErrorInjector.for_network(network, quantization)
-    fault_map = FaultMap.random(
-        injector.memory_bits,
-        ber_fraction,
-        rng=as_generator(rng),
-        stuck_at_1_bias=stuck_at_1_bias,
-        label="offline-injection",
-    )
-    return injector.perturb_state_dict(network.state_dict(), fault_map)

@@ -35,7 +35,6 @@ from repro.envs.vector import (
 from repro.faults.fault_map import FaultMap
 from repro.faults.injection import BitErrorInjector
 from repro.nn.network import Sequential
-from repro.quant.fixed_point import QuantizationConfig
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 
 
@@ -148,7 +147,6 @@ def evaluate_under_faults(
     ber_percent: float,
     num_fault_maps: int = 10,
     episodes_per_map: int = 5,
-    quantization: QuantizationConfig = QuantizationConfig(),
     fault_maps: Optional[Sequence[FaultMap]] = None,
     stuck_at_1_bias: float = 0.5,
     rng: SeedLike = 0,
@@ -165,7 +163,7 @@ def evaluate_under_faults(
     missions only; a map that loses every mission contributes no path sample
     (the aggregate is NaN only when *every* map lost every mission).
     """
-    injector = BitErrorInjector.for_network(network, quantization)
+    injector = BitErrorInjector.for_network(network)
     map_rng, episode_rng = spawn_generators(rng, 2)
     if fault_maps is None:
         maps: List[FaultMap] = [
@@ -223,7 +221,6 @@ def robustness_curve(
     ber_percentages: Sequence[float],
     num_fault_maps: int = 10,
     episodes_per_map: int = 5,
-    quantization: QuantizationConfig = QuantizationConfig(),
     rng: SeedLike = 0,
 ) -> Dict[float, RobustnessPoint]:
     """Success rate vs bit-error rate (the x-axis sweep of Fig. 3 / Table I)."""
@@ -236,7 +233,6 @@ def robustness_curve(
             ber_percent=float(ber),
             num_fault_maps=num_fault_maps,
             episodes_per_map=episodes_per_map,
-            quantization=quantization,
             rng=generator,
         )
     return curve

@@ -10,7 +10,6 @@ from repro.faults.chips import CHIP_RANDOM
 from repro.faults.fault_map import FaultMap
 from repro.faults.injection import BitErrorInjector
 from repro.nn.policies import build_policy, mlp
-from repro.quant.fixed_point import QuantizationConfig
 from repro.rl.dqn import DqnConfig
 from repro.rl.replay_buffer import Transition
 from repro.rl.schedules import LinearDecay
@@ -273,29 +272,14 @@ class TestFlatPerturbedPass:
     """BERRY's perturbed pass on the flat word memory trains bitwise like the
     per-tensor operator: same losses, same θ and θ⁻ after every step."""
 
-    @pytest.mark.parametrize(
-        "mode,perturb_target,ber_percent,quantization",
-        [
-            (mode, perturb_target, ber_percent, QuantizationConfig())
-            for mode in ("offline", "on_device")
-            for perturb_target in (True, False)
-            for ber_percent in (1.0, 30.0)
-        ]
-        + [
-            ("offline", True, 1.0, QuantizationConfig(per_layer=False)),
-            ("offline", True, 1.0, QuantizationConfig(clip_quantile=0.9)),
-        ],
-        ids=lambda value: str(value) if not isinstance(value, QuantizationConfig) else (
-            f"per_layer={value.per_layer}-clip={value.clip_quantile}"
-        ),
-    )
+    @pytest.mark.parametrize("ber_percent", [1.0, 30.0])
+    @pytest.mark.parametrize("perturb_target", [True, False])
+    @pytest.mark.parametrize("mode", ["offline", "on_device"])
     def test_weights_match_the_per_tensor_reference(
-        self, small_env, fast_config, per_tensor_berr,
-        mode, perturb_target, ber_percent, quantization,
+        self, small_env, fast_config, per_tensor_berr, mode, perturb_target, ber_percent
     ):
         berry = BerryConfig(
-            ber_percent=ber_percent, injection_mode=mode,
-            perturb_target=perturb_target, quantization=quantization,
+            ber_percent=ber_percent, injection_mode=mode, perturb_target=perturb_target
         )
         flat, reference = berry_pair(small_env, fast_config, berry, per_tensor_berr)
         losses = drive(flat, steps=40, sync_every=10)

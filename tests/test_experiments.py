@@ -21,9 +21,12 @@ from repro.experiments.profiles import FAST_PROFILE, PAPER_PROFILE
 from repro.experiments.reporting import render_report, save_tables
 from repro.experiments.table1 import generate_table1_robustness
 from repro.experiments.table2 import TABLE_II_VOLTAGES, generate_table2_system_efficiency
-from repro.experiments.table3 import generate_table3_profiled_chips
+from repro.experiments.table3 import generate_table3_profiled_chips, measure_table3_on_chips
 from repro.experiments.table4 import generate_table4_on_device, on_device_recovery_fraction
+from repro.envs.navigation import NavigationEnv
 from repro.envs.obstacles import ObstacleDensity
+from repro.faults.chips import CHIP_RANDOM
+from repro.nn.policies import build_policy
 from repro.uav.platform import CRAZYFLIE, DJI_TELLO
 
 
@@ -212,6 +215,23 @@ class TestTable3:
             rows = [row for row in table.rows if row["chip"] == chip]
             rows.sort(key=lambda row: row["ber_percent"])
             assert rows[0]["success_rate_pct"] > rows[1]["success_rate_pct"]
+
+    def test_measured_table_has_one_row_per_chip_error_rate(self):
+        profile = dataclasses.replace(FAST_PROFILE, num_fault_maps=1, episodes_per_map=1)
+        env = NavigationEnv(profile.navigation, rng=0)
+        network = build_policy(
+            profile.policy_spec, env.observation_space.shape, env.action_space.n, rng=0
+        )
+        table = measure_table3_on_chips(network, env, profile=profile)
+        assert [(row["chip"], row["ber_percent"]) for row in table.rows] == [
+            ("chip1-random", 0.16),
+            ("chip1-random", 0.74),
+            ("chip2-column-aligned", 0.067),
+            ("chip2-column-aligned", 0.32),
+        ]
+        three_levels = dataclasses.replace(CHIP_RANDOM, reference_ber_percent=(0.1, 0.5, 1.0))
+        table = measure_table3_on_chips(network, env, chips=(three_levels,), profile=profile)
+        assert [row["ber_percent"] for row in table.rows] == [0.1, 0.5, 1.0]
 
 
 class TestTable4:

@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import FaultModelError
 from repro.faults.chips import CHIP_COLUMN_ALIGNED, CHIP_RANDOM, ChipProfile, get_chip
 from repro.faults.fault_map import FaultKind, FaultMap, FaultMapLibrary
-from repro.faults.injection import BitErrorInjector, MemoryLayout, inject_bit_errors
+from repro.faults.injection import BitErrorInjector, MemoryLayout
 from repro.faults.sram import SramGeometry
 from repro.nn.policies import build_policy, mlp
 from repro.obs import collecting_metrics
-from repro.quant.fixed_point import QuantizationConfig, quantize_state_dict
 from repro.utils.warmcache import clear_warm_caches
 
 
@@ -223,37 +222,23 @@ class TestMemoryLayoutAndInjector:
         with pytest.raises(FaultModelError):
             injector.perturb_state_dict(network.state_dict(), FaultMap.empty(8))
 
-    def test_bits_mismatch_rejected(self, network):
-        layout = MemoryLayout.from_network(network, bits_per_value=8)
-        with pytest.raises(FaultModelError):
-            BitErrorInjector(layout, QuantizationConfig(bits=4))
-
     def test_count_flipped_bits_at_most_num_faults(self, network):
         injector = BitErrorInjector.for_network(network)
         fault_map = FaultMap.random(injector.memory_bits, 0.02, rng=0)
         flipped = injector.count_flipped_bits(network.state_dict(), fault_map)
         assert 0 <= flipped <= fault_map.num_faults
 
-    def test_global_scale_config_reaches_the_operator(self):
-        rng = np.random.default_rng(1)
-        state = {"a.weight": rng.normal(size=(4, 3)), "b.weight": 10.0 * rng.normal(size=(2,))}
-        config = QuantizationConfig(per_layer=False)
-        injector = BitErrorInjector(MemoryLayout.from_state_dict(state), config)
-        expected = quantize_state_dict(state, config)
-        quantized = injector.quantize_state(state)
-        fault_map = FaultMap.random(injector.memory_bits, 0.25, rng=3)
-        flipped = 0
-        for index, (name, segment) in enumerate(injector.layout.segments().items()):
-            words = expected[name].to_unsigned().ravel()
-            assert quantized.scales[index] == expected[name].scale
-            assert np.array_equal(quantized.words[segment.value_slice], words)
-            corrupted = fault_map.apply_to_words(words, 8, segment.bit_offset)
-            flipped += sum(bin(int(w)).count("1") for w in np.bitwise_xor(words, corrupted))
-        assert injector.count_flipped_bits(state, fault_map) == flipped
-
-    def test_inject_bit_errors_convenience(self, network):
-        perturbed = inject_bit_errors(network, 0.02, rng=0)
-        assert set(perturbed) == set(network.state_dict())
+    def test_quantize_only_applies_no_fault_map(self, network):
+        injector = BitErrorInjector.for_network(network)
+        state = network.state_dict()
+        with collecting_metrics() as metrics:
+            clean = injector.quantize_only(state)
+        recorded = [name for kind in metrics.snapshot().values() for name in kind]
+        assert not [name for name in recorded if name.startswith("faults.")]
+        expected = injector.perturb_state_dict(state, FaultMap.empty(injector.memory_bits))
+        assert list(clean) == list(expected)
+        for name, values in expected.items():
+            assert clean[name].tobytes() == values.tobytes()
 
 
 def _small_state(seed: int = 0) -> dict:
@@ -278,12 +263,8 @@ class TestFlatMemory:
             }
             if trial % 5 == 0:
                 state["t0"][...] = 0.0
-            config = QuantizationConfig(
-                bits=int(rng.choice([4, 8, 16])),
-                per_layer=bool(trial % 3),
-                clip_quantile=float(rng.choice([1.0, 0.9])),
-            )
-            injector = BitErrorInjector(MemoryLayout.from_state_dict(state, config.bits), config)
+            bits = int(rng.choice([4, 8, 16]))
+            injector = BitErrorInjector(MemoryLayout.from_state_dict(state, bits))
             fault_map = FaultMap.random(
                 injector.memory_bits,
                 float(rng.uniform(0.0, 0.5)),

@@ -26,7 +26,7 @@ from repro.envs.obstacles import ObstacleDensity
 from repro.envs.sensors import RaySensor
 from repro.errors import BackendError, TrainingError
 from repro.faults.fault_map import FaultMap
-from repro.faults.injection import BitErrorInjector, MemoryLayout
+from repro.faults.injection import BitErrorInjector, MemoryLayout, _encode, _scale_for
 from repro.nn.backend import (
     BACKEND_ENV_VAR,
     NUMPY_BACKEND,
@@ -42,7 +42,6 @@ from repro.nn.loss import HuberLoss, MSELoss
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD, Adam, RMSProp
 from repro.nn.policies import build_policy, mlp
-from repro.quant.fixed_point import QuantizationConfig, quantize
 from repro.rl.dqn import DqnConfig, DqnTrainer
 from repro.rl.schedules import LinearDecay
 
@@ -310,23 +309,23 @@ class TestNumpyOptimizerParity:
 class TestNumpyQuantFaultParity:
     def test_quantize_backend_kwarg_is_bitwise_identical(self):
         rng = _rng(14)
-        values = rng.normal(size=(8, 8))
-        config = QuantizationConfig()
-        default = quantize(values, config)
-        explicit = quantize(values, config, backend=NUMPY_BACKEND)
-        assert default.scale == explicit.scale
-        assert np.array_equal(default.codes, explicit.codes)
-        assert default.codes.dtype == np.int32
+        state = {"w": rng.normal(size=(8, 8))}
+        layout = MemoryLayout.from_state_dict(state)
+        default = BitErrorInjector(layout).quantize_state(state)
+        explicit = BitErrorInjector(layout, backend=NUMPY_BACKEND).quantize_state(state)
+        assert np.array_equal(default.scales, explicit.scales)
+        assert np.array_equal(default.words, explicit.words)
+        assert default.words.dtype == np.uint8
 
     def test_injector_inherits_network_backend(self):
         network = Sequential([Linear(4, 2, rng=0, backend="numpy")])
-        injector = BitErrorInjector.for_network(network, QuantizationConfig())
+        injector = BitErrorInjector.for_network(network)
         assert injector.backend is network.backend is NUMPY_BACKEND
 
     def test_count_flipped_bits_matches_python_reference(self):
         rng = _rng(15)
         network = Sequential([Linear(6, 4, rng=1, backend="numpy")])
-        injector = BitErrorInjector.for_network(network, QuantizationConfig())
+        injector = BitErrorInjector.for_network(network)
         fault_map = FaultMap.random(injector.memory_bits, 0.05, rng=rng)
         state = network.state_dict()
         measured = injector.count_flipped_bits(state, fault_map)
@@ -334,11 +333,9 @@ class TestNumpyQuantFaultParity:
         reference = 0
         for name, values in state.items():
             segment = injector.layout.segment(name)
-            tensor = quantize(np.asarray(values, dtype=np.float64), injector.quantization)
-            words = tensor.to_unsigned().ravel()
-            corrupted = np.asarray(
-                fault_map.apply_to_words(words, tensor.bits, segment.bit_offset)
-            )
+            codes = _encode(values, _scale_for(values, 8, NUMPY_BACKEND), 8, NUMPY_BACKEND)
+            words = np.mod(codes, 256).ravel()
+            corrupted = np.asarray(fault_map.apply_to_words(words, 8, segment.bit_offset))
             for before, after in zip(words, corrupted):
                 reference += bin(int(before) ^ int(after)).count("1")
         assert measured == reference > 0
@@ -541,15 +538,19 @@ class TestTorchParity:
 
     def test_quantize_round_trip_parity(self):
         rng = _rng(29)
-        values = rng.normal(size=(16, 16))
-        config = QuantizationConfig()
-        q_np = quantize(values, config, backend="numpy")
-        q_t = quantize(values, config, backend=get_backend("torch"))
-        assert q_t.codes.dtype == np.int32  # codes contract holds on every backend
-        assert q_t.scale == pytest.approx(q_np.scale, rel=1e-12)
+        state = {"w": rng.normal(size=(16, 16))}
+        layout = MemoryLayout.from_state_dict(state)
+        q_np = BitErrorInjector(layout, backend="numpy").quantize_state(state)
+        q_t = BitErrorInjector(layout, backend=get_backend("torch")).quantize_state(state)
+        assert q_t.words.dtype == np.uint8  # words contract holds on every backend
+        assert q_t.scales[0] == pytest.approx(q_np.scales[0], rel=1e-12)
+
+        def codes(memory):
+            return (memory.words.astype(np.int64) ^ 128) - 128
+
         # Scale agreement to float tolerance can still move a value across a
         # rounding boundary: allow at most one code step of disagreement.
-        assert np.max(np.abs(q_t.codes - q_np.codes)) <= 1
+        assert np.max(np.abs(codes(q_t) - codes(q_np))) <= 1
 
     def test_fault_corruption_is_exact_across_backends(self):
         rng = _rng(30)
