@@ -7,18 +7,24 @@ must stay sub-linear in python dispatch as the fleet grows.  The 1000-UAV
 group is the acceptance workload: a fleet the spatial-hash prescreen was
 built for (the all-pairs candidate set alone would be ~500k pairs/step).
 
+Two ratio gates time the step's hot queries in interleaved pairs (the root
+conftest's ``time_pairs``): the sort-based conflict prescreen against the
+dict-bucket one it replaced, and the steering sweep's fan of segments
+against the dense per-row query.
+
 Timings land in the PR 8 benchmark ledger like every other group (one
 ``bench.<name>.duration_s`` histogram per benchmark via conftest).
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.envs.obstacles import ObstacleField, circle_distances
 from repro.fleet import FleetConfig, FleetSim
-from repro.fleet.conflicts import all_pairs
+from repro.fleet.conflicts import all_pairs, candidate_conflict_pairs
 from repro.fleet.sim import STEER_OFFSETS
 from repro.worlds.dynamic import DynamicObstacleField, MovingObstacle
 
@@ -103,16 +109,51 @@ def test_fleet_1000_steps_per_second():
     assert 0 < checked < candidate_budget / 10
 
 
+# ---------------------------------------------------------------------- conflict prescreen
+#: Interleaved (dict buckets, sort-based hash) pairs timed by the prescreen gate.
+PRESCREEN_PAIRS = 20
+
+
+def test_conflict_prescreen_speedup(fleet_setup, dict_bucket_candidates, time_pairs):
+    """Acceptance gate: the sort-based prescreen >= 5x faster than the dict
+    buckets on a freshly placed 1000-UAV fleet, with identical candidates."""
+    field, config = fleet_setup
+    sim = FleetSim(field, config, rng=0)
+    lengths = np.full(NUM_VEHICLES, config.speed_m_s * config.step_duration_s)
+    arguments = (sim.positions, lengths, config.separation_m)
+    expected = dict_bucket_candidates(*arguments)
+    got = candidate_conflict_pairs(*arguments)
+    assert got.shape[0] > 0
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    dict_s, sorted_s = time_pairs(
+        lambda: partial(dict_bucket_candidates, *arguments),
+        lambda: partial(candidate_conflict_pairs, *arguments),
+        PRESCREEN_PAIRS,
+    )
+    speedup = dict_s / sorted_s
+    print(
+        f"\n[conflict prescreen, {NUM_VEHICLES} starts, {got.shape[0]} candidates] "
+        f"dict buckets {dict_s * 1e3:.2f} ms, sort-based {sorted_s * 1e3:.2f} ms, "
+        f"speedup {speedup:.1f}x"
+    )
+    assert speedup >= 5.0
+
+
 # ---------------------------------------------------------------------- steering sweep
 # Steering validates every candidate heading of every vehicle in one timed
 # segment query: 1000 vehicles x 7 headings = 7000 segments at one lockstep
-# start/end pair.  The reference below is the former query: every segment
+# start/end pair, passed as one fan of 7 ends per vehicle.  The reference
+# below is the former query on the flattened segments: every segment
 # sampled densely against every circle, and every mover placed by its own
 # ``positions_at`` at each of the 56,000 sample rows' times.  The field now
-# samples only segments whose start is within reach of an obstacle and
-# places the movers once per distinct sample time.
+# takes each start's clearance once per fan, samples only segments whose
+# start is within reach of an obstacle, and places the movers once per
+# distinct sample time.
 
 STEERING_START_S, STEERING_END_S = 2.0, 2.5
+
+#: Interleaved (dense, fan) pairs timed by the steering gate.
+STEERING_PAIRS = 5
 
 
 def _dense_segments_collide_timed(field, starts, ends, start_times, end_times, radius):
@@ -136,50 +177,48 @@ def _dense_segments_collide_timed(field, starts, ends, start_times, end_times, r
 
 @pytest.fixture(scope="module")
 def steering_sweep(fleet_setup):
-    """Every candidate heading of a freshly placed 1000-UAV fleet."""
+    """Every candidate heading of a freshly placed 1000-UAV fleet, as the
+    (N, 7, 2) fan of candidate ends ``FleetSim`` passes."""
     field, config = fleet_setup
     sim = FleetSim(field, config, rng=0)
     to_goal = sim.goals - sim.positions
     angles = np.arctan2(to_goal[:, 1], to_goal[:, 0])[:, None] + STEER_OFFSETS[None, :]
     advance = config.speed_m_s * config.step_duration_s
     directions = np.stack([np.cos(angles), np.sin(angles)], axis=2)
-    starts = np.repeat(sim.positions, STEER_OFFSETS.size, axis=0)
-    ends = (sim.positions[:, None, :] + advance * directions).reshape(-1, 2)
-    return field, starts, ends, config.vehicle_radius_m
+    fan = sim.positions[:, None, :] + advance * directions
+    return field, sim.positions, fan, config.vehicle_radius_m
 
 
-def _seconds_to_sweep(query, field, starts, ends, times, radius) -> float:
-    start = time.perf_counter()
-    query(field, starts, ends, *times, radius)
-    return time.perf_counter() - start
-
-
-def test_steering_sweep_speedup(steering_sweep):
+def test_steering_sweep_speedup(steering_sweep, time_pairs):
     """Acceptance gate: >= 4x over the dense query on the 7000-segment
     steering sweep, with bitwise-equal masks in both time orders."""
-    field, starts, ends, radius = steering_sweep
-    assert starts.shape == (NUM_VEHICLES * STEER_OFFSETS.size, 2)
-    count = starts.shape[0]
-    forward = (np.full(count, STEERING_START_S), np.full(count, STEERING_END_S))
+    field, starts, fan, radius = steering_sweep
+    assert fan.shape == (NUM_VEHICLES, STEER_OFFSETS.size, 2)
+    flat_starts = np.repeat(starts, STEER_OFFSETS.size, axis=0)
+    flat_ends = fan.reshape(-1, 2)
+    count = flat_starts.shape[0]
+    forward = (np.full(NUM_VEHICLES, STEERING_START_S), np.full(NUM_VEHICLES, STEERING_END_S))
+    flat_forward = tuple(np.repeat(row, STEER_OFFSETS.size) for row in forward)
     query = DynamicObstacleField.segments_collide_timed
-    for times in (forward, forward[::-1]):
-        expected = _dense_segments_collide_timed(field, starts, ends, *times, radius)
+    for times, flat_times in ((forward, flat_forward), (forward[::-1], flat_forward[::-1])):
+        expected = _dense_segments_collide_timed(
+            field, flat_starts, flat_ends, *flat_times, radius
+        )
         assert 0 < np.count_nonzero(expected) < count
-        assert np.array_equal(query(field, starts, ends, *times, radius), expected)
-    dense_s = prescreened_s = float("inf")
-    for _ in range(5):
-        # Alternate the two so that a slow spell of the host hits both alike.
-        dense_s = min(
-            dense_s,
-            _seconds_to_sweep(_dense_segments_collide_timed, field, starts, ends, forward, radius),
-        )
-        prescreened_s = min(
-            prescreened_s, _seconds_to_sweep(query, field, starts, ends, forward, radius)
-        )
-    speedup = dense_s / prescreened_s
+        got = query(field, starts, fan, *times, radius)
+        assert np.array_equal(got, expected.reshape(fan.shape[:-1]))
+    dense_s, fan_s = time_pairs(
+        lambda: partial(
+            _dense_segments_collide_timed,
+            field, flat_starts, flat_ends, *flat_forward, radius,
+        ),
+        lambda: partial(query, field, starts, fan, *forward, radius),
+        STEERING_PAIRS,
+    )
+    speedup = dense_s / fan_s
     print(
         f"\n[steering sweep, {count} segments, {field.num_movers} movers] "
-        f"dense {dense_s * 1e3:.1f} ms, prescreened {prescreened_s * 1e3:.1f} ms, "
+        f"dense {dense_s * 1e3:.1f} ms, prescreened fan {fan_s * 1e3:.1f} ms, "
         f"speedup {speedup:.1f}x"
     )
     assert speedup >= 4.0

@@ -12,7 +12,6 @@ update with fresh out-of-place arrays (the pre-backend implementation shape):
   step allocates several times the parameter memory.
 """
 
-import time
 import tracemalloc
 
 import numpy as np
@@ -136,22 +135,22 @@ def test_bench_adam_naive_reference(benchmark):
     benchmark.pedantic(lambda: _run(optimizer, params, grads), rounds=3, iterations=1)
 
 
-def test_inplace_adam_is_not_slower_than_naive():
+#: Interleaved (naive, in-place) pairs timed by the wall-clock gate.
+ADAM_PAIRS = 5
+
+
+def test_inplace_adam_is_not_slower_than_naive(time_pairs):
     """The allocation-free step should win (or at worst tie) on wall clock."""
 
-    def best_of(optimizer_factory, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
-            params, rng = _make_params(4)
-            grads = _grad_stream(rng)
-            optimizer = optimizer_factory(params)
-            start = time.perf_counter()
-            _run(optimizer, params, grads)
-            best = min(best, time.perf_counter() - start)
-        return best
+    def prepare(optimizer_class):
+        params, rng = _make_params(4)
+        grads = _grad_stream(rng)
+        optimizer = optimizer_class(params, lr=1e-3, grad_clip=1.0)
+        return lambda: _run(optimizer, params, grads)
 
-    inplace = best_of(lambda p: Adam(p, lr=1e-3, grad_clip=1.0))
-    naive = best_of(lambda p: NaiveAdam(p, lr=1e-3, grad_clip=1.0))
+    naive, inplace = time_pairs(
+        lambda: prepare(NaiveAdam), lambda: prepare(Adam), ADAM_PAIRS
+    )
     print(f"\n{STEPS} Adam steps: in-place {inplace * 1e3:.2f} ms vs naive {naive * 1e3:.2f} ms "
           f"({naive / inplace:.2f}x)")
     # Measured ~1.2x at these sizes; a small slack absorbs shared-runner noise

@@ -8,13 +8,14 @@ seeds, so the two benchmark groups measure the same work.
 
 ``test_batched_speedup_at_b64`` is the acceptance gate: >= 5x episodes/sec
 on the batched path at B = 64, from the best serial and the best batched
-time over three interleaved (serial, batched) pairs.  The fault-protocol
-group measures the paper's many-fault-maps evaluation (quantize-once +
-batched missions vs single-lane).
+time over three interleaved (serial, batched) pairs (the root conftest's
+``time_pairs``).  The fault-protocol group measures the paper's
+many-fault-maps evaluation (quantize-once + batched missions vs
+single-lane).
 """
 
-import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -64,23 +65,13 @@ def _run_batched(env, policy):
 SPEEDUP_PAIRS = 3
 
 
-def _best_seconds(serial_env, batched_env, policy):
-    """The best serial and the best batched time over interleaved pairs.
-
-    Each pair runs both sides back to back, and the side that runs first
-    alternates, so a slow spell of the host hits both alike.
-    """
-    runs = (
-        lambda: _run_serial(serial_env, policy),
-        lambda: _run_batched(batched_env, policy),
+def _best_seconds(time_pairs, serial_env, batched_env, policy):
+    """The best serial and the best batched time over interleaved pairs."""
+    return time_pairs(
+        lambda: partial(_run_serial, serial_env, policy),
+        lambda: partial(_run_batched, batched_env, policy),
+        SPEEDUP_PAIRS,
     )
-    best = [float("inf"), float("inf")]
-    for pair in range(SPEEDUP_PAIRS):
-        for side in (0, 1) if pair % 2 == 0 else (1, 0):
-            start = time.perf_counter()
-            runs[side]()
-            best[side] = min(best[side], time.perf_counter() - start)
-    return best[0], best[1]
 
 
 @pytest.mark.benchmark(group="rollout-64-episodes")
@@ -104,7 +95,7 @@ def test_bench_rollout_batched(benchmark, rollout_setup):
     print(f"\n[{density}] batched rollout (B={NUM_EPISODES}) of the same episodes")
 
 
-def test_batched_speedup_at_b64():
+def test_batched_speedup_at_b64(time_pairs):
     """Acceptance gate: >= 5x episodes/sec on the batched path at B = 64."""
     config = FAST_PROFILE.navigation_for_density(ObstacleDensity.SPARSE)
     serial_env = NavigationEnv(config, rng=7)
@@ -113,7 +104,7 @@ def test_batched_speedup_at_b64():
     )
     policy = _policy_for(serial_env)
     assert _run_batched(batched_env, policy) == _run_serial(serial_env, policy)
-    serial_s, batched_s = _best_seconds(serial_env, batched_env, policy)
+    serial_s, batched_s = _best_seconds(time_pairs, serial_env, batched_env, policy)
     speedup = serial_s / batched_s
     print(
         f"\nserial {NUM_EPISODES / serial_s:.0f} eps/s, "
@@ -161,7 +152,7 @@ def test_bench_dynamic_rollout_batched(benchmark, dynamic_rollout_setup):
     print(f"\n[dynamic] batched rollout (B={NUM_EPISODES}): one timed query per step")
 
 
-def test_dynamic_batched_speedup_at_b64():
+def test_dynamic_batched_speedup_at_b64(time_pairs):
     """Acceptance gate: >= 4x episodes/sec on a moving-obstacle world at
     B = 64, where per-row times (desynchronised lane clocks) previously forced
     one ``at_time`` snapshot per distinct (field, time) group."""
@@ -172,7 +163,7 @@ def test_dynamic_batched_speedup_at_b64():
     )
     policy = _policy_for(serial_env)
     assert _run_batched(batched_env, policy) == _run_serial(serial_env, policy)
-    serial_s, batched_s = _best_seconds(serial_env, batched_env, policy)
+    serial_s, batched_s = _best_seconds(time_pairs, serial_env, batched_env, policy)
     speedup = serial_s / batched_s
     print(
         f"\n[dynamic] serial {NUM_EPISODES / serial_s:.0f} eps/s, "

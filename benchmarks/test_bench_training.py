@@ -20,6 +20,7 @@ one flat word memory must be >= 3x faster than the per-tensor operator.
 
 import statistics
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -59,19 +60,6 @@ def _trainer(train_lanes: int) -> DqnTrainer:
         config=_config(train_lanes),
         rng=9,
     )
-
-
-def _steps_per_second(train_lanes: int, episodes: int, serial: bool = False) -> float:
-    trainer = _trainer(train_lanes)
-    start = time.perf_counter()
-    if serial:
-        trainer.train_serial(episodes)
-    else:
-        trainer.train(episodes)
-    elapsed = time.perf_counter() - start
-    assert trainer.history.num_episodes == episodes
-    assert trainer.history.gradient_steps > 0
-    return trainer.history.total_steps / elapsed
 
 
 def _train_serial_48() -> DqnTrainer:
@@ -151,14 +139,35 @@ def test_bench_gradient_bound_batched_b64(benchmark):
     print(f"\ngradient-bound B=64: {trainer.history.gradient_steps} gradient steps")
 
 
-def test_batched_training_speedup():
-    """Acceptance gate: >= 3x env-steps/sec at B >= 8 over the serial trainer."""
+#: Interleaved (serial, batched) pairs timed by the training gate.
+TRAINING_PAIRS = 3
 
-    def best_of(fn, repeats=3):
-        return max(fn() for _ in range(repeats))
 
-    serial = best_of(lambda: _steps_per_second(1, 48, serial=True))
-    batched = best_of(lambda: _steps_per_second(GATE_LANES, 256))
+def test_batched_training_speedup(time_pairs):
+    """Acceptance gate: >= 3x env-steps/sec at B >= 8 over the serial trainer.
+
+    Each timed run trains a fresh trainer, built untimed.  The runs of a
+    side all take the same steps, so its fastest run gives its steps/sec.
+    """
+    serial_runs, batched_runs = [], []
+
+    def prepare(runs, train_lanes, episodes, serial=False):
+        trainer = _trainer(train_lanes)
+        runs.append((trainer, episodes))
+        return partial(trainer.train_serial if serial else trainer.train, episodes)
+
+    serial_s, batched_s = time_pairs(
+        lambda: prepare(serial_runs, 1, 48, serial=True),
+        lambda: prepare(batched_runs, GATE_LANES, 256),
+        TRAINING_PAIRS,
+    )
+    for runs in (serial_runs, batched_runs):
+        assert len({trainer.history.total_steps for trainer, _ in runs}) == 1
+        for trainer, episodes in runs:
+            assert trainer.history.num_episodes == episodes
+            assert trainer.history.gradient_steps > 0
+    serial = serial_runs[0][0].history.total_steps / serial_s
+    batched = batched_runs[0][0].history.total_steps / batched_s
     speedup = batched / serial
     print(
         f"\nserial {serial:.0f} steps/s vs batched B={GATE_LANES} "

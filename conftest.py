@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,82 @@ def per_tensor_berr():
         return perturbed
 
     return perturb
+
+
+@pytest.fixture(scope="session")
+def dict_bucket_candidates():
+    """The dict-bucket conflict prescreen the sort-based hash must reproduce.
+
+    ``candidates(starts, lengths, separation_m)`` buckets the starts by cell
+    in a dict, then walks the cells in Python, pairing each with itself and
+    its four half-neighbourhood cells: what
+    ``repro.fleet.conflicts.candidate_conflict_pairs`` returns, bitwise,
+    whenever every cell index fits an int64.
+    """
+    import numpy as np
+
+    from repro.envs.obstacles import planar_distances
+    from repro.fleet.conflicts import _HALF_NEIGHBOURHOOD, _canonical_pairs
+
+    def candidates(starts, lengths, separation_m):
+        starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
+        lengths = np.asarray(lengths, dtype=np.float64).reshape(-1)
+        if starts.shape[0] < 2:
+            return np.empty((0, 2), dtype=np.int64)
+        max_length = float(lengths.max()) if lengths.size else 0.0
+        cell = separation_m + 2.0 * max_length
+        cells = np.floor(starts / cell).astype(np.int64)
+        grouped = {}
+        for index, key in enumerate(map(tuple, cells)):
+            grouped.setdefault(key, []).append(index)
+        buckets = {key: np.asarray(members, dtype=np.int64) for key, members in grouped.items()}
+        lefts, rights = [], []
+        for (cell_x, cell_y), members in buckets.items():
+            if members.size > 1:
+                inner_left, inner_right = np.triu_indices(members.size, k=1)
+                lefts.append(members[inner_left])
+                rights.append(members[inner_right])
+            for offset_x, offset_y in _HALF_NEIGHBOURHOOD:
+                neighbours = buckets.get((cell_x + offset_x, cell_y + offset_y))
+                if neighbours is not None:
+                    lefts.append(np.repeat(members, neighbours.size))
+                    rights.append(np.tile(neighbours, members.size))
+        if not lefts:
+            return np.empty((0, 2), dtype=np.int64)
+        left = np.concatenate(lefts)
+        right = np.concatenate(rights)
+        near = planar_distances(starts[left] - starts[right]) < (
+            separation_m + lengths[left] + lengths[right]
+        )
+        return _canonical_pairs(left[near], right[near])
+
+    return candidates
+
+
+@pytest.fixture
+def time_pairs():
+    """Time a reference and a candidate in interleaved pairs: the timing
+    protocol of the ratio gates.
+
+    ``time_pairs(make_reference, make_candidate, pairs)`` times ``pairs``
+    runs of each side.  ``make_*`` prepares one run untimed (a fresh
+    trainer, fresh parameters) and returns the zero-argument call to time.
+    The two runs of a pair go back to back and the side that runs first
+    alternates from pair to pair, so a slow spell of the host hits both
+    alike.  Returns ``(reference_s, candidate_s)``: each side's fastest run,
+    in seconds.
+    """
+
+    def timed(make_reference, make_candidate, pairs):
+        makers = (make_reference, make_candidate)
+        best = [float("inf"), float("inf")]
+        for pair in range(pairs):
+            for side in (0, 1) if pair % 2 == 0 else (1, 0):
+                run = makers[side]()
+                start = time.perf_counter()
+                run()
+                best[side] = min(best[side], time.perf_counter() - start)
+                del run
+        return best[0], best[1]
+
+    return timed

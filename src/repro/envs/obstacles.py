@@ -79,6 +79,32 @@ def row_times(times_s: np.ndarray, rows: int, what: str = "rows") -> np.ndarray:
     return times
 
 
+def segment_fan(
+    starts: np.ndarray, ends: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]:
+    """``starts`` as ``(N, 2)``, ``ends`` as ``(N, K, 2)`` and the answer's shape.
+
+    The shared argument check of every segment query.  ``ends`` holds
+    either one end per start, ``(N, 2)``, or a fan of K ends per start,
+    ``(N, K, 2)``, the way a ray query takes ``(N, R)`` angles; the query
+    answers in ``ends.shape[:-1]``, ``(N,)`` or ``(N, K)``.  Every segment
+    of a fan starts at the same point, so a query works out what depends on
+    the start alone once per start.
+    """
+    starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
+    ends = np.asarray(ends, dtype=np.float64)
+    if ends.ndim == 3:
+        shape = ends.shape[:-1]
+    else:
+        ends = ends.reshape(-1, 1, 2)
+        shape = ends.shape[:1]
+    if ends.shape[0] != starts.shape[0] or ends.shape[2] != 2:
+        raise ConfigurationError(
+            f"segment ends of shape {ends.shape} do not fan out of {starts.shape[0]} starts"
+        )
+    return starts, ends, shape
+
+
 class ObstacleDensity(str, enum.Enum):
     """The three environment difficulty levels of Fig. 5."""
 
@@ -182,33 +208,38 @@ class ObstacleField:
     ) -> np.ndarray:
         """Collision mask for a batch of straight motion segments.
 
-        Segment ``i`` of the result equals
-        ``segment_collides(starts[i], ends[i], vehicle_radius, samples)``; all
-        sample points of all segments go through one :meth:`_collide_mask`
-        query, which is what lets the batched environment check B lockstep
-        lanes in a single call.
+        ``ends`` is ``(N, 2)``, one end per start, or ``(N, K, 2)``, a fan of
+        K ends per start (see :func:`segment_fan`); the mask has shape
+        ``ends.shape[:-1]``.  Entry ``i`` equals
+        ``segment_collides(starts[i], ends[i], vehicle_radius, samples)``,
+        and a fan's entry ``[i, k]`` the same on ``ends[i, k]``.  All sample
+        points of all segments go through one :meth:`_collide_mask` query,
+        which is what lets the batched environment check B lockstep lanes
+        in a single call.
         """
-        starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
-        ends = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
+        starts, ends, shape = segment_fan(starts, ends)
         # Conservative prescreen: every sample point lies within the segment
         # length of its start, so a start clearance exceeding length + radius
         # proves the whole segment free (clearance is 1-Lipschitz).  In open
         # space this skips the dense sampling for most of a lockstep batch.
-        lengths = planar_distances(ends - starts)
-        candidates = np.nonzero(self.clearances(starts) < lengths + vehicle_radius)[0]
-        collided = np.zeros(starts.shape[0], dtype=bool)
+        # A fan shares its start, so each start's clearance is taken once.
+        lengths = planar_distances(ends - starts[:, None, :])
+        candidates = np.nonzero(
+            (self.clearances(starts)[:, None] < lengths + vehicle_radius).reshape(-1)
+        )[0]
+        collided = np.zeros(lengths.size, dtype=bool)
         if candidates.size == 0:
-            return collided
+            return collided.reshape(shape)
         fractions = np.linspace(0.0, 1.0, max(2, samples))
-        subset_starts = starts[candidates]
-        subset_ends = ends[candidates]
+        subset_starts = starts[candidates // ends.shape[1]]
+        subset_ends = ends.reshape(-1, 2)[candidates]
         points = (
             subset_starts[:, None, :]
             + fractions[None, :, None] * (subset_ends - subset_starts)[:, None, :]
         )
         hits = self._collide_mask(points.reshape(-1, 2), vehicle_radius)
         collided[candidates] = hits.reshape(candidates.size, fractions.size).any(axis=1)
-        return collided
+        return collided.reshape(shape)
 
     def segment_collides(
         self, start: np.ndarray, end: np.ndarray, vehicle_radius: float = 0.0, samples: int = 8
@@ -424,7 +455,10 @@ class ObstacleField:
         vehicle_radius: float = 0.0,
         samples: int = 8,
     ) -> np.ndarray:
-        """:meth:`segments_collide` with a start and an end time per segment."""
+        """:meth:`segments_collide` with a start and an end time per start.
+
+        Every segment of a fan is flown over its start's time interval.
+        """
         starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
         row_times(start_times_s, starts.shape[0], "segment starts")
         row_times(end_times_s, starts.shape[0], "segment ends")

@@ -19,11 +19,26 @@ and hashing starts on a grid of cell size ``separation + 2·max_length``
 guarantees any such pair lands in the same or an adjacent cell.  The
 prescreen is therefore an exact superset: :func:`detect_conflicts` (hash +
 exact check on the survivors) returns precisely the all-pairs answer.
+
+The hash is a sort, not a dictionary.  Each axis's cell indices (floats
+straight from ``floor``) are dense-ranked, and the pair of ranks is one
+integer key; one ``argsort`` groups the starts by key, and ``searchsorted``
+finds, for every start, the run of starts in its own cell and in each of
+the four half-neighbourhood cells.  The pairs are then listed with
+``repeat``/``arange`` index arithmetic, with no Python loop over cells.
+The key is exact for every finite input: a rank is below N, so
+``rank_x · (distinct y cells) + rank_y`` is below N² whatever the
+coordinates and the separation, where a key built from the cell indices
+themselves would wrap around int64 for far-apart starts or a tiny
+separation.  A neighbour cell is found in rank space only where the cell
+indices are truly adjacent (their float difference is exactly 1).  The
+candidates, and so the ``fleet.conflict_checks`` count, are the dict-bucket
+prescreen's, bit for bit, wherever its int64 cell indices did not overflow.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +65,21 @@ def all_pairs(count: int) -> np.ndarray:
     return np.stack([left, right], axis=1)
 
 
+def _dense_ranks(cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense ranks of one axis's cell indices, and which ranks step up by one.
+
+    Returns ``(ranks, steps_up)``: ``ranks[i]`` is the rank of ``cells[i]``
+    among the distinct cell indices, and ``steps_up[r]`` is whether rank
+    ``r + 1`` holds the cell index exactly one above rank ``r``'s (False for
+    the last rank).  A difference of two floats rounds to exactly 1 only if
+    it is 1, so this holds at any magnitude.
+    """
+    distinct, ranks = np.unique(cells, return_inverse=True)
+    steps_up = np.zeros(distinct.size, dtype=bool)
+    steps_up[:-1] = np.diff(distinct) == 1.0
+    return ranks, steps_up
+
+
 def candidate_conflict_pairs(
     starts: np.ndarray, lengths: np.ndarray, separation_m: float
 ) -> np.ndarray:
@@ -69,29 +99,45 @@ def candidate_conflict_pairs(
         return np.empty((0, 2), dtype=np.int64)
     max_length = float(lengths.max()) if lengths.size else 0.0
     cell = separation_m + 2.0 * max_length
-    cells = np.floor(starts / cell).astype(np.int64)
-    grouped: Dict[Tuple[int, int], List[int]] = {}
-    for index, key in enumerate(map(tuple, cells)):
-        grouped.setdefault(key, []).append(index)
-    buckets: Dict[Tuple[int, int], np.ndarray] = {
-        key: np.asarray(members, dtype=np.int64) for key, members in grouped.items()
-    }
-    lefts: List[np.ndarray] = []
-    rights: List[np.ndarray] = []
-    for (cell_x, cell_y), members in buckets.items():
-        if members.size > 1:
-            inner_left, inner_right = np.triu_indices(members.size, k=1)
-            lefts.append(members[inner_left])
-            rights.append(members[inner_right])
-        for offset_x, offset_y in _HALF_NEIGHBOURHOOD:
-            neighbours = buckets.get((cell_x + offset_x, cell_y + offset_y))
-            if neighbours is not None:
-                lefts.append(np.repeat(members, neighbours.size))
-                rights.append(np.tile(neighbours, members.size))
-    if not lefts:
+    cells = np.floor(starts / cell)
+    ranks_x, up_x = _dense_ranks(cells[:, 0])
+    ranks_y, up_y = _dense_ranks(cells[:, 1])
+    height = up_y.size
+    keys = ranks_x * height + ranks_y
+    # A stable sort keeps each cell's starts in index order, so a same-cell
+    # pair's left member is its lower index, as in a bucket walk.
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    ranks_x, ranks_y = ranks_x[order], ranks_y[order]
+    down_y = np.concatenate(([False], up_y[:-1]))
+    adjacent_x = {0: True, 1: up_x[ranks_x]}
+    adjacent_y = {0: True, 1: up_y[ranks_y], -1: down_y[ranks_y]}
+    # Row 0 of ``cell_keys`` is each sorted start's own cell, row r > 0 its
+    # r-th half-neighbourhood cell: a fixed key offset in rank space, valid
+    # where that cell is adjacent on both axes.  Each row stays sorted, which
+    # keeps the searches below cheap.
+    offsets = ((0, 0),) + _HALF_NEIGHBOURHOOD
+    valid = np.stack(
+        [np.broadcast_to(adjacent_x[dx] & adjacent_y[dy], count) for dx, dy in offsets]
+    )
+    deltas = np.array([dx * height + dy for dx, dy in offsets])
+    cell_keys = sorted_keys[None, :] + deltas[:, None]
+    # Each cell's starts are one run of the sorted keys; in its own cell a
+    # start pairs only with the starts after it.
+    first = np.searchsorted(sorted_keys, cell_keys, side="left")
+    first[0] = np.arange(1, count + 1)
+    stop = np.searchsorted(sorted_keys, cell_keys, side="right")
+    runs = np.where(valid, stop - first, 0).reshape(-1)
+    total = int(runs.sum())
+    if total == 0:
         return np.empty((0, 2), dtype=np.int64)
-    left = np.concatenate(lefts)
-    right = np.concatenate(rights)
+    # Pair k joins a start to the k-th sorted position of its runs.  The
+    # start is the pair's left member, as in a bucket walk over cells: it
+    # fixes the operand order of the bound below, bit for bit.
+    run_offsets = np.cumsum(runs) - runs
+    positions = np.repeat(first.reshape(-1) - run_offsets, runs) + np.arange(total)
+    left = np.repeat(np.tile(order, len(offsets)), runs)
+    right = order[positions]
     # Tighten with the per-pair bound: min sample distance is at least
     # |Δstart| - length_i - length_j (triangle inequality), so anything at or
     # beyond separation + both lengths can never conflict.

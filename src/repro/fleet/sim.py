@@ -275,23 +275,19 @@ class FleetSim:
         # candidate, and hovers when boxed in entirely.
         rows = np.arange(flying.size)
         angles = bearings[:, None] + STEER_OFFSETS[None, :]
-        times = np.full(flying.size, time_now)
-        distances = self._ray_distances(positions, angles, times)
+        times_now = np.full(flying.size, time_now)
+        times_next = np.full(flying.size, time_next)
+        distances = self._ray_distances(positions, angles, times_now)
         advance = config.speed_m_s * config.step_duration_s
         preferred_mask = distances >= advance + config.vehicle_radius_m + config.steer_margin_m
 
+        # One fan of candidate segments per vehicle: the field takes each
+        # start's clearance once for all of its headings.
         directions = np.stack([np.cos(angles), np.sin(angles)], axis=2)
         candidate_ends = positions[:, None, :] + advance * directions
-        flat_starts = np.repeat(positions, STEER_OFFSETS.size, axis=0)
-        flat_ends = candidate_ends.reshape(-1, 2)
-        blocked = self.field.segments_collide_timed(
-            flat_starts,
-            flat_ends,
-            np.full(flat_starts.shape[0], time_now),
-            np.full(flat_starts.shape[0], time_next),
-            config.vehicle_radius_m,
+        safe = ~self.field.segments_collide_timed(
+            positions, candidate_ends, times_now, times_next, config.vehicle_radius_m
         )
-        safe = ~blocked.reshape(flying.size, STEER_OFFSETS.size)
 
         best = safe & preferred_mask
         has_best = best.any(axis=1)
@@ -322,11 +318,7 @@ class FleetSim:
 
         # Obstacle sweep: one timed segment query for the whole fleet.
         crashed = self.field.segments_collide_timed(
-            positions,
-            proposed,
-            np.full(flying.size, time_now),
-            np.full(flying.size, time_next),
-            config.vehicle_radius_m,
+            positions, proposed, times_now, times_next, config.vehicle_radius_m
         )
         self.states[flying[crashed]] = CRASHED
         moving = ~crashed

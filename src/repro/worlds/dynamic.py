@@ -32,6 +32,7 @@ from repro.envs.obstacles import (
     circle_distances,
     planar_distances,
     row_times,
+    segment_fan,
 )
 from repro.errors import ConfigurationError
 
@@ -346,45 +347,53 @@ class DynamicObstacleField(ObstacleField):
     ) -> np.ndarray:
         """Timed collision mask for a batch of motion segments.
 
-        Segment ``i`` of the result equals ``segment_collides_timed`` on row
-        ``i``.  Instead of freezing the whole field once per sample (a python
-        loop building a merged snapshot per instant), every (segment, sample)
+        ``ends`` is ``(N, 2)`` or a fan ``(N, K, 2)`` and the mask has shape
+        ``ends.shape[:-1]``, as in the static
+        :meth:`~repro.envs.obstacles.ObstacleField.segments_collide`.
+        Each entry equals ``segment_collides_timed`` on its segment.
+        Instead of freezing the whole field once per sample (a python loop
+        building a merged snapshot per instant), every (segment, sample)
         pair is evaluated at once: the static circles and walls through one
         :meth:`~repro.envs.obstacles.ObstacleField._collide_mask` query, and
         all movers x samples through one :meth:`_mover_clearances` query at
         the samples' interpolated times.  ``start_times_s`` and
-        ``end_times_s`` must each hold one time per segment.
+        ``end_times_s`` must each hold one time per start; every segment of
+        a fan is flown over its start's interval.
 
         Only segments that could collide are sampled, as in the static
-        :meth:`~repro.envs.obstacles.ObstacleField.segments_collide`.
-        Clearance is 1-Lipschitz and every sample lies within the segment
-        length of its start, so a start whose static clearance is at least
-        ``length + vehicle_radius`` cannot hit a static circle or wall.  A
-        mover's centre travels at most ``speed * |t1 - t0|`` along its loop
-        while the segment is flown, so a start whose mover clearance at
+        query.  Clearance is 1-Lipschitz and every sample lies within the
+        segment length of its start, so a start whose static clearance is at
+        least ``length + vehicle_radius`` cannot hit a static circle or wall.
+        A mover's centre travels at most ``speed * |t1 - t0|`` along its
+        loop while the segment is flown, so a start whose mover clearance at
         ``t0`` is at least ``length + max_speed * |t1 - t0| + vehicle_radius``
-        cannot hit a mover either.
+        cannot hit a mover either.  Both clearances are taken once per
+        start, whatever the width of its fan.
         """
         if not self.movers:
             return super().segments_collide_timed(
                 starts, ends, start_times_s, end_times_s, vehicle_radius, samples
             )
-        starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
-        ends = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
+        starts, ends, shape = segment_fan(starts, ends)
         count = starts.shape[0]
         start_times = row_times(start_times_s, count, "segment starts")
         end_times = row_times(end_times_s, count, "segment ends")
-        reach = planar_distances(ends - starts) + vehicle_radius
-        mover_reach = reach + self._mover_loops.max_speed * np.abs(end_times - start_times)
+        reach = planar_distances(ends - starts[:, None, :]) + vehicle_radius
+        mover_reach = reach + (
+            self._mover_loops.max_speed * np.abs(end_times - start_times)
+        )[:, None]
         candidates = np.nonzero(
-            (ObstacleField.clearances(self, starts) < reach)
-            | (self._mover_clearances(starts, start_times) < mover_reach)
+            (
+                (ObstacleField.clearances(self, starts)[:, None] < reach)
+                | (self._mover_clearances(starts, start_times)[:, None] < mover_reach)
+            ).reshape(-1)
         )[0]
-        collided = np.zeros(count, dtype=bool)
+        collided = np.zeros(reach.size, dtype=bool)
         if candidates.size == 0:
-            return collided
-        starts, ends = starts[candidates], ends[candidates]
-        start_times, end_times = start_times[candidates], end_times[candidates]
+            return collided.reshape(shape)
+        rows = candidates // ends.shape[1]
+        starts, ends = starts[rows], ends.reshape(-1, 2)[candidates]
+        start_times, end_times = start_times[rows], end_times[rows]
         fractions = np.linspace(0.0, 1.0, max(2, samples))
         points = starts[:, None, :] + fractions[None, :, None] * (ends - starts)[:, None, :]
         flat_points = points.reshape(-1, 2)
@@ -396,7 +405,7 @@ class DynamicObstacleField(ObstacleField):
             ).reshape(-1)
             hit |= self._mover_clearances(flat_points, times) < vehicle_radius
         collided[candidates] = hit.reshape(candidates.size, fractions.size).any(axis=1)
-        return collided
+        return collided.reshape(shape)
 
     def segment_collides_timed(
         self,

@@ -3,16 +3,20 @@
 The prescreen contract is the load-bearing property here: the spatial hash
 must be an *exact superset* filter, so prescreened conflict detection agrees
 pair-for-pair with the brute-force all-pairs check on any geometry the
-hypothesis strategies can draw.  The rest pins the streaming Welford/Chan
-moments against numpy, fleet determinism, battery logistics, and the
-registered ``fleet-reliability`` sweep end to end through the engine.
+hypothesis strategies can draw.  The sort-based hash must also list exactly
+the candidates of the dict-bucket prescreen it replaced (the root
+conftest's ``dict_bucket_candidates``), because the candidate count is the
+``fleet.conflict_checks`` counter and an over-inclusive hash would pass the
+superset tests.  The rest pins the streaming Welford/Chan moments against
+numpy, fleet determinism, battery logistics, and the registered
+``fleet-reliability`` sweep end to end through the engine.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.envs.obstacles import ObstacleField
+from repro.envs.obstacles import ObstacleField, planar_distances
 from repro.errors import ConfigurationError
 from repro.fleet import (
     FleetConfig,
@@ -30,6 +34,7 @@ from repro.fleet.reliability import (
     fleet_reliability_sweep_spec,
 )
 from repro.fleet.sim import CHARGING, CRASHED, DONE, TO_CHARGER
+from repro.obs import collecting_metrics
 from repro.runtime.engine import run_sweep
 from repro.worlds.dynamic import DynamicObstacleField
 
@@ -72,6 +77,69 @@ class TestConflictDetection:
         candidates = {tuple(row) for row in candidate_conflict_pairs(starts, lengths, 0.8)}
         conflicts = {tuple(row) for row in conflicting_pairs(starts, ends, 0.8)}
         assert conflicts <= candidates
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 2),
+        count=st.integers(min_value=0, max_value=300),
+        layout=st.sampled_from(("world", "outside", "crowded", "far")),
+        zero_length=st.booleans(),
+        separation=st.floats(min_value=1e-6, max_value=3.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_candidates_equal_dict_bucket_reference(
+        self, dict_bucket_candidates, seed, count, layout, zero_length, separation
+    ):
+        """The sort-based hash lists the dict buckets' candidates bitwise,
+        and ``fleet.conflict_checks`` counts the same pairs."""
+        rng = np.random.default_rng(seed)
+        if layout == "world":
+            starts = rng.uniform(0.0, 25.0, size=(count, 2))
+        elif layout == "outside":  # beyond a 25 m world, negative coordinates too
+            starts = rng.uniform(-60.0, 60.0, size=(count, 2))
+        elif layout == "crowded":  # a few cells, repeated starts
+            starts = rng.uniform(-1.0, 1.0, size=(count, 2))
+            starts[::3] = starts[:1]
+        else:  # ~1e12 m apart at a ~1e-6 m grid: ~1e18 cells per axis
+            starts = rng.uniform(-1e12, 1e12, size=(count, 2))
+            starts[1::3] = starts[::3][: len(starts[1::3])]
+            starts[2::3] = np.nextafter(starts[::3][: len(starts[2::3])], np.inf)
+            separation = 1e-6 * (1.0 + separation)
+        steps = np.zeros((count, 2)) if zero_length else rng.uniform(-1.2, 1.2, (count, 2))
+        ends = starts + steps
+        lengths = planar_distances(ends - starts)
+        expected = dict_bucket_candidates(starts, lengths, separation)
+        got = candidate_conflict_pairs(starts, lengths, separation)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        if count >= 2:
+            with collecting_metrics() as registry:
+                detect_conflicts(starts, ends, separation)
+            checks = registry.snapshot()["counters"]["fleet.conflict_checks"]
+            assert checks == expected.shape[0]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 2),
+        count=st.integers(min_value=2, max_value=60),
+        exponent=st.integers(min_value=7, max_value=15),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_candidates_stay_exact_beyond_int64_cells(self, seed, count, exponent):
+        """At cell indices past int64 (1e12 m apart on a 1e-15 m grid) the
+        hash still lists exactly the pairs in touching cells that the
+        triangle bound keeps, checked over all pairs."""
+        rng = np.random.default_rng(seed)
+        starts = rng.uniform(-1e12, 1e12, size=(count, 2))
+        starts[1::3] = starts[::3][: len(starts[1::3])]
+        starts[2::3] = np.nextafter(starts[::3][: len(starts[2::3])], -np.inf)
+        separation = 10.0**-exponent
+        lengths = np.zeros(count)
+        pairs = all_pairs(count)
+        cells = np.floor(starts / separation)
+        touching = (np.abs(cells[pairs[:, 0]] - cells[pairs[:, 1]]) <= 1.0).all(axis=1)
+        near = planar_distances(starts[pairs[:, 0]] - starts[pairs[:, 1]]) < separation
+        expected = pairs[touching & near]
+        assert np.array_equal(candidate_conflict_pairs(starts, lengths, separation), expected)
+        assert expected.shape[0] >= count // 3
 
     def test_prescreen_prunes_far_apart_vehicles(self):
         """A spread-out fleet reaches the exact check with ~O(N) candidates."""

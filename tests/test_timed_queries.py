@@ -6,7 +6,9 @@ approximation: for any mover layout, any time vector and any ray fan, row
 static query on ``field.at_time(times[i])``.  Property tests draw random
 worlds/times/fans; deterministic pins cover the degenerate corners (no
 movers, zero speed, empty march grids).  A field without movers, static or
-dynamic, answers every timed query with its static query.
+dynamic, answers every timed query with its static query.  A segment query
+given a fan of K ends per start answers bitwise as the same segments
+flattened to one end per row.
 """
 
 import numpy as np
@@ -155,6 +157,61 @@ def test_timed_rays_without_movers_match_static_query():
             field.segments_collide_timed(origins, ends, times, times + 0.5, 0.25),
             field.segments_collide(origins, ends, 0.25),
         )
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 2),
+    count=st.integers(min_value=0, max_value=24),
+    width=st.integers(min_value=1, max_value=9),
+    reversed_times=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_segment_fans_equal_flat_queries(seed, count, width, reversed_times):
+    """``ends`` of shape (N, K, 2) gives the (N, K) mask of the N·K flat
+    segments, bitwise, for the static query and both timed ones."""
+    field = _random_field(seed)
+    static = ObstacleField(field.world_size, field.centers, field.radii)
+    rng = np.random.default_rng(seed + 4)
+    starts = rng.uniform(-1.0, 15.0, size=(count, 2))  # some outside the world
+    fan = starts[:, None, :] + rng.uniform(-2.0, 2.0, size=(count, width, 2))
+    start_times = rng.uniform(0.0, 40.0, size=count)
+    end_times = start_times + rng.uniform(0.0, 1.5, size=count)
+    if reversed_times:
+        start_times, end_times = end_times, start_times
+    radius = float(rng.uniform(0.0, 0.4))
+    flat_starts = np.repeat(starts, width, axis=0)
+    flat_ends = fan.reshape(-1, 2)
+    flat_start_times = np.repeat(start_times, width)
+    flat_end_times = np.repeat(end_times, width)
+    for query_field in (static, field):
+        got = query_field.segments_collide(starts, fan, radius)
+        assert got.shape == fan.shape[:-1]
+        flat = query_field.segments_collide(flat_starts, flat_ends, radius)
+        assert np.array_equal(got, flat.reshape(count, width))
+        got = query_field.segments_collide_timed(starts, fan, start_times, end_times, radius)
+        assert got.shape == fan.shape[:-1]
+        flat = query_field.segments_collide_timed(
+            flat_starts, flat_ends, flat_start_times, flat_end_times, radius
+        )
+        assert np.array_equal(got, flat.reshape(count, width))
+
+
+def test_segment_fans_check_their_rows():
+    starts = np.full((3, 2), 5.0)
+    for field in (_random_field(3),) + _fields_without_movers():
+        assert field.segments_collide(starts, starts + 0.5).shape == (3,)
+        assert field.segments_collide(np.empty((0, 2)), np.empty((0, 4, 2))).shape == (0, 4)
+        times = np.zeros(3)
+        fan = np.full((3, 1, 2), 5.5)
+        assert field.segments_collide_timed(starts, fan, times, times + 0.5).shape == (3, 1)
+        with pytest.raises(ConfigurationError):
+            field.segments_collide(starts, np.full((2, 4, 2), 5.5))
+        with pytest.raises(ConfigurationError):
+            field.segments_collide_timed(starts, np.full((4, 2), 5.5), times, times)
+        with pytest.raises(ConfigurationError):
+            field.segments_collide_timed(
+                starts, np.full((3, 4, 2), 5.5), np.zeros(12), np.zeros(12)
+            )
 
 
 def test_timed_rays_validate_time_vector_length():
