@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import os
 import threading
-import time
 
 import numpy as np
 
@@ -104,26 +103,30 @@ def _per_file_put(root, spec, result):
     os.replace(temp, path)
 
 
-def _seconds_to_put(put, records) -> float:
-    start = time.perf_counter()
+def _put_all(put, records) -> None:
     for spec, result in records:
         put(spec, result)
-    return time.perf_counter() - start
 
 
-def test_result_store_put_speedup(tmp_path):
+def test_result_store_put_speedup(tmp_path, time_pairs):
     """Acceptance gate: >= 2x over one JSON file per job on 1440 sweep-shaped puts,
     with every result read back equal by a fresh store."""
     records = _generalized_records()
     assert len(records) == 1440
-    files_s = store_s = float("inf")
-    for attempt in range(5):
-        # Alternate the two so that a slow spell of the host hits both alike.
-        per_file = functools.partial(_per_file_put, tmp_path / f"files-{attempt}")
-        files_s = min(files_s, _seconds_to_put(per_file, records))
-        store = ResultCache(root=tmp_path / f"store-{attempt}")
-        store_s = min(store_s, _seconds_to_put(store.put, records))
-        fresh = ResultCache(root=tmp_path / f"store-{attempt}")
+    file_roots, store_roots = [], []
+
+    def per_file_run():
+        file_roots.append(tmp_path / f"files-{len(file_roots)}")
+        put = functools.partial(_per_file_put, file_roots[-1])
+        return functools.partial(_put_all, put, records)
+
+    def store_run():
+        store_roots.append(tmp_path / f"store-{len(store_roots)}")
+        return functools.partial(_put_all, ResultCache(root=store_roots[-1]).put, records)
+
+    files_s, store_s = time_pairs(per_file_run, store_run, 5)
+    for root in store_roots:
+        fresh = ResultCache(root=root)
         assert all(fresh.get(spec) == result for spec, result in records)
     speedup = files_s / store_s
     print(

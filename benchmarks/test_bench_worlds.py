@@ -6,7 +6,7 @@ reference here is the pre-vectorization per-point loop, so the two benchmark
 groups printed side by side are the speedup.
 """
 
-import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -98,12 +98,6 @@ def _query_batches(clearances, field, batches):
     return [clearances(field, batch) for batch in batches]
 
 
-def _seconds_to_query(clearances, field, batches) -> float:
-    start = time.perf_counter()
-    _query_batches(clearances, field, batches)
-    return time.perf_counter() - start
-
-
 @pytest.mark.benchmark(group="clearance-wall-heavy")
 def test_bench_clearances_wall_heavy_stacked(benchmark, rooms_batches):
     field, batches = rooms_batches
@@ -119,15 +113,15 @@ def test_bench_clearances_wall_heavy_kernel(benchmark, rooms_batches):
         assert np.array_equal(got, _stacked_clearances(field, batch))
 
 
-def test_clearance_kernel_speedup_wall_heavy(rooms_batches):
+def test_clearance_kernel_speedup_wall_heavy(rooms_batches, time_pairs):
     """Acceptance gate: >= 3x over the stacked formula on 32-row rooms queries."""
     field, batches = rooms_batches
     assert field.num_obstacles == 219
-    stacked_s = kernel_s = float("inf")
-    for _ in range(5):
-        # Alternate the two so that a slow spell of the host hits both alike.
-        stacked_s = min(stacked_s, _seconds_to_query(_stacked_clearances, field, batches))
-        kernel_s = min(kernel_s, _seconds_to_query(ObstacleField.clearances, field, batches))
+    stacked_s, kernel_s = time_pairs(
+        lambda: partial(_query_batches, _stacked_clearances, field, batches),
+        lambda: partial(_query_batches, ObstacleField.clearances, field, batches),
+        5,
+    )
     speedup = stacked_s / kernel_s
     calls = WALL_HEAVY_BATCHES
     print(

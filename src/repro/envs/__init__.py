@@ -17,14 +17,7 @@ from repro.envs.spaces import Box, Discrete
 from repro.envs.obstacles import ObstacleField, ObstacleDensity, generate_obstacles
 from repro.envs.sensors import RaySensor, OccupancyImager
 from repro.envs.navigation import NavigationConfig, NavigationEnv, StepResult
-from repro.envs.vector import (
-    BatchPolicy,
-    EpisodeResult,
-    PolicyFn,
-    as_batch_policy,
-    run_episode,
-    run_episodes,
-)
+from repro.envs.vector import BatchPolicy, EpisodeResult, run_episode
 from repro.envs.batch import (
     BatchedNavigationEnv,
     BatchStepResult,
@@ -44,11 +37,8 @@ __all__ = [
     "NavigationEnv",
     "StepResult",
     "BatchPolicy",
-    "PolicyFn",
-    "as_batch_policy",
     "EpisodeResult",
     "run_episode",
-    "run_episodes",
     "BatchedNavigationEnv",
     "BatchStepResult",
     "LaneEpisodeFeed",

@@ -43,11 +43,12 @@ import numpy as np
 from repro.errors import ConfigurationError, EnvironmentError_
 from repro.envs.navigation import NavigationConfig, NavigationEnv, compile_world
 from repro.envs.obstacles import ObstacleField, planar_distances
-from repro.envs.vector import EpisodeResult, as_batch_policy
+from repro.envs.vector import BatchPolicy, EpisodeResult
 from repro.obs import get_metrics, span
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 
-#: Default lane count for auto-batched rollouts (see ``run_episodes``).
+#: Default lane count, and the lane cap of ``evaluate_policy`` and
+#: ``evaluate_under_faults`` (``repro.rl.evaluation``).
 DEFAULT_BATCH_SIZE = 64
 
 
@@ -613,7 +614,7 @@ class LaneEpisodeFeed:
 
 def run_batched_episodes(
     env: BatchedNavigationEnv,
-    policy,
+    policy: BatchPolicy,
     num_episodes: int,
     epsilon: float = 0.0,
     rng: SeedLike = 0,
@@ -629,15 +630,13 @@ def run_batched_episodes(
 
     Greedy (``epsilon == 0``) runs with an explicit ``reset_seed`` reproduce
     the serial :func:`~repro.envs.vector.run_episode` loop bitwise.  With
-    exploration, every episode draws from its *own* spawned RNG stream —
-    unlike the serial loop's single shared stream — which is what makes the
-    results independent of the batch size.
+    exploration, every episode draws from its *own* spawned RNG stream, which
+    is what makes the results independent of the batch size.
     """
     if num_episodes < 0:
         raise ConfigurationError(f"num_episodes must be non-negative, got {num_episodes}")
     if num_episodes == 0:
         return []
-    batch_policy = as_batch_policy(policy)
     B = env.batch_size
     episode_rngs = (
         spawn_generators(rng, num_episodes)
@@ -660,7 +659,7 @@ def run_batched_episodes(
         if active.size == 0:
             break
         actions = np.zeros(B, dtype=np.int64)
-        chosen = np.asarray(batch_policy(observations[active]), dtype=np.int64).reshape(-1)
+        chosen = np.asarray(policy(observations[active]), dtype=np.int64).reshape(-1)
         if chosen.shape != (active.size,):
             raise ConfigurationError(
                 f"batch policy returned {chosen.shape} actions for {active.size} observations"

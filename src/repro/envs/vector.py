@@ -2,60 +2,29 @@
 
 Everything downstream of the environment (robustness evaluation, mission
 metrics, benchmarks) consumes complete episodes; these helpers run a policy
-through one or many episodes and collect the quantities the paper reports:
-success, collision, episode length and flown path length.
+through an episode and collect the quantities the paper reports: success,
+collision, episode length and flown path length.
 
-Two policy protocols coexist:
-
-* :data:`BatchPolicy` — the native protocol of the batched rollout core: a
-  callable mapping an ``(N, *obs_shape)`` observation matrix to an ``(N,)``
-  integer action vector.  Objects may instead expose an ``act_batch`` method
-  (see :class:`~repro.rl.evaluation.GreedyPolicy`).
-* :data:`PolicyFn` — the legacy scalar protocol (one observation -> one
-  action).  :func:`as_batch_policy` shims a scalar callable into the batched
-  protocol by looping rows, so old policies keep working everywhere.
-
-:func:`run_episodes` is a thin compatibility wrapper over the batched core:
-greedy rollouts under per-episode reset seeds route through
-:func:`~repro.envs.batch.run_batched_episodes` (bitwise-identical results,
-one policy forward and one sensor query per lockstep step), while seedless or
-exploring rollouts keep the legacy serial loop and its shared-stream RNG
-semantics.
+Every policy speaks one protocol, :data:`BatchPolicy`: a callable mapping an
+``(N, *obs_shape)`` observation matrix to an ``(N,)`` integer action vector
+(see :class:`~repro.rl.evaluation.GreedyPolicy`).  Many episodes run on the
+lockstep batched core, :func:`~repro.envs.batch.run_batched_episodes`;
+:func:`run_episode` flies one greedy episode on the serial environment,
+feeding the policy one-row matrices, and is the reference the batched core
+reproduces bitwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.envs.navigation import NavigationEnv
-from repro.utils.rng import SeedLike, as_generator
 
-PolicyFn = Callable[[np.ndarray], int]
-#: Batched protocol: observation matrix (N, *obs_shape) -> integer actions (N,).
+#: Observation matrix (N, *obs_shape) -> integer actions (N,).
 BatchPolicy = Callable[[np.ndarray], np.ndarray]
-
-
-def as_batch_policy(policy: Union[PolicyFn, BatchPolicy]) -> BatchPolicy:
-    """Adapt any policy to the batched protocol.
-
-    Objects exposing an ``act_batch`` method (or advertising themselves with
-    a truthy ``is_batch_policy`` attribute) are used natively; plain scalar
-    callables are shimmed with a per-row loop, preserving behaviour at the
-    cost of the batching win.
-    """
-    act_batch = getattr(policy, "act_batch", None)
-    if callable(act_batch):
-        return act_batch
-    if getattr(policy, "is_batch_policy", False):
-        return policy  # type: ignore[return-value]
-
-    def batched(observations: np.ndarray) -> np.ndarray:
-        return np.array([int(policy(row)) for row in observations], dtype=np.int64)
-
-    return batched
 
 
 @dataclass(frozen=True)
@@ -75,23 +44,17 @@ class EpisodeResult:
 
 def run_episode(
     env: NavigationEnv,
-    policy: PolicyFn,
-    epsilon: float = 0.0,
-    rng: SeedLike = None,
+    policy: BatchPolicy,
     reset_seed: Optional[int] = None,
 ) -> EpisodeResult:
-    """Run one episode with an optional epsilon-greedy exploration wrapper."""
-    generator = as_generator(rng)
+    """Run one greedy episode on the serial environment."""
     observation = env.reset(seed=reset_seed)
     total_reward = 0.0
     steps = 0
     success = False
     collision = False
     while True:
-        if epsilon > 0.0 and generator.random() < epsilon:
-            action = env.action_space.sample(generator)
-        else:
-            action = int(policy(observation))
+        action = int(policy(observation[np.newaxis])[0])
         result = env.step(action)
         observation = result.observation
         total_reward += result.reward
@@ -107,57 +70,6 @@ def run_episode(
         path_length_m=env.path_length_m,
         total_reward=total_reward,
     )
-
-
-def run_episodes(
-    env: NavigationEnv,
-    policy: Union[PolicyFn, BatchPolicy],
-    num_episodes: int,
-    epsilon: float = 0.0,
-    rng: SeedLike = 0,
-    reset_seed: Optional[int] = None,
-    batch_size: Optional[int] = None,
-) -> List[EpisodeResult]:
-    """Run ``num_episodes`` episodes and return their results.
-
-    When ``reset_seed`` is given, episode ``i`` resets the environment with
-    ``reset_seed + i`` — each episode gets a *distinct but deterministic*
-    world draw, so replaying any slice of a batch (e.g. on another worker of
-    a parallel sweep) reproduces exactly the same episodes.
-
-    Greedy (``epsilon == 0``) seeded rollouts execute on the lockstep batched
-    core — bitwise-identical results, far fewer python-loop steps — leaving
-    the wrapped ``env`` untouched.  ``batch_size`` overrides the lane count;
-    passing ``batch_size=1`` forces the legacy serial loop.  Exploring or
-    seedless rollouts stay serial by default because their results are
-    defined in terms of the serial loop's shared RNG stream (pass an explicit
-    ``batch_size > 1`` to opt into per-episode streams instead; see
-    :func:`~repro.envs.batch.run_batched_episodes`).
-    """
-    if batch_size is None:
-        auto_batch = epsilon == 0.0 and reset_seed is not None and num_episodes > 1
-        batch_size = min(num_episodes, _default_batch_size()) if auto_batch else 1
-    if batch_size > 1 and num_episodes > 0:
-        from repro.envs.batch import BatchedNavigationEnv, run_batched_episodes
-
-        batched = BatchedNavigationEnv.from_env(env, min(batch_size, num_episodes))
-        return run_batched_episodes(
-            batched, policy, num_episodes, epsilon=epsilon, rng=rng, reset_seed=reset_seed
-        )
-    generator = as_generator(rng)
-    results: List[EpisodeResult] = []
-    for index in range(num_episodes):
-        episode_seed = None if reset_seed is None else int(reset_seed) + index
-        results.append(
-            run_episode(env, policy, epsilon=epsilon, rng=generator, reset_seed=episode_seed)
-        )
-    return results
-
-
-def _default_batch_size() -> int:
-    from repro.envs.batch import DEFAULT_BATCH_SIZE
-
-    return DEFAULT_BATCH_SIZE
 
 
 def success_rate(results: Sequence[EpisodeResult]) -> float:

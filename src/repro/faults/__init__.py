@@ -16,7 +16,7 @@ The failure locations are random but fixed per chip/voltage, and both 0->1 and
 
 from repro.faults.ber_model import VoltageBerModel, DEFAULT_BER_MODEL
 from repro.faults.sram import SramGeometry
-from repro.faults.fault_map import FaultKind, FaultMap, FaultMapLibrary
+from repro.faults.fault_map import FaultKind, FaultMap
 from repro.faults.injection import BitErrorInjector, MemoryLayout, QuantizedMemory
 from repro.faults.chips import ChipProfile, CHIP_RANDOM, CHIP_COLUMN_ALIGNED, get_chip
 
@@ -26,7 +26,6 @@ __all__ = [
     "SramGeometry",
     "FaultKind",
     "FaultMap",
-    "FaultMapLibrary",
     "BitErrorInjector",
     "MemoryLayout",
     "QuantizedMemory",

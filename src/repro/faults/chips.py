@@ -86,7 +86,7 @@ class ChipProfile:
         geometry = self.geometry.geometry_for_capacity(memory_bits)
         fault_map = FaultMap.column_aligned(
             geometry,
-            ber_fraction * memory_bits / geometry.total_bits,
+            ber_fraction,
             rng=generator,
             stuck_at_1_bias=self.stuck_at_1_bias,
             label=f"{self.name}@p={ber_percent:.4g}%",

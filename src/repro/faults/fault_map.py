@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -257,71 +257,3 @@ class FaultMap:
             metadata=dict(self.metadata),
         )
 
-
-class FaultMapLibrary:
-    """A reproducible collection of fault maps (the paper evaluates 500 per point)."""
-
-    def __init__(
-        self,
-        memory_bits: int,
-        ber_fraction: float,
-        count: int,
-        rng: SeedLike = 0,
-        pattern: str = "random",
-        geometry: Optional[SramGeometry] = None,
-        stuck_at_1_bias: float = 0.5,
-    ) -> None:
-        if count <= 0:
-            raise FaultModelError(f"count must be positive, got {count}")
-        if pattern not in ("random", "column_aligned"):
-            raise FaultModelError(f"unknown pattern {pattern!r}")
-        if pattern == "column_aligned" and geometry is None:
-            geometry = SramGeometry().geometry_for_capacity(memory_bits)
-        self.memory_bits = memory_bits
-        self.ber_fraction = ber_fraction
-        self.count = count
-        self.pattern = pattern
-        self.geometry = geometry
-        self.stuck_at_1_bias = stuck_at_1_bias
-        self._rng = as_generator(rng)
-        self._maps: List[FaultMap] = []
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self) -> Iterable[FaultMap]:
-        for index in range(self.count):
-            yield self.get(index)
-
-    def get(self, index: int) -> FaultMap:
-        """Fault map ``index`` (maps are generated lazily but cached)."""
-        if index < 0 or index >= self.count:
-            raise IndexError(f"fault map index {index} out of range [0, {self.count})")
-        while len(self._maps) <= index:
-            self._maps.append(self._generate(len(self._maps)))
-        return self._maps[index]
-
-    def _generate(self, index: int) -> FaultMap:
-        label = f"{self.pattern}-{index}"
-        if self.pattern == "random":
-            return FaultMap.random(
-                self.memory_bits,
-                self.ber_fraction,
-                rng=self._rng,
-                stuck_at_1_bias=self.stuck_at_1_bias,
-                label=label,
-            )
-        assert self.geometry is not None
-        fault_map = FaultMap.column_aligned(
-            self.geometry,
-            self.ber_fraction,
-            rng=self._rng,
-            stuck_at_1_bias=self.stuck_at_1_bias,
-            label=label,
-        )
-        # The geometry may be larger than the weight memory; re-base to it.
-        if fault_map.memory_bits != self.memory_bits:
-            restricted = fault_map.restrict(0, self.memory_bits)
-            restricted.memory_bits = self.memory_bits
-            return restricted
-        return fault_map

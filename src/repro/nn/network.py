@@ -12,7 +12,7 @@ BERRY training loop relies on:
 
 The container is backend-aware: layers hold their tensors on whichever
 :class:`~repro.nn.backend.ArrayBackend` they were built with (all layers must
-share one), while ``forward``/``backward``/``state_dict``/``gradients`` accept
+share one), while ``forward``/``backward``/``state_dict`` accept
 and return numpy arrays at the API boundary so every consumer (trainers,
 quantization, fault injection, evaluation) stays backend-agnostic.  For the
 numpy backend those boundary conversions are identity operations.
@@ -97,32 +97,6 @@ class Sequential:
     def zero_grad(self) -> None:
         for parameter in self.parameters():
             parameter.zero_grad()
-
-    def gradients(self) -> Dict[str, np.ndarray]:
-        """Snapshot of all parameter gradients (numpy copies)."""
-        backend = self.backend
-        return {
-            parameter.name: backend.to_numpy(parameter.grad, copy=True)
-            for parameter in self.parameters()
-        }
-
-    def add_gradients(self, gradients: Dict[str, np.ndarray], scale: float = 1.0) -> None:
-        """Accumulate externally computed gradients into this network's parameters."""
-        backend = self.backend
-        named = self.named_parameters()
-        for name, grad in gradients.items():
-            if name not in named:
-                raise KeyError(f"unknown parameter {name!r} in gradient dictionary")
-            parameter = named[name]
-            if tuple(grad.shape) != parameter.shape:
-                raise ShapeError(
-                    f"gradient for {name!r} has shape {tuple(grad.shape)}, expected {parameter.shape}"
-                )
-            backend.add(
-                parameter.grad,
-                backend.multiply(backend.asarray(grad, "float64"), scale),
-                out=parameter.grad,
-            )
 
     # ------------------------------------------------------------------ state management
     def state_dict(self) -> Dict[str, np.ndarray]:

@@ -19,7 +19,6 @@ from repro.rl.evaluation import (
     RobustnessPoint,
     evaluate_policy,
     evaluate_under_faults,
-    greedy_policy,
     robustness_curve,
 )
 
@@ -40,6 +39,5 @@ __all__ = [
     "RobustnessPoint",
     "evaluate_policy",
     "evaluate_under_faults",
-    "greedy_policy",
     "robustness_curve",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -381,8 +381,3 @@ class DqnTrainer:
                     self.history.success_rate(window=50),
                 )
         return self.history
-
-    # ------------------------------------------------------------------ policy export
-    def policy(self) -> Callable[[np.ndarray], int]:
-        """A greedy policy callable backed by the current Q-network."""
-        return self.greedy_action

@@ -7,11 +7,12 @@ the lockstep batched rollout core: the clean policy parameters are quantized
 *once*, each fault map corrupts a per-map view of the stored integer codes,
 and the corrupted policy flies its mission batch with one
 ``network.forward`` per lockstep step instead of one per observation.
+:func:`evaluate_policy` flies the error-free policy the same way.  Both fly
+on their own lanes over the caller's world; the caller's environment is
+never stepped or reset.
 
-Policies are batch-first: :class:`GreedyPolicy` implements the
-:data:`~repro.envs.vector.BatchPolicy` protocol (observation matrix ->
-action vector) while remaining callable on a single observation for the
-legacy scalar :data:`~repro.envs.vector.PolicyFn` protocol.
+:class:`GreedyPolicy` is the :data:`~repro.envs.vector.BatchPolicy` over a
+Q-network: observation matrix -> action vector.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ import numpy as np
 
 from repro.envs.batch import BatchedNavigationEnv, DEFAULT_BATCH_SIZE, run_batched_episodes
 from repro.envs.navigation import NavigationEnv
-from repro.envs.vector import (
-    BatchPolicy,
-    EpisodeResult,
-    PolicyFn,
-    mean_path_length,
-    run_episodes,
-    success_rate,
-)
+from repro.envs.vector import EpisodeResult, mean_path_length, success_rate
 from repro.faults.fault_map import FaultMap
 from repro.faults.injection import BitErrorInjector
 from repro.nn.network import Sequential
@@ -39,31 +33,15 @@ from repro.utils.rng import SeedLike, as_generator, spawn_generators
 
 
 class GreedyPolicy:
-    """Greedy action selection over a Q-network, batch-first.
-
-    :meth:`act_batch` is the native batched protocol — one forward over the
-    whole observation matrix plus a row-wise argmax — and ``__call__`` keeps
-    the legacy single-observation protocol so the policy drops into both the
-    lockstep batched core and the serial episode loop.
-    """
-
-    is_batch_policy = True
+    """Greedy action selection over a Q-network: one forward over the whole
+    observation matrix plus a row-wise argmax."""
 
     def __init__(self, network: Sequential) -> None:
         self.network = network
 
-    def act_batch(self, observations: np.ndarray) -> np.ndarray:
+    def __call__(self, observations: np.ndarray) -> np.ndarray:
         q_values = self.network.forward(np.asarray(observations, dtype=np.float64))
         return np.argmax(q_values, axis=1)
-
-    def __call__(self, observation: np.ndarray) -> int:
-        q_values = self.network.forward(observation[np.newaxis, ...])
-        return int(np.argmax(q_values[0]))
-
-
-def greedy_policy(network: Sequential) -> GreedyPolicy:
-    """Wrap a Q-network into a greedy (batch-capable) policy."""
-    return GreedyPolicy(network)
 
 
 @dataclass(frozen=True)
@@ -121,22 +99,17 @@ def evaluate_policy(
     network: Sequential,
     num_episodes: int = 20,
     rng: SeedLike = 0,
-    batch_size: Optional[int] = None,
 ) -> PolicyEvaluation:
     """Evaluate a (float, error-free) policy network greedily over many episodes.
 
-    Episodes are reset-seeded from ``rng`` and executed in lockstep batches
-    (see :func:`~repro.envs.vector.run_episodes`); the wrapped ``env`` is
-    left untouched.
+    Episodes are reset-seeded from ``rng`` and flown in lockstep on up to
+    ``DEFAULT_BATCH_SIZE`` lanes over ``env``'s world; ``env`` itself is never
+    stepped or reset.
     """
     reset_base = _episode_reset_base(as_generator(rng), num_episodes)
-    results = run_episodes(
-        env,
-        greedy_policy(network),
-        num_episodes,
-        rng=rng,
-        reset_seed=reset_base,
-        batch_size=batch_size,
+    batch_env = BatchedNavigationEnv.from_env(env, max(1, min(num_episodes, DEFAULT_BATCH_SIZE)))
+    results = run_batched_episodes(
+        batch_env, GreedyPolicy(network), num_episodes, reset_seed=reset_base
     )
     return PolicyEvaluation.from_results(results)
 
@@ -150,7 +123,6 @@ def evaluate_under_faults(
     fault_maps: Optional[Sequence[FaultMap]] = None,
     stuck_at_1_bias: float = 0.5,
     rng: SeedLike = 0,
-    batch_size: Optional[int] = None,
 ) -> RobustnessPoint:
     """Evaluate the deployed policy under persistent bit errors.
 
@@ -186,8 +158,10 @@ def evaluate_under_faults(
     # pool re-runs evaluating the same trained policy reuse the same codes.
     quantized = injector.quantize_state_cached(network.state_dict())
     deployed = network.clone()
-    lanes = min(episodes_per_map, batch_size if batch_size is not None else DEFAULT_BATCH_SIZE)
-    batch_env = BatchedNavigationEnv.from_env(env, batch_size=max(1, lanes))
+    policy = GreedyPolicy(deployed)
+    batch_env = BatchedNavigationEnv.from_env(
+        env, max(1, min(episodes_per_map, DEFAULT_BATCH_SIZE))
+    )
 
     per_map_success: List[float] = []
     per_map_paths: List[float] = []
@@ -195,10 +169,7 @@ def evaluate_under_faults(
         deployed.load_state_dict(injector.perturb_quantized_state(quantized, fault_map))
         reset_base = _episode_reset_base(episode_rng, episodes_per_map)
         results = run_batched_episodes(
-            batch_env,
-            greedy_policy(deployed),
-            episodes_per_map,
-            reset_seed=reset_base,
+            batch_env, policy, episodes_per_map, reset_seed=reset_base
         )
         per_map_success.append(success_rate(results))
         per_map_paths.append(mean_path_length(results))

@@ -160,7 +160,7 @@ def _run_rollout_episodes(spec: JobSpec) -> Dict[str, Any]:
     from repro.envs.vector import success_rate
     from repro.experiments.profiles import FAST_PROFILE
     from repro.nn.policies import build_policy, mlp
-    from repro.rl.evaluation import greedy_policy
+    from repro.rl.evaluation import GreedyPolicy
 
     params = spec.params
     config = FAST_PROFILE.navigation_for_density(ObstacleDensity(str(params["density"])))
@@ -175,7 +175,7 @@ def _run_rollout_episodes(spec: JobSpec) -> Dict[str, Any]:
     batch_env = BatchedNavigationEnv.from_env(env, batch_size=max(1, num_episodes))
     results = run_batched_episodes(
         batch_env,
-        greedy_policy(network),
+        GreedyPolicy(network),
         num_episodes=num_episodes,
         epsilon=float(params["epsilon"]),
         rng=spec.seed,

@@ -10,7 +10,7 @@ training stream.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,46 +39,6 @@ def spawn_generators(seed: SeedLike, count: int) -> list[np.random.Generator]:
         return [np.random.default_rng(s) for s in seed.bit_generator.seed_seq.spawn(count)]
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
-class RngFactory:
-    """Produces named, reproducible random streams from one root seed.
-
-    The same ``(root_seed, name)`` pair always yields the same stream, which
-    keeps independent subsystems (environment, agent, fault injection)
-    decoupled: consuming more randomness in one stream never shifts another.
-    """
-
-    def __init__(self, root_seed: Optional[int] = 0) -> None:
-        self._root_seed = root_seed
-        self._counters: dict[str, int] = {}
-
-    @property
-    def root_seed(self) -> Optional[int]:
-        return self._root_seed
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return a fresh generator for ``name`` (new call -> new stream)."""
-        index = self._counters.get(name, 0)
-        self._counters[name] = index + 1
-        return self._derive(name, index)
-
-    def fixed_stream(self, name: str) -> np.random.Generator:
-        """Return the same generator stream every time for ``name``."""
-        return self._derive(name, 0)
-
-    def _derive(self, name: str, index: int) -> np.random.Generator:
-        entropy: Sequence[int] = [hash(name) & 0xFFFFFFFF, index]
-        if self._root_seed is None:
-            seq = np.random.SeedSequence(spawn_key=tuple(entropy))
-        else:
-            seq = np.random.SeedSequence(self._root_seed, spawn_key=tuple(entropy))
-        return np.random.default_rng(seq)
-
-    def seeds(self, name: str, count: int) -> list[int]:
-        """Return ``count`` deterministic integer seeds for external use."""
-        rng = self.fixed_stream(name)
-        return [int(s) for s in rng.integers(0, 2**31 - 1, size=count)]
 
 
 def choice_without_replacement(
@@ -116,9 +76,3 @@ def choice_without_replacement(
         count += fresh.size
     return result
 
-
-def iter_seeds(seed: SeedLike, count: int) -> Iterable[int]:
-    """Yield ``count`` integer seeds derived deterministically from ``seed``."""
-    rng = as_generator(seed)
-    for _ in range(count):
-        yield int(rng.integers(0, 2**31 - 1))

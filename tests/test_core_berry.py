@@ -39,6 +39,14 @@ def make_batch(env, size=16, rng_seed=0):
     )
 
 
+def gradients(network) -> dict:
+    """Every parameter's gradient, as a numpy copy."""
+    return {
+        parameter.name: network.backend.to_numpy(parameter.grad, copy=True)
+        for parameter in network.parameters()
+    }
+
+
 class TestBerryConfig:
     def test_defaults_are_offline(self):
         config = BerryConfig()
@@ -101,7 +109,7 @@ class TestBerryTrainer:
         batch = make_batch(small_env)
         berry.q_network.zero_grad()
         berry.accumulate_gradients(batch)
-        berry_grads = berry.q_network.gradients()
+        berry_grads = gradients(berry.q_network)
 
         from repro.rl.dqn import DqnTrainer
 
@@ -110,7 +118,7 @@ class TestBerryTrainer:
         reference.target_network.load_state_dict(berry.target_network.state_dict())
         reference.q_network.zero_grad()
         reference.accumulate_gradients(batch)
-        for name, grad in reference.q_network.gradients().items():
+        for name, grad in gradients(reference.q_network).items():
             assert np.allclose(grad, berry_grads[name])
 
     def test_perturbed_pass_contributes_gradient(self, small_env, fast_config):
@@ -225,7 +233,10 @@ class PerTensorBerryTrainer(FlipMaps, BerryTrainer):
         scale = 0.5 if self.berry.gradient_combination == "mean" else 1.0
         for parameter in self.q_network.parameters():
             self.backend.multiply(parameter.grad, scale, out=parameter.grad)
-        self.q_network.add_gradients(perturbed_q.gradients(), scale=scale)
+        for parameter, perturbed in zip(self.q_network.parameters(), perturbed_q.parameters()):
+            self.backend.add(
+                parameter.grad, self.backend.multiply(perturbed.grad, scale), out=parameter.grad
+            )
         return 0.5 * (clean_loss + perturbed_loss)
 
 

@@ -8,7 +8,8 @@ from repro.envs.navigation import NavigationConfig, NavigationEnv
 from repro.envs.obstacles import ObstacleDensity, ObstacleField, generate_obstacles
 from repro.envs.sensors import OccupancyImager, RaySensor
 from repro.envs.spaces import Box, Discrete
-from repro.envs.vector import run_episode, run_episodes, success_rate, mean_path_length
+from repro.envs.batch import BatchedNavigationEnv, run_batched_episodes
+from repro.envs.vector import run_episode, success_rate, mean_path_length
 from repro.errors import ConfigurationError, EnvironmentError_
 
 
@@ -306,8 +307,8 @@ class TestNavigationEnv:
         a, b = NavigationEnv(config, rng=0), NavigationEnv(config, rng=0)
         layouts = []
         for index in range(3):
-            # Per-episode reset seeding, exactly as the runtime's run_episodes
-            # drives it: same seed stream -> same world sequence in both envs.
+            # Per-episode reset seeding, exactly as run_batched_episodes drives
+            # its lanes: same seed stream -> same world sequence in both envs.
             obs_a, obs_b = a.reset(seed=100 + index), b.reset(seed=100 + index)
             assert np.array_equal(a.obstacle_field.centers, b.obstacle_field.centers)
             assert np.array_equal(obs_a, obs_b)
@@ -363,7 +364,11 @@ class TestEpisodeRunners:
         action = (env.config.num_heading_actions // 2) * env.config.num_speed_actions + (
             env.config.num_speed_actions - 1
         )
-        return lambda obs: action
+        return lambda observations: np.full(len(observations), action)
+
+    def _episodes(self, env, num_episodes, **kwargs):
+        batch = BatchedNavigationEnv.from_env(env, num_episodes)
+        return run_batched_episodes(batch, self._straight_policy(env), num_episodes, **kwargs)
 
     def test_run_episode_summary(self, small_env):
         result = run_episode(small_env, self._straight_policy(small_env))
@@ -371,19 +376,19 @@ class TestEpisodeRunners:
         assert result.success or result.collision or result.steps >= small_env.config.max_steps
 
     def test_run_episodes_and_success_rate(self, small_env):
-        results = run_episodes(small_env, self._straight_policy(small_env), 5, rng=0)
+        results = self._episodes(small_env, 5, rng=0)
         assert len(results) == 5
         assert 0.0 <= success_rate(results) <= 1.0
 
     def test_epsilon_exploration_changes_trajectories(self, small_env):
-        greedy = run_episodes(small_env, self._straight_policy(small_env), 3, rng=1)
-        noisy = run_episodes(small_env, self._straight_policy(small_env), 3, epsilon=1.0, rng=1)
+        greedy = self._episodes(small_env, 3, rng=1)
+        noisy = self._episodes(small_env, 3, epsilon=1.0, rng=1)
         assert np.mean([r.path_length_m for r in noisy]) != pytest.approx(
             np.mean([r.path_length_m for r in greedy])
         )
 
     def test_mean_path_length_empty_and_nonempty(self, small_env):
-        results = run_episodes(small_env, self._straight_policy(small_env), 4, rng=0)
+        results = self._episodes(small_env, 4, rng=0)
         value = mean_path_length(results, successful_only=False)
         assert value > 0.0
         assert success_rate([]) == 0.0

@@ -17,10 +17,10 @@ from repro.envs.batch import BatchedNavigationEnv, run_batched_episodes
 from repro.envs.navigation import NavigationConfig, NavigationEnv
 from repro.envs.obstacles import ObstacleDensity, ObstacleField
 from repro.envs.sensors import OccupancyImager, RaySensor
-from repro.envs.vector import as_batch_policy, run_episode, run_episodes
+from repro.envs.vector import run_episode
 from repro.errors import ConfigurationError, EnvironmentError_
 from repro.nn.policies import build_policy, mlp
-from repro.rl.evaluation import greedy_policy
+from repro.rl.evaluation import GreedyPolicy
 from repro.worlds.perturbations import SensorDegradation, WindGust
 from repro.worlds.spec import WorldSpec
 
@@ -48,7 +48,7 @@ def _greedy_for(config: NavigationConfig, rng: int = 0):
     network = build_policy(
         mlp((24, 24)), probe.observation_space.shape, probe.action_space.n, rng=rng
     )
-    return greedy_policy(network)
+    return GreedyPolicy(network)
 
 
 def _serial_reference(config, policy, num_episodes, reset_seed, env_seed=3):
@@ -138,21 +138,6 @@ class TestBatchedSerialEquivalence:
         env = BatchedNavigationEnv.from_env(NavigationEnv(config, rng=3), batch_size=2)
         assert run_batched_episodes(env, policy, 4, reset_seed=13) == serial
 
-    def test_run_episodes_wrapper_auto_batches_greedy(self, batch_config):
-        policy = _greedy_for(batch_config)
-        serial = _serial_reference(batch_config, policy, 12, reset_seed=90)
-        wrapped = run_episodes(
-            NavigationEnv(batch_config, rng=3), policy, 12, rng=0, reset_seed=90
-        )
-        assert wrapped == serial
-
-    def test_run_episodes_wrapper_leaves_env_untouched(self, batch_config):
-        policy = _greedy_for(batch_config)
-        env = NavigationEnv(batch_config, rng=3)
-        before = env.position.copy()
-        run_episodes(env, policy, 4, rng=0, reset_seed=5)
-        assert np.array_equal(env.position, before)
-
 
 class TestEpsilonBatchIndependence:
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
@@ -231,29 +216,10 @@ class TestBatchedEnvApi:
         env = BatchedNavigationEnv(batch_config, batch_size=2)
         assert run_batched_episodes(env, _greedy_for(batch_config), 0) == []
 
-
-class TestBatchPolicyShim:
-    def test_scalar_policy_is_wrapped(self):
-        calls = []
-
-        def scalar_policy(observation):
-            calls.append(observation.shape)
-            return 3
-
-        batched = as_batch_policy(scalar_policy)
-        actions = batched(np.zeros((4, 6)))
-        assert actions.tolist() == [3, 3, 3, 3]
-        assert calls == [(6,)] * 4
-
-    def test_greedy_policy_is_used_natively(self, batch_config):
-        policy = _greedy_for(batch_config)
-        assert as_batch_policy(policy) == policy.act_batch
-        observations = np.random.default_rng(0).normal(
-            size=(5,) + NavigationEnv(batch_config, rng=3).observation_space.shape
-        )
-        batch_actions = policy.act_batch(observations)
-        assert batch_actions.shape == (5,)
-        assert [policy(row) for row in observations] == batch_actions.tolist()
+    def test_policy_must_return_one_action_per_observation(self, batch_config):
+        env = BatchedNavigationEnv(batch_config, batch_size=3)
+        with pytest.raises(ConfigurationError):
+            run_batched_episodes(env, lambda observations: 0, 3, reset_seed=0)
 
 
 class TestBatchedSensorDegradation:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import FaultModelError
 from repro.faults.chips import CHIP_COLUMN_ALIGNED, CHIP_RANDOM, ChipProfile, get_chip
-from repro.faults.fault_map import FaultKind, FaultMap, FaultMapLibrary
+from repro.faults.fault_map import FaultKind, FaultMap
 from repro.faults.injection import BitErrorInjector, MemoryLayout
 from repro.faults.sram import SramGeometry
 from repro.nn.policies import build_policy, mlp
@@ -131,36 +131,6 @@ class TestFaultMap:
         # Faults should concentrate in far fewer columns than a uniform pattern would use.
         assert distinct_columns <= fault_map.num_faults / 10
         assert fault_map.num_faults > 0
-
-
-class TestFaultMapLibrary:
-    def test_maps_are_cached_and_deterministic(self):
-        library = FaultMapLibrary(10_000, 0.01, count=3, rng=1)
-        first = library.get(1)
-        again = library.get(1)
-        assert first is again
-        assert len(list(library)) == 3
-
-    def test_distinct_maps(self):
-        library = FaultMapLibrary(10_000, 0.01, count=2, rng=1)
-        assert not np.array_equal(library.get(0).indices, library.get(1).indices)
-
-    def test_out_of_range_index(self):
-        library = FaultMapLibrary(1000, 0.01, count=1, rng=1)
-        with pytest.raises(IndexError):
-            library.get(5)
-
-    def test_column_aligned_library(self):
-        library = FaultMapLibrary(
-            50_000, 0.005, count=2, rng=1, pattern="column_aligned", stuck_at_1_bias=0.9
-        )
-        fault_map = library.get(0)
-        assert fault_map.memory_bits == 50_000
-        assert fault_map.num_faults > 0
-
-    def test_unknown_pattern_rejected(self):
-        with pytest.raises(FaultModelError):
-            FaultMapLibrary(1000, 0.01, count=1, pattern="diagonal")
 
 
 class TestMemoryLayoutAndInjector:
@@ -368,6 +338,19 @@ class TestChips:
         fault_map = CHIP_COLUMN_ALIGNED.fault_map(200_000, ber_percent=0.3, rng=0)
         counts = fault_map.kind_counts()
         assert counts[FaultKind.STUCK_AT_1] > counts[FaultKind.STUCK_AT_0]
+
+    @pytest.mark.parametrize("memory_bits", [33_608, 200_000])
+    @pytest.mark.parametrize("ber_percent", CHIP_COLUMN_ALIGNED.reference_ber_percent)
+    def test_column_aligned_chip_carries_the_requested_ber(self, memory_bits, ber_percent):
+        """Column-aligned maps are drawn over whole banks and cut to the weight
+        memory (33,608 bits is the FAST_PROFILE policy, in one bank), so the
+        realised rate over the memory must still be the requested one."""
+        maps = [
+            CHIP_COLUMN_ALIGNED.fault_map(memory_bits, ber_percent=ber_percent, rng=seed)
+            for seed in range(40)
+        ]
+        realised = np.mean([fault_map.num_faults for fault_map in maps]) / memory_bits
+        assert realised == pytest.approx(ber_percent / 100.0, rel=0.15)
 
     def test_requires_exactly_one_operating_point(self):
         with pytest.raises(FaultModelError):

@@ -46,25 +46,6 @@ class TestForwardBackward:
         network.zero_grad()
         assert all(np.all(p.grad == 0) for p in network.parameters())
 
-    def test_gradients_snapshot_and_add(self, network):
-        x = np.random.default_rng(0).normal(size=(4, 5))
-        network.zero_grad()
-        network.backward(np.ones_like(network.forward(x)))
-        snapshot = network.gradients()
-        network.add_gradients(snapshot, scale=1.0)
-        doubled = network.gradients()
-        name = next(iter(snapshot))
-        assert np.allclose(doubled[name], 2.0 * snapshot[name])
-
-    def test_add_gradients_unknown_key(self, network):
-        with pytest.raises(KeyError):
-            network.add_gradients({"nope": np.zeros(3)})
-
-    def test_add_gradients_shape_mismatch(self, network):
-        name = next(iter(network.named_parameters()))
-        with pytest.raises(ShapeError):
-            network.add_gradients({name: np.zeros(1)})
-
 
 class TestStateManagement:
     def test_state_dict_round_trip(self, network):

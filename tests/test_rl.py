@@ -8,10 +8,10 @@ from repro.errors import ConfigurationError, TrainingError
 from repro.nn.policies import mlp
 from repro.rl.dqn import DqnConfig, DqnTrainer, TrainingHistory
 from repro.rl.evaluation import (
+    GreedyPolicy,
     PolicyEvaluation,
     evaluate_policy,
     evaluate_under_faults,
-    greedy_policy,
     robustness_curve,
 )
 from repro.rl.replay_buffer import ReplayBuffer, Transition
@@ -345,18 +345,10 @@ class TestTrainingHistory:
 
 class TestEvaluation:
     def test_greedy_policy_matches_argmax(self, tiny_network):
-        policy = greedy_policy(tiny_network)
-        obs = np.random.default_rng(0).normal(size=(6,))
-        q_values = tiny_network.forward(obs[None])
-        assert policy(obs) == int(np.argmax(q_values[0]))
-
-    def test_greedy_policy_act_batch_matches_scalar_protocol(self, tiny_network):
-        policy = greedy_policy(tiny_network)
-        observations = np.random.default_rng(1).normal(size=(8, 6))
-        actions = policy.act_batch(observations)
-        assert actions.shape == (8,)
-        assert policy.is_batch_policy
-        assert [policy(row) for row in observations] == actions.tolist()
+        observations = np.random.default_rng(0).normal(size=(8, 6))
+        actions = GreedyPolicy(tiny_network)(observations)
+        q_values = tiny_network.forward(observations)
+        assert actions.tolist() == np.argmax(q_values, axis=1).tolist()
 
     def test_from_results_no_successes_gives_nan_path(self):
         from repro.envs.vector import EpisodeResult, mean_path_length
@@ -398,6 +390,32 @@ class TestEvaluation:
         assert isinstance(evaluation, PolicyEvaluation)
         assert evaluation.num_episodes == 4
         assert 0.0 <= evaluation.success_rate <= 1.0
+
+    def test_one_episode_evaluation_leaves_env_untouched(self, small_env):
+        """A one-episode evaluation flies on its own lane like any other, so
+        the caller's env keeps its position, clock and RNG state, and the
+        episode is the serial reference's."""
+        from repro.envs.navigation import NavigationEnv
+        from repro.envs.vector import run_episode
+        from repro.nn.policies import build_policy
+
+        network = build_policy(mlp((16,)), small_env.observation_space.shape, small_env.action_space.n, rng=0)
+        small_env.reset(seed=5)
+        small_env.step(0)
+        position, time_s = small_env.position, small_env.time_s
+        rng_state = small_env._rng.bit_generator.state
+        evaluation = evaluate_policy(small_env, network, num_episodes=1, rng=0)
+        assert np.array_equal(small_env.position, position)
+        assert small_env.time_s == time_s
+        assert small_env._rng.bit_generator.state == rng_state
+        reset_base = int(np.random.default_rng(0).integers(0, 2**31 - 2))
+        serial = run_episode(
+            NavigationEnv(small_env.config, rng=3), GreedyPolicy(network), reset_seed=reset_base
+        )
+        assert evaluation.success_rate == serial.success
+        assert evaluation.collision_rate == serial.collision
+        assert evaluation.mean_steps == serial.steps
+        assert evaluation.mean_reward == serial.total_reward
 
     def test_evaluate_under_faults_zero_ber_matches_quantized_policy(self, small_env):
         from repro.nn.policies import build_policy

@@ -13,10 +13,7 @@ from repro.core.scenarios import (
     scenario_count,
     scenario_sweep_spec,
 )
-from repro.envs.navigation import NavigationEnv
 from repro.errors import ConfigurationError
-from repro.experiments.profiles import FAST_PROFILE
-from repro.envs.vector import run_episodes
 from repro.runtime.jobs import JobSpec, SweepSpec, run_job
 
 
@@ -142,34 +139,6 @@ class TestScenarioSpecFactories:
         assert spec.spec_hash != canonical_spec.spec_hash
         result, canonical = run_job(spec), run_job(canonical_spec)
         assert result["flight_energy_j"] != canonical["flight_energy_j"]
-
-
-class TestRunEpisodesSeeding:
-    @pytest.fixture
-    def env(self):
-        return NavigationEnv(FAST_PROFILE.navigation, rng=7)
-
-    @pytest.fixture
-    def policy(self):
-        return lambda observation: 0
-
-    def test_reset_seed_makes_batches_reproducible(self, env, policy):
-        first = run_episodes(env, policy, num_episodes=3, rng=1, reset_seed=100)
-        second = run_episodes(env, policy, num_episodes=3, rng=1, reset_seed=100)
-        assert first == second
-
-    def test_each_episode_gets_a_distinct_seed(self, env, policy):
-        from repro.envs.vector import run_episode
-
-        batch = run_episodes(env, policy, num_episodes=3, rng=1, reset_seed=100)
-        replayed = [
-            run_episode(env, policy, rng=1, reset_seed=100 + index) for index in range(3)
-        ]
-        assert batch == replayed
-
-    def test_default_behaviour_unchanged(self, env, policy):
-        results = run_episodes(env, policy, num_episodes=2, rng=5)
-        assert len(results) == 2
 
 
 class TestRolloutJob:

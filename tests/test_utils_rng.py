@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.rng import (
-    RngFactory,
-    as_generator,
-    choice_without_replacement,
-    iter_seeds,
-    spawn_generators,
-)
+from repro.utils.rng import as_generator, choice_without_replacement, spawn_generators
 
 
 class TestAsGenerator:
@@ -44,30 +38,6 @@ class TestSpawnGenerators:
 
     def test_zero_count(self):
         assert spawn_generators(0, 0) == []
-
-
-class TestRngFactory:
-    def test_fixed_stream_is_stable(self):
-        factory = RngFactory(5)
-        a = factory.fixed_stream("env").integers(0, 100, 4)
-        b = factory.fixed_stream("env").integers(0, 100, 4)
-        assert np.array_equal(a, b)
-
-    def test_stream_advances_per_call(self):
-        factory = RngFactory(5)
-        a = factory.stream("agent").integers(0, 100, 4)
-        b = factory.stream("agent").integers(0, 100, 4)
-        assert not np.array_equal(a, b)
-
-    def test_different_names_differ(self):
-        factory = RngFactory(5)
-        a = factory.fixed_stream("alpha").integers(0, 10_000, 8)
-        b = factory.fixed_stream("beta").integers(0, 10_000, 8)
-        assert not np.array_equal(a, b)
-
-    def test_seeds_are_reproducible(self):
-        factory = RngFactory(9)
-        assert factory.seeds("maps", 4) == RngFactory(9).seeds("maps", 4)
 
 
 class TestChoiceWithoutReplacement:
@@ -157,7 +127,3 @@ class _SkewedDraws:
         draws[hot] = self.rng.integers(low, low + 4, size=int(hot.sum()))
         return draws
 
-
-def test_iter_seeds_deterministic():
-    assert list(iter_seeds(1, 5)) == list(iter_seeds(1, 5))
-    assert len(set(iter_seeds(1, 5))) == 5
