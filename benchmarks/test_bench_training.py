@@ -18,8 +18,6 @@ the serial / B=8 / B=64 shapes for tracking.
 one flat word memory must be >= 3x faster than the per-tensor operator.
 """
 
-import statistics
-import time
 from functools import partial
 
 import numpy as np
@@ -183,16 +181,16 @@ MIN_PERTURBED_PASS_SPEEDUP = 3.0
 PERTURBED_PASS_PAIRS = 200
 
 
-def test_berry_perturbed_pass_speedup(per_tensor_berr):
+def test_berry_perturbed_pass_speedup(per_tensor_berr, time_pairs):
     """Acceptance gate: one BERRY perturbed pass >= 3x faster on the flat memory.
 
     A pass turns θ and θ⁻ into their perturbed networks θ̃ and θ̃⁻ under one
     fresh 1% map, quantizing, corrupting and dequantizing both.  The flat
-    pass loads the values into two networks made once, as ``BerryTrainer``
-    does; the reference clones both networks and runs the per-tensor
-    operator, as the trainer did before.  Each pair times both back to back
-    on the same map, so drift of the host hits both alike, and checks that
-    they agree bitwise.
+    pass loads the values into two networks made beforehand, as
+    ``BerryTrainer`` does; the reference clones both networks and runs the
+    per-tensor operator, as the trainer did before.  Both sides of a pair
+    run on the same map, timed through ``time_pairs``, and every pair's two
+    results must agree bitwise.
     """
     config = FAST_PROFILE.navigation_for_density(ObstacleDensity.SPARSE)
     env = NavigationEnv(config, rng=5)
@@ -200,41 +198,48 @@ def test_berry_perturbed_pass_speedup(per_tensor_berr):
     networks = [
         build_policy(FAST_PROFILE.policy_spec, shape, actions, rng=seed) for seed in (0, 1)
     ]
-    perturbed = [network.clone() for network in networks]
     injector = BitErrorInjector.for_network(networks[0])
+    rng = np.random.default_rng(9)
+    fault_maps = [
+        FaultMap.random(injector.memory_bits, 0.01, rng=rng) for _ in range(PERTURBED_PASS_PAIRS)
+    ]
+    perturbed = [network.clone() for network in networks]
+    flat, reference = [], []
 
     def flat_pass(fault_map):
         for network, scratch in zip(networks, perturbed):
             memory = injector.quantize_state(network.state_dict())
             scratch.load_state_dict(injector.perturb_quantized_state(memory, fault_map))
-        return perturbed
 
-    def per_tensor_pass(fault_map):
-        clones = [network.clone() for network in networks]
+    def per_tensor_pass(fault_map, clones):
+        clones.extend(network.clone() for network in networks)
         for network, clone in zip(networks, clones):
             clone.load_state_dict(per_tensor_berr(injector, network.state_dict(), fault_map))
-        return clones
 
-    rng = np.random.default_rng(9)
-    flat_s, reference_s = [], []
-    for _ in range(PERTURBED_PASS_PAIRS):
-        fault_map = FaultMap.random(injector.memory_bits, 0.01, rng=rng)
-        started = time.perf_counter()
-        flat = flat_pass(fault_map)
-        flat_s.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        reference = per_tensor_pass(fault_map)
-        reference_s.append(time.perf_counter() - started)
-        for got, expected in zip(flat, reference):
-            got = got.state_dict()
+    def snapshot():
+        return [network.state_dict() for network in perturbed]
+
+    def make_flat():
+        # Keep the previous flat pass's result before the next overwrites it.
+        if flat:
+            flat[-1] = snapshot()
+        flat.append(None)
+        return partial(flat_pass, fault_maps[len(flat) - 1])
+
+    def make_reference():
+        reference.append([])
+        return partial(per_tensor_pass, fault_maps[len(reference) - 1], reference[-1])
+
+    reference_s, flat_s = time_pairs(make_reference, make_flat, PERTURBED_PASS_PAIRS)
+    flat[-1] = snapshot()
+    for got_pair, expected_pair in zip(flat, reference):
+        for got, expected in zip(got_pair, expected_pair):
             for name, values in expected.state_dict().items():
                 assert got[name].tobytes() == values.tobytes()
-    flat_median = statistics.median(flat_s)
-    reference_median = statistics.median(reference_s)
-    speedup = reference_median / flat_median
+    speedup = reference_s / flat_s
     print(
-        f"\nBERRY perturbed pass (θ and θ⁻): per-tensor {reference_median * 1e6:.0f} us "
-        f"vs flat memory {flat_median * 1e6:.0f} us -> {speedup:.2f}x"
+        f"\nBERRY perturbed pass (θ and θ⁻): per-tensor {reference_s * 1e6:.0f} us "
+        f"vs flat memory {flat_s * 1e6:.0f} us -> {speedup:.2f}x"
     )
     assert speedup >= MIN_PERTURBED_PASS_SPEEDUP, (
         f"flat perturbed pass only {speedup:.2f}x faster than the per-tensor operator "

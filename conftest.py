@@ -125,6 +125,39 @@ def dict_bucket_candidates():
     return candidates
 
 
+@pytest.fixture(scope="session")
+def dense_march():
+    """The dense ray march the ray cast must reproduce.
+
+    ``march(field, origins, angles, max_range, step, times_s=None)`` sends
+    every march sample of every ray through ``_collide_mask(points, 0.0)``:
+    the field's own, or given ``times_s`` (one time per origin) that of its
+    ``at_time`` snapshot at the origin's time.  Each ray reads its first
+    flagged sample, or ``max_range``: what ``field.ray_distances_many``
+    (``ray_distances_many_timed`` given times) returns, bitwise.
+    """
+    import numpy as np
+
+    def march(field, origins, angles, max_range, step=0.1, times_s=None):
+        origins = np.asarray(origins, dtype=np.float64).reshape(-1, 2)
+        angles = np.asarray(angles, dtype=np.float64)
+        if angles.ndim == 1:
+            angles = np.broadcast_to(angles, (origins.shape[0], angles.size))
+        directions = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        marches = np.arange(step, max_range, step, dtype=np.float64)
+        distances = np.full(angles.shape, max_range, dtype=np.float64)
+        if marches.size == 0:
+            return distances
+        for fan, origin in enumerate(origins):
+            snapshot = field if times_s is None else field.at_time(float(times_s[fan]))
+            points = origin + marches[None, :, None] * directions[fan][:, None, :]
+            hits = snapshot._collide_mask(points.reshape(-1, 2), 0.0).reshape(points.shape[:2])
+            distances[fan] = np.where(hits.any(axis=1), marches[np.argmax(hits, axis=1)], max_range)
+        return distances
+
+    return march
+
+
 @pytest.fixture
 def time_pairs():
     """Time a reference and a candidate in interleaved pairs: the timing

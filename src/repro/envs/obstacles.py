@@ -14,12 +14,24 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, EnvironmentError_
 from repro.utils.rng import SeedLike, as_generator
+
+
+#: Slack of the ray cast's bounds (see ``ObstacleField._march_rays``) per
+#: metre of the query's length scale: world width + height + ray reach +
+#: largest radius.  A sample point ``o + m*d`` is off its exact position by
+#: at most ~2 ulps of ``|o| + m``, the hit test's distance by ~3 ulps of
+#: ``r``, and each bound by a few ulps of ``|c - o| <= reach + r`` (numpy's
+#: cosine and sine give directions within 1 ulp of unit length).  An origin
+#: inside the world has ``|o| <= width + height``; one outside is tested from
+#: its first sample on.  The errors sum to under 16 machine epsilons of the
+#: scale; 64 leaves a 4x reserve.
+RAY_CAST_SLACK = 64.0 * float(np.finfo(np.float64).eps)
 
 
 def planar_distances(deltas: np.ndarray) -> np.ndarray:
@@ -273,128 +285,173 @@ class ObstacleField:
 
         ``origins`` is ``(N, 2)`` and ``angles`` either ``(R,)`` (one shared
         fan) or ``(N, R)`` (a fan per origin); the result is ``(N, R)``.  Row
-        ``i`` matches :meth:`ray_distances` from ``origins[i]`` exactly —
-        every march sample of every ray of every origin is evaluated in a
-        single :meth:`_collide_mask` query, so B lockstep environment lanes
-        sense in one call instead of B.
+        ``i`` matches :meth:`ray_distances` from ``origins[i]`` exactly.  A
+        ray reads the first sample of its march grid (``step``, ``2 * step``,
+        ... below ``max_range``) that ``_collide_mask(point, 0.0)`` flags,
+        or ``max_range``.  :meth:`_march_rays` finds that sample from the
+        geometry, so all B lockstep environment lanes sense in one call that
+        tests about one sample per ray.
         """
-        shape, flat_origins, directions, marches = self._ray_fan(
-            origins, angles, max_range, step
+        origins, directions, marches = self._ray_fan(origins, angles, max_range, step)
+        return self._march_rays(
+            origins, directions, marches, max_range, self.centers.T[:, None, :], self.radii
         )
-        return self._march_rays(flat_origins, directions, marches, max_range).reshape(shape)
 
     @staticmethod
     def _ray_fan(
         origins: np.ndarray, angles: np.ndarray, max_range: float, step: float
-    ) -> Tuple[Tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Validated set-up of a batched ray query.
 
-        Returns the ``(N, R)`` result shape, one origin and one unit
-        direction per flattened ray, and the march grid.
+        Returns the ``(F, 2)`` fan origins, the ``(2, F, R)`` unit ray
+        directions (x components, then y) and the march grid.  A fan shared
+        by every origin has its cosines and sines taken once.
         """
         if max_range <= 0 or step <= 0:
             raise ConfigurationError("ray max_range and step must be positive")
         origins = np.asarray(origins, dtype=np.float64).reshape(-1, 2)
-        angles = np.asarray(angles, dtype=np.float64)
-        if angles.ndim == 1:
-            angles = np.broadcast_to(angles, (origins.shape[0], angles.size))
-        if angles.shape[0] != origins.shape[0]:
+        angles = np.ascontiguousarray(angles, dtype=np.float64)
+        count = origins.shape[0]
+        if angles.ndim != 1 and (angles.ndim != 2 or angles.shape[0] != count):
             raise ConfigurationError(
-                f"angles shape {angles.shape} does not match {origins.shape[0]} origins"
+                f"angles shape {angles.shape} does not match {count} origins"
             )
-        flat_angles = angles.reshape(-1)
-        directions = np.stack([np.cos(flat_angles), np.sin(flat_angles)], axis=-1)
-        flat_origins = np.repeat(origins, angles.shape[1], axis=0)
+        directions = np.empty((2,) + angles.shape)
+        np.cos(angles, out=directions[0])
+        np.sin(angles, out=directions[1])
+        if angles.ndim == 1:
+            directions = np.broadcast_to(directions[:, None, :], (2, count, angles.size))
         marches = np.arange(step, max_range, step, dtype=np.float64)
-        return angles.shape, flat_origins, directions, marches
+        return origins, directions, marches
 
     def _march_rays(
         self,
-        flat_origins: np.ndarray,
+        origins: np.ndarray,
         directions: np.ndarray,
         marches: np.ndarray,
         max_range: float,
-        point_clearances: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+        centers: np.ndarray,
+        radii: np.ndarray,
     ) -> np.ndarray:
-        """First-hit march shared by the static and time-parameterised queries.
+        """First hits of the ``(F, R)`` rays of :meth:`_ray_fan` among circles.
 
-        ``point_clearances(points, ray_indices)`` evaluates the clearance of
-        sample points, where ``ray_indices[k]`` is the flattened ray each
-        point belongs to — the hook :class:`~repro.worlds.dynamic.
-        DynamicObstacleField` uses to place movers at each ray's own time.
-        ``None`` selects the static field's :meth:`clearances` (every ray sees
-        the same geometry).  The skip logic is per-ray, so the 1-Lipschitz
-        sphere-tracing argument holds whenever each individual ray sees a
-        fixed geometry, even if different rays see different ones.
+        ``centers`` is ``(2, F, C)``, the x and then y centres of the C
+        circles each fan sees, or ``(2, 1, C)`` when every fan sees them in
+        one place, and ``radii`` is ``(C,)``: the field's own circles, or
+        for :class:`~repro.worlds.dynamic.DynamicObstacleField` those and
+        its movers placed at each fan's time.  Ray ``[f, k]`` reads the
+        first sample ``marches[j]`` whose point
+        ``origins[f] + marches[j] * directions[:, f, k]`` lies outside the
+        world or inside a circle (what ``_collide_mask(point, 0.0)`` flags
+        on a field of these circles), or ``max_range``.
+
+        Geometry gives each ray its first candidate sample, the first one
+        at or past the earliest distance at which the ray can hit:
+
+        * one (fans x circles) pass drops every circle farther than
+          ``marches[-1] + r + margin`` from the fan's origin;
+        * for each (ray, kept circle), the centre's offset ``b = v . d``
+          along the ray and its miss distance ``h = |v x d|`` give the entry
+          bound ``b - sqrt((r + margin)^2 - h^2) - margin``; a ray with
+          ``h >= r + margin``, or whose widened chord ends before the first
+          sample, cannot hit the circle;
+        * the distance at which the ray leaves the world bounds the samples
+          outside it (all of them, if the origin is outside).
+
+        A ray with no candidate reads ``max_range`` without a hit test.
+        Every other ray runs the exact hit test at its candidate, and on a
+        miss (a grazing chord between two samples, or a candidate inside the
+        margin) at every later sample, so each answer is bitwise the dense
+        march's: a sample before the candidate cannot hit.  The hit test
+        flags a point outside the world or at a negative
+        :func:`circle_distances` from a circle some fan kept; no sample lies
+        inside a dropped circle.  The margin (:data:`RAY_CAST_SLACK` times
+        the query's length scale) covers the rounding of the sample points,
+        of the hit test and of the bounds.
         """
-        num_rays = flat_origins.shape[0]
+        count, rays = directions.shape[1:]
+        distances = np.full(count * rays, max_range, dtype=np.float64)
         if marches.size == 0:
-            return np.full(num_rays, max_range, dtype=np.float64)
-        clearances = (
-            (lambda points, rays: self.clearances(points))
-            if point_clearances is None
-            else point_clearances
+            return distances.reshape(count, rays)
+        width, height = self.world_size
+        reach = float(marches[-1])
+        fan_xy = origins.T[:, :, None]
+        margin = RAY_CAST_SLACK * (
+            width + height + reach + (float(radii.max()) if radii.size else 0.0)
         )
 
-        def dense_hits(rays: np.ndarray) -> np.ndarray:
-            """Collision mask of the full march grid for ``rays`` (bitwise the
-            inherited ``_collide_mask(points, 0.0)`` when the field is static)."""
-            points = (
-                flat_origins[rays][:, None, :]
-                + marches[None, :, None] * directions[rays][:, None, :]
-            ).reshape(-1, 2)
-            width, height = self.world_size
-            xs, ys = points[:, 0], points[:, 1]
-            out = (xs < 0.0) | (xs > width) | (ys < 0.0) | (ys > height)
-            sample_rays = np.repeat(rays, marches.size)
-            return (out | (clearances(points, sample_rays) < 0.0)).reshape(
-                rays.size, marches.size
-            )
+        # The earliest distance at which each ray can be outside the world.
+        # A zero direction component never leaves along its axis: x/0 is
+        # inf, 0/0 is NaN and fmin skips NaN.
+        bounds = np.array([width, height])[:, None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exits = np.where(directions > 0.0, bounds - fan_xy, fan_xy) / np.abs(directions)
+        outside = ((fan_xy < 0.0) | (fan_xy > bounds)).any(axis=0)
+        earliest = np.where(outside, -np.inf, np.fmin(exits[0], exits[1])) - margin
 
-        # A single sensor fan is cheaper as one dense march (one numpy call);
-        # wide lockstep batches win big from sphere tracing below.  Both
-        # strategies return bit-identical first-hit distances.
-        if num_rays < 32:
-            hits = dense_hits(np.arange(num_rays))
-            any_hit = hits.any(axis=1)
-            first_hit = np.argmax(hits, axis=1)
-            return np.where(any_hit, marches[first_hit], max_range)
-        # Sphere tracing over the march grid: a sample with clearance c proves
-        # every sample within arc distance c of it collision-free (clearance
-        # is 1-Lipschitz), so those march samples are skipped without being
-        # evaluated.  The visited samples produce exactly the dense-march
-        # first-hit answer at a fraction of the point-vs-obstacle work.
-        distances = np.full(num_rays, max_range, dtype=np.float64)
-        indices = np.zeros(num_rays, dtype=np.int64)
-        alive = np.ones(num_rays, dtype=bool)
-        while True:
-            rays = np.nonzero(alive)[0]
-            if rays.size == 0:
-                break
-            if rays.size < 32:
-                # Tail flush: a handful of stragglers creeping through tight
-                # clearances would otherwise dominate the iteration count.
-                # The dense march of the full grid yields the same first hit
-                # (all skipped samples were proven collision-free).
-                hits = dense_hits(rays)
-                any_hit = hits.any(axis=1)
-                first_hit = np.argmax(hits, axis=1)
-                distances[rays] = np.where(any_hit, marches[first_hit], max_range)
-                break
-            sampled = marches[indices[rays]]
-            points = flat_origins[rays] + sampled[:, None] * directions[rays]
-            clearance = clearances(points, rays)
-            hit = clearance < 0.0
-            distances[rays[hit]] = sampled[hit]
-            alive[rays[hit]] = False
-            live = rays[~hit]
-            if live.size:
-                skipped_to = np.searchsorted(marches, sampled[~hit] + clearance[~hit], side="left")
-                skipped_to = np.maximum(skipped_to, indices[live] + 1)
-                exhausted = skipped_to >= marches.size
-                alive[live[exhausted]] = False
-                indices[live[~exhausted]] = skipped_to[~exhausted]
-        return distances
+        # ... or inside a circle within reach of its origin.
+        deltas = centers - fan_xy
+        squared = deltas * deltas
+        span = reach + margin + radii
+        kept = squared[0] + squared[1] < span * span
+        pairs = np.flatnonzero(kept)
+        if pairs.size:
+            # (ray, pair) arrays, pairs innermost: a fan's R rays against
+            # each of its K kept circles.
+            fans, circles = np.divmod(pairs, kept.shape[1])
+            along = deltas.reshape(2, -1)[:, None, pairs]
+            ray = directions.transpose(0, 2, 1)[:, :, fans]
+            products = along * ray
+            offsets = products[0] + products[1]
+            crossed = along[::-1] * ray
+            misses = crossed[1] - crossed[0]
+            widened = radii[circles] + margin
+            with np.errstate(invalid="ignore"):
+                # (w - h)(w + h) keeps the half chord accurate near tangency;
+                # a ray that passes outside the widened circle gets NaN.
+                half_chords = np.sqrt((widened - misses) * (widened + misses))
+            half_chords += margin
+            # No candidate from a circle the ray misses or that ends before
+            # the first sample (NaN >= x is False).
+            entries = np.where(
+                offsets + half_chords >= marches[0], offsets - half_chords, np.inf
+            )
+            # ``pairs`` is sorted: one minimum over each fan's run of circles.
+            counts = np.count_nonzero(kept, axis=1)
+            seen = np.flatnonzero(counts)
+            nearest = np.minimum.reduceat(entries, (np.cumsum(counts) - counts)[seen], axis=1)
+            earliest[seen] = np.minimum(earliest[seen], nearest.T)
+        first = np.searchsorted(marches, earliest)
+        # The hit test needs only the circles some fan kept.
+        kept_circles = np.flatnonzero(kept.any(axis=0))
+        centers, radii = centers[:, :, kept_circles], radii[kept_circles]
+        ray_xy = directions.reshape(2, -1)
+
+        def hits(flat: np.ndarray, samples: np.ndarray) -> np.ndarray:
+            """Exact hit test of ``marches[samples]`` on flattened rays ``flat``."""
+            fan = flat // rays
+            steps = marches[samples][:, None] * ray_xy[:, flat, None]
+            xs, ys = origins[fan].T[:, :, None] + steps
+            seen = centers if centers.shape[1] == 1 else centers[:, fan]
+            inside = circle_distances(xs, ys, seen[0], seen[1], radii) < 0.0
+            xs, ys = xs[:, 0], ys[:, 0]
+            return (xs < 0.0) | (xs > width) | (ys < 0.0) | (ys > height) | inside.any(axis=1)
+
+        flat = np.flatnonzero(first < marches.size)
+        samples = first.reshape(-1)[flat]
+        hit = hits(flat, samples)
+        distances[flat[hit]] = marches[samples[hit]]
+        if not hit.all():
+            # A miss (a grazing chord between two samples, or a candidate
+            # inside the margin): test the ray's later samples.
+            flat, tried = flat[~hit], samples[~hit]
+            later = np.arange(marches.size) > tried[:, None]
+            missed, samples = np.nonzero(later)
+            hit = np.zeros(later.shape, dtype=bool)
+            hit[missed, samples] = hits(flat[missed], samples)
+            found = hit.any(axis=1)
+            distances[flat[found]] = marches[np.argmax(hit[found], axis=1)]
+        return distances.reshape(count, rays)
 
     def ray_distances(
         self,
@@ -406,8 +463,8 @@ class ObstacleField:
         """First-hit distance for a fan of rays, in one batched query.
 
         Matches :meth:`ray_distance` exactly (march from ``step`` in ``step``
-        increments, capped at ``max_range``) but evaluates every sample point
-        of every ray in a single :meth:`collides_many` call.
+        increments, capped at ``max_range``); it is row 0 of
+        :meth:`ray_distances_many` from the one origin.
         """
         angles = np.asarray(angles, dtype=np.float64).reshape(-1)
         origin = np.asarray(origin, dtype=np.float64).reshape(1, 2)

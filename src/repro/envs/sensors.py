@@ -56,8 +56,11 @@ class RaySensor:
     def sense(self, field: ObstacleField, position: np.ndarray, heading: float) -> np.ndarray:
         """Normalized depth readings in [0, 1] (1 = free space out to max range).
 
-        All rays (and every march sample along them) go through one batched
-        :meth:`~repro.envs.obstacles.ObstacleField.ray_distances` query.
+        All rays go through one batched
+        :meth:`~repro.envs.obstacles.ObstacleField.ray_distances` query: each
+        reads the first ``step_m`` march sample that hits an obstacle or
+        leaves the world, found by casting the ray against the circles
+        rather than testing every sample.
         """
         distances = field.ray_distances(
             position, heading + self.ray_angles, self.max_range_m, self.step_m

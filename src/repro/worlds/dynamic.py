@@ -226,18 +226,30 @@ class DynamicObstacleField(ObstacleField):
     def _mover_loops(self) -> _MoverLoops:
         return _MoverLoops(self.movers)
 
+    def _placed_movers(self, times: np.ndarray) -> np.ndarray:
+        """``(2, T, M)`` mover centres (x, then y) for rows at ``times``:
+        ``T = 1`` when every row has the same time, one row per time
+        otherwise.
+
+        Each centre is bitwise :meth:`MovingObstacle.positions_at` of its
+        row's time.  The movers are placed once per distinct time, all
+        together by the field's loop table, and gathered back to the rows;
+        when every time ``==`` the first they are placed once and broadcast.
+        The placement is elementwise in time, and the only times ``==`` and
+        ``np.unique`` merge while their bits differ, ``0.0`` and ``-0.0``,
+        give the same arc length.
+        """
+        if times.size and (times == times[0]).all():
+            return self._mover_loops.place(times[:1]).transpose(2, 1, 0)
+        instants, rows = np.unique(times, return_inverse=True)
+        return self._mover_loops.place(instants).transpose(2, 1, 0)[:, rows]
+
     def _mover_clearances(self, points: np.ndarray, times_s: np.ndarray) -> np.ndarray:
         """Distance from each point to the nearest mover surface at its own time.
 
         ``points`` is ``(P, 2)`` and ``times_s`` ``(P,)`` — point ``i`` sees
-        every mover placed at ``times_s[i]``.  The movers are placed once per
-        distinct time, all together by the field's loop table, and the
-        ``(M, P)`` centres are gathered from those placements.  Each centre is
-        bitwise :meth:`MovingObstacle.positions_at` of its row's time: the
-        placement is elementwise in time, and the only times ``np.unique``
-        merges while their bits differ, ``0.0`` and ``-0.0``, give the same
-        arc length.  The
-        distances come from the same
+        every mover placed at ``times_s[i]`` (by :meth:`_placed_movers`).
+        The distances come from the same
         :func:`~repro.envs.obstacles.circle_distances` kernel as the static
         :meth:`~repro.envs.obstacles.ObstacleField.clearances`, so they are
         exactly the slice of the distance matrix the movers occupy in an
@@ -245,17 +257,9 @@ class DynamicObstacleField(ObstacleField):
         clearance via ``np.minimum`` reproduces the snapshot's clearance
         bitwise.
         """
-        instants, rows = np.unique(times_s, return_inverse=True)
-        centers = self._mover_loops.place(instants)
-        if instants.size > 1:
-            # One instant needs no gather: its (M, 1) centres broadcast.
-            centers = centers[:, rows]
+        centers_x, centers_y = self._placed_movers(times_s).transpose(0, 2, 1)
         distances = circle_distances(
-            points[:, 0],
-            points[:, 1],
-            centers[:, :, 0],
-            centers[:, :, 1],
-            self._mover_radii[:, None],
+            points[:, 0], points[:, 1], centers_x, centers_y, self._mover_radii[:, None]
         )
         return distances.min(axis=0)
 
@@ -302,27 +306,26 @@ class DynamicObstacleField(ObstacleField):
         ``times_s`` ``(N,)``; every ray of origin ``i`` sees the field frozen
         at ``times_s[i]`` (sensing is instantaneous), so row ``i`` of the
         ``(N, R)`` result is bit-identical to
-        ``at_time(times_s[i]).ray_distances_many(origins[i:i+1], ...)`` — but
-        all N desynchronised fans march through one query, each march step
-        placing the movers once per distinct time among its rays, instead of
-        one snapshot field per distinct time.
+        ``at_time(times_s[i]).ray_distances_many(origins[i:i+1], ...)``.
+        The movers are placed once per distinct fan time (once for a
+        lockstep fleet) and join the static circles in the table the cast
+        of :meth:`~repro.envs.obstacles.ObstacleField._march_rays` reads,
+        instead of one snapshot field being built per time.
         """
         if not self.movers:
             return super().ray_distances_many_timed(origins, angles, times_s, max_range, step)
-        shape, flat_origins, directions, marches = self._ray_fan(
-            origins, angles, max_range, step
-        )
-        ray_times = np.repeat(row_times(times_s, shape[0], "origins"), shape[1])
-
-        def timed_clearances(points: np.ndarray, rays: np.ndarray) -> np.ndarray:
-            return np.minimum(
-                ObstacleField.clearances(self, points),
-                self._mover_clearances(points, ray_times[rays]),
-            )
-
+        origins, directions, marches = self._ray_fan(origins, angles, max_range, step)
+        movers = self._placed_movers(row_times(times_s, origins.shape[0], "origins"))
+        table = (2, movers.shape[1], self.num_obstacles)
+        static = np.broadcast_to(self.centers.T[:, None, :], table)
         return self._march_rays(
-            flat_origins, directions, marches, max_range, timed_clearances
-        ).reshape(shape)
+            origins,
+            directions,
+            marches,
+            max_range,
+            np.concatenate([static, movers], axis=2),
+            np.concatenate([self.radii, self._mover_radii]),
+        )
 
     def at_time(self, time_s: float) -> ObstacleField:
         """A static snapshot with every mover placed at its ``time_s`` position."""

@@ -17,8 +17,6 @@ from repro.experiments.profiles import FAST_PROFILE
 from repro.experiments.table1 import TrainedPolicies, train_policies
 from repro.rl.evaluation import evaluate_policy, evaluate_under_faults
 
-pytestmark = pytest.mark.slow
-
 
 @pytest.fixture(scope="module")
 def trained_policies() -> TrainedPolicies:

@@ -124,8 +124,9 @@ def dynamic_field(request):
 
 #: How a query's rows share instants: one random time per row, one shared
 #: instant, fleet lockstep (one start/end pair, so one instant per segment
-#: sample) and a mix of 0.0, -0.0 and instants around a loop wrap.
-TIME_LAYOUTS = ("per-row", "shared", "lockstep", "mixed")
+#: sample), a mix of 0.0, -0.0 and instants around a loop wrap, and one
+#: instant by ``==`` whose rows mix 0.0 and -0.0.
+TIME_LAYOUTS = ("per-row", "shared", "lockstep", "mixed", "signed-zero")
 
 #: Every dynamic field under every time layout; the per-row layout keeps the
 #: bare field id these tests had before the layouts were added.
@@ -149,7 +150,16 @@ def _point_times(layout, field, count, rng):
         return np.full(count, 7.25)
     if layout == "lockstep":
         return np.resize(np.linspace(12.5, 13.0, 8), count)
+    if layout == "signed-zero":
+        return _signed_zeros(count, rng)
     return rng.choice(_mixed_instants(field), size=count)
+
+
+def _signed_zeros(count, rng):
+    """``count`` times, each 0.0 or -0.0, both present."""
+    times = rng.choice([0.0, -0.0], size=count)
+    times[:2] = [0.0, -0.0]
+    return times
 
 
 def _segment_times(layout, field, count, rng):
@@ -161,6 +171,8 @@ def _segment_times(layout, field, count, rng):
         return np.full(count, 7.25), np.full(count, 7.25)
     if layout == "lockstep":
         return np.full(count, 12.5), np.full(count, 13.0)
+    if layout == "signed-zero":
+        return _signed_zeros(count, rng), _signed_zeros(count, rng)
     # Reversed pairs from -0.0 keep -0.0 as a sample time (0 * negative).
     start_times = rng.choice(_mixed_instants(field), size=count)
     return start_times, start_times + rng.choice([-0.5, 0.0, 0.5], size=count)
