@@ -141,28 +141,27 @@ class _CountingNumpyBackend(NumpyBackend):
         return wrapped
 
 
-def _dispatch_delta_ns() -> float:
+def _dispatch_delta_ns(time_pairs) -> float:
     """Per-call cost of routing ``np.add`` through the backend method.
 
-    Interleaves direct/routed timing blocks and takes the min of each so CPU
-    frequency drift cancels; tiny operands make the delta pure python-call
-    indirection rather than array arithmetic.
+    Times direct/routed blocks in interleaved pairs (the root ``time_pairs``
+    protocol) and takes the fastest block of each, so CPU frequency drift
+    cancels; tiny operands make the delta pure python-call indirection
+    rather than array arithmetic.
     """
     be = get_backend("numpy")
     x, y, out = np.zeros(8), np.ones(8), np.empty(8)
     calls = 20000
 
     def block(fn):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn(x, y, out=out)
-        return (time.perf_counter() - start) / calls
+        def run():
+            for _ in range(calls):
+                fn(x, y, out=out)
 
-    direct, routed = float("inf"), float("inf")
-    for _ in range(9):
-        direct = min(direct, block(np.add))
-        routed = min(routed, block(be.add))
-    return max(0.0, routed - direct) * 1e9
+        return run
+
+    direct_s, routed_s = time_pairs(lambda: block(np.add), lambda: block(be.add), 9)
+    return max(0.0, routed_s - direct_s) / calls * 1e9
 
 
 def _conv_step_op_count() -> int:
@@ -183,7 +182,7 @@ def _conv_step_op_count() -> int:
     return counting.calls
 
 
-def test_numpy_backend_indirection_overhead_under_one_percent():
+def test_numpy_backend_indirection_overhead_under_one_percent(time_pairs):
     """Acceptance gate: backend dispatch costs <1 % of the gradient step.
 
     The numpy backend is a one-line delegation layer, so the *only* cost the
@@ -193,7 +192,7 @@ def test_numpy_backend_indirection_overhead_under_one_percent():
     torch gate below targets), and that count times the measured per-call
     indirection delta must stay under 1 % of the measured step time.
     """
-    delta_ns = _dispatch_delta_ns()
+    delta_ns = _dispatch_delta_ns(time_pairs)
     ops = _conv_step_op_count()
     step_time = 1.0 / _conv_gradient_step_rate("numpy", steps=3)
     overhead_fraction = (ops * delta_ns * 1e-9) / step_time

@@ -30,8 +30,8 @@ def store_lines():
 def per_tensor_berr():
     """The per-tensor ``BErr_p`` reference the flat word memory must reproduce.
 
-    ``perturb(injector, state, fault_map)`` quantizes each tensor alone (the
-    injector's ``_scale_for`` and ``_encode``), checks its codes against the
+    ``perturb(injector, state, fault_map)`` quantizes each tensor alone (its
+    own max-abs scale, the injector's ``_encode``), checks its codes against the
     word width, takes them mod 2^bits into words and corrupts those at the
     tensor's bit offset, checks the corrupted words, turns them back into
     two's-complement codes and multiplies by the scale: what
@@ -40,7 +40,7 @@ def per_tensor_berr():
     """
     import numpy as np
 
-    from repro.faults.injection import _encode, _scale_for
+    from repro.faults.injection import _encode
     from repro.nn.backend import NUMPY_BACKEND as np_be
 
     def check_range(array, low, high):
@@ -60,7 +60,9 @@ def per_tensor_berr():
         for name, values in state.items():
             values = be.asarray(values, "float64")
             assert be.all_finite(values)
-            scale = _scale_for(values, bits, be)
+            max_code = float(2 ** (bits - 1) - 1)
+            # A zero (or underflowing subnormal) max-abs falls back to 1 / max_code.
+            scale = float(np.abs(be.to_numpy(values)).max()) / max_code or 1.0 / max_code
             codes = checked_codes(_encode(values, scale, bits, be), bits)
             words = np_be.astype(np_be.mod(codes, modulus), "int64").ravel()
             offset = injector.layout.segment(name).bit_offset

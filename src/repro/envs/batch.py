@@ -147,10 +147,13 @@ class BatchedNavigationEnv:
         # share_rng hands lane 0 the template's very Generator object: draws
         # through this batch continue the serial environment's stream, which is
         # what makes B=1 batched *training* consume RNG exactly like the serial
-        # trainer (see repro.rl.collect).  The default spawns independent
-        # per-lane streams.
-        self._rngs: List[np.random.Generator] = (
-            [template._rng] if share_rng else spawn_generators(template._rng, B)
+        # trainer (see repro.rl.collect).  The default gives every lane its own
+        # child of the template's stream, spawned when a lane is first reset
+        # without a seed: an evaluation seeds every reset, so it never advances
+        # the template's SeedSequence that later training spawns from.
+        self._template_rng = template._rng
+        self._rngs: List[Optional[np.random.Generator]] = (
+            [template._rng] if share_rng else [None] * B
         )
         # Per-lane episode state (lanes start finished; reset_lanes activates them).
         self._positions = self._starts.copy()
@@ -225,6 +228,12 @@ class BatchedNavigationEnv:
                 )
             if seed is not None:
                 self._rngs[lane] = as_generator(int(seed))
+            elif self._rngs[lane] is None:
+                children = spawn_generators(self._template_rng, self.batch_size)
+                self._rngs = [
+                    own if own is not None else child
+                    for own, child in zip(self._rngs, children)
+                ]
             rng = self._rngs[lane]
             if config.randomize_obstacles_on_reset:
                 if config.world_spec is not None:

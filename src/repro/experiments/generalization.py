@@ -196,10 +196,10 @@ def generalization_rollout_sweep_spec(
     ``backend`` selects the compute backend the policy trains on
     (:mod:`repro.nn.backend`); ``None`` resolves the process-wide default
     (``repro-runtime run --backend`` / ``REPRO_BACKEND``).  ``"numpy"`` is
-    omitted from the job params so existing cached spec hashes stay valid;
-    any other backend is recorded in the spec — and therefore in its hash —
-    because non-numpy backends only guarantee numerical (not bitwise)
-    agreement.
+    omitted from the job params: naming it would change every spec hash, and
+    with it every job's seed, training seed and measured result.  Any other
+    backend is recorded in the spec — and therefore in its hash — because
+    non-numpy backends only guarantee numerical (not bitwise) agreement.
     """
     from repro.nn.backend import default_backend_name
 
@@ -284,9 +284,9 @@ def _train_rollout_policy(params: Mapping[str, Any]):
             train_frequency=2,
             target_update_interval=150,
             epsilon_schedule=LinearDecay(start=1.0, end=0.08, decay_steps=1200),
-            # Older cached specs predate batched collection: default serial.
-            train_lanes=int(params.get("train_lanes", 1)),
-            # Older cached specs predate pluggable backends: default numpy.
+            train_lanes=int(params["train_lanes"]),
+            # numpy stays out of the params: naming it would change every
+            # spec hash, hence spec.seed, _training_seed and every result.
             backend=str(params.get("backend", "numpy")),
         ),
         rng=int(params["policy_seed"]) + train_seed,
@@ -352,7 +352,7 @@ def _evaluate_rollout(spec: JobSpec, env, network) -> Dict[str, Any]:
         "ber_percent": ber_percent,
         "num_episodes": num_episodes,
         "training_episodes": int(params["training_episodes"]),
-        "train_lanes": int(params.get("train_lanes", 1)),
+        "train_lanes": int(params["train_lanes"]),
         "success_pct": 100.0 * success,
         "collision_pct": None if collision_rate is None else 100.0 * collision_rate,
         "mean_steps": mean_steps,

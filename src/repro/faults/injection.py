@@ -14,18 +14,18 @@ flat word memory (:class:`QuantizedMemory`), the only quantized form of a
 network in this package: each tensor gets the symmetric max-abs scale of its
 own values, and the word width is the layout's ``bits_per_value`` (8 in the
 paper).  Each step of the operator is one pass over that memory — one
-encode, one ``apply_to_words``, one signed conversion and one per-value
-``× scale`` — whatever the number of tensors.  The scale search, the
-encoding and the word-level corruption run on a pluggable
-:class:`~repro.nn.backend.ArrayBackend` (``backend=`` on the injector,
-default the process-wide selection); flipped-bit accounting is one XOR and
-one vectorised ``popcount`` over the memory.
+scale search (``np.maximum.reduceat`` at the tensors' offsets), one encode,
+one ``apply_to_words``, one signed conversion and one per-value ``× scale``
+— whatever the number of tensors.  The encoding and the word-level
+corruption run on a pluggable :class:`~repro.nn.backend.ArrayBackend`
+(``backend=`` on the injector, default the process-wide selection);
+flipped-bit accounting is one XOR and one vectorised ``popcount`` over the
+memory.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,21 +39,6 @@ from repro.nn.backend import ArrayBackend, resolve_backend
 from repro.nn.network import Sequential
 from repro.obs import get_metrics, span
 from repro.utils.warmcache import warm_cache
-
-
-def _scale_for(values, bits: int, backend: ArrayBackend) -> float:
-    """The symmetric max-abs scale of one tensor (``values`` is a backend array)."""
-    magnitudes = backend.abs(values)
-    if backend.numel(magnitudes) == 0:
-        raise QuantizationError("cannot quantize an empty array")
-    max_abs = float(backend.max(magnitudes))
-    max_code = float(2 ** (bits - 1) - 1)
-    if max_abs == 0.0 or not math.isfinite(max_abs) or max_abs / max_code == 0.0:
-        # All-zero (or degenerate) tensors still need a valid scale; the codes
-        # will all be zero so the actual value does not matter.  A subnormal
-        # max_abs whose division underflows to 0.0 lands here too.
-        max_abs = 1.0
-    return max_abs / max_code
 
 
 def _encode(values, scale, bits: int, backend: ArrayBackend) -> np.ndarray:
@@ -237,21 +222,27 @@ class BitErrorInjector:
         its parameters between syncs; quantization (scale search plus
         rounding) is hoisted here so :meth:`perturb_quantized_state` only
         corrupts and dequantizes.  Each tensor gets the max-abs scale of its
-        own values (:func:`_scale_for`); every value is then encoded in one
-        pass.  ``state`` must hold exactly the layout's tensors in their
-        placed shapes (:meth:`MemoryLayout.flatten`), and every value must be
-        finite.
+        own values, found for every tensor in one ``np.maximum.reduceat``
+        over the flat memory; every value is then encoded in one pass.
+        ``state`` must hold exactly the layout's tensors in their placed
+        shapes (:meth:`MemoryLayout.flatten`), every tensor at least one
+        value, and every value must be finite.
         """
         be = self.backend
         layout = self.layout
         bits = layout.bits_per_value
-        values = be.asarray(layout.flatten(state), "float64")
+        flat = layout.flatten(state)
+        values = be.asarray(flat, "float64")
         if not be.all_finite(values):
             raise QuantizationError("cannot quantize an array containing NaN or infinity")
-        scales = np.array(
-            [_scale_for(values[s.value_slice], bits, be) for s in layout.segments().values()],
-            dtype=np.float64,
-        )
+        if not layout.counts.all():
+            raise QuantizationError("cannot quantize an empty array")
+        max_code = float(2 ** (bits - 1) - 1)
+        offsets = np.cumsum(layout.counts) - layout.counts
+        scales = np.maximum.reduceat(np.abs(flat), offsets) / max_code
+        # An all-zero tensor (or one whose subnormal max-abs underflows the
+        # division) still needs a valid scale; its codes are all zero anyway.
+        scales[scales == 0.0] = 1.0 / max_code
         per_value = be.asarray(np.repeat(scales, layout.counts), "float64")
         codes = _encode(values, per_value, bits, be)
         modulus = 1 << bits

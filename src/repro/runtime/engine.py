@@ -6,7 +6,10 @@ cached, journaled) and the benchmarks.  Each job of a sweep is either served
 from the content-addressed result cache or executed on the configured
 backend.  The cache is the only place results live: an interrupted, failed,
 partial or sharded run resumes because its completed jobs are cache hits on
-the next run.
+the next run.  Cache misses reach the backend as dispatch groups
+(:func:`~repro.runtime.fusion.plan_fusion`): the sweep's own specs with
+their sweep indices, so every result settles at its job's index, and a
+fused group that fails re-runs its members as groups of one.
 
 Fresh results are cached the moment they arrive, so an interrupt at any
 point loses at most the jobs currently in flight.  The sweep's journal
@@ -39,13 +42,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import Heartbeat, RunLedger, get_metrics, get_tracer, span
 from repro.runtime.cache import MISS, ResultCache
-from repro.runtime.executor import Executor, SerialExecutor
-from repro.runtime.fusion import (
-    DEFAULT_FUSION_WIDTH,
-    FusedGroup,
-    describe_plan,
-    plan_fusion,
-)
+from repro.runtime.executor import DispatchGroup, Executor, SerialExecutor
+from repro.runtime.fusion import DEFAULT_FUSION_WIDTH, plan_fusion
 from repro.runtime.jobs import SweepSpec
 from repro.runtime.journal import Journal
 from repro.utils.logging import get_logger
@@ -238,71 +236,58 @@ class SweepRunner:
                 if metrics.enabled:
                     metrics.counter("engine.jobs_cache_hit").inc(report.cache_hits)
 
-                # Fusion planning: group cache-miss jobs that differ only
-                # along their kind's fusion axis into synthetic engine.fused
-                # jobs.  Synthetic indices live past the end of the sweep so
-                # they can never collide with real job indices.
-                dispatch_items: List[Tuple[int, Any]] = pending
-                groups_by_index: Dict[int, FusedGroup] = {}
-                if len(pending) > 1:
-                    with span("engine.fuse_plan", jobs=len(pending)) as fuse_span:
-                        plan = plan_fusion(pending, self.fusion_width)
-                        fuse_span.set_attribute("groups", len(plan.groups))
-                        fuse_span.set_attribute("fused_jobs", plan.fused_job_count)
-                    if plan.groups:
-                        dispatch_items = list(plan.singles)
-                        for offset, group in enumerate(plan.groups):
-                            synthetic = len(sweep) + offset
-                            groups_by_index[synthetic] = group
-                            dispatch_items.append((synthetic, group.fused))
-                        if metrics.enabled:
-                            metrics.counter("fusion.groups").inc(len(plan.groups))
-                            metrics.counter("fusion.fused_jobs").inc(plan.fused_job_count)
-                            metrics.counter("fusion.unfused_jobs").inc(len(plan.singles))
-                        logger.info("fusion: %s", describe_plan(plan))
+                # Fusion planning: every cache-miss job rides one dispatch
+                # group, and each result settles at its member's sweep index.
+                with span("engine.fuse_plan", jobs=len(pending)) as fuse_span:
+                    groups = plan_fusion(pending, self.fusion_width)
+                    fused = [group for group in groups if len(group.indices) > 1]
+                    fused_jobs = sum(len(group.indices) for group in fused)
+                    fuse_span.set_attribute("groups", len(fused))
+                    fuse_span.set_attribute("fused_jobs", fused_jobs)
+                if fused:
+                    unfused = len(pending) - fused_jobs
+                    if metrics.enabled:
+                        metrics.counter("fusion.groups").inc(len(fused))
+                        metrics.counter("fusion.fused_jobs").inc(fused_jobs)
+                        metrics.counter("fusion.unfused_jobs").inc(unfused)
+                    logger.info(
+                        "fusion: %d groups of %d jobs, %d unfused", len(fused), fused_jobs, unfused
+                    )
 
                 # Members of a failed fused group, re-run alone after the
                 # dispatch loop so that one bad job fails only itself.
-                contained: List[Tuple[int, Any]] = []
+                contained: List[DispatchGroup] = []
 
-                def settle_event(index: int, status: str, payload: Any, obs) -> None:
+                def settle_event(indices: Tuple[int, ...], status: str, payload: Any, obs) -> None:
                     duration_s = obs.get("duration_s") if obs else None
                     if obs:
                         if metrics.enabled and obs.get("metrics") is not None:
                             metrics.merge(obs["metrics"])
                         if tracer is not None and obs.get("spans"):
                             tracer.absorb(obs["spans"])
-                    group = groups_by_index.get(index)
-                    if group is None:
-                        spec = sweep.jobs[index]
-                        if status == "ok":
-                            settle_ok(index, spec, payload, duration_s)
-                        else:
-                            settle_error(spec, str(payload), duration_s)
-                    elif status == "ok":
-                        report.fused_groups += 1
-                        report.fused_jobs += len(group.members)
+                    if status == "ok":
+                        if len(indices) > 1:
+                            report.fused_groups += 1
+                            report.fused_jobs += len(indices)
                         # The group measured one wall-clock duration; attribute
                         # an equal share to each member so per-job latency
                         # stays integrable.
-                        member_duration = (
-                            duration_s / len(group.members) if duration_s is not None else None
-                        )
-                        for member_index, member_spec, member_result in zip(
-                            group.indices, group.members, payload
-                        ):
-                            settle_ok(member_index, member_spec, member_result, member_duration)
-                    else:
+                        share = duration_s / len(indices) if duration_s is not None else None
+                        for index, result in zip(indices, payload):
+                            settle_ok(index, sweep.jobs[index], result, share)
+                    elif len(indices) > 1:
                         logger.warning(
                             "fused group failed; re-running its members alone\n%s", payload
                         )
-                        contained.extend(zip(group.indices, group.members))
+                        contained.extend(DispatchGroup((i,), (sweep.jobs[i],)) for i in indices)
+                    else:
+                        settle_error(sweep.jobs[indices[0]], str(payload), duration_s)
                     pulse()
 
                 with span(
                     "engine.dispatch", jobs=len(pending), backend=self.executor.name
                 ):
-                    for event in self.executor.submit(dispatch_items, observe):
+                    for event in self.executor.submit(groups, observe):
                         settle_event(*event)
                     if contained:
                         for event in self.executor.submit(contained, observe):

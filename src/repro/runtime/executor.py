@@ -1,27 +1,29 @@
 """Worker-pool execution backends.
 
-Both backends implement one interface — :meth:`Executor.submit` takes
-``(index, JobSpec)`` pairs and yields ``(index, status, payload, obs)``
-quadruples as jobs finish (possibly out of submission order) — so the engine
-above them is oblivious to *where* jobs run:
+Every backend implements one interface — :meth:`Executor.submit` takes
+:class:`DispatchGroup` values (as :func:`repro.runtime.fusion.plan_fusion`
+forms them), runs each through one :func:`~repro.runtime.jobs.run_group`
+call and yields one ``(indices, status, payload, obs)`` event per group as
+groups finish (possibly out of submission order) — so the engine above them
+is oblivious to *where* jobs run:
 
-* :class:`SerialExecutor` runs jobs inline, in order.  It is the default for
-  direct experiment-generator calls.
-* :class:`MultiprocessExecutor` fans jobs out over a ``multiprocessing`` pool
-  with chunked dispatch; each chunk runs through :func:`run_chunk`, the same
-  loop the warm pool's workers use.
+* :class:`SerialExecutor` runs groups inline, in order.  It is the default
+  for direct experiment-generator calls.
+* :class:`MultiprocessExecutor` fans groups out over a ``multiprocessing``
+  pool with chunked dispatch; each chunk runs through :func:`run_chunk`, the
+  same loop the warm pool's workers use.
 
 Failures never tear down the pool mid-sweep: a runner exception is caught in
 the worker and reported as an ``"error"`` status so the engine can journal
 every completed job before raising.
 
-Every event's ``obs`` element is the job's observation delta from
+Every event's ``obs`` element is the group's observation delta from
 :class:`repro.obs.observe_job`: always the measured ``duration_s``, plus —
 when ``submit`` is called with ``observe=True`` — the metrics snapshot and
-span records the job produced while it ran.  The delta is plain JSON-able
-data, so it crosses the process boundary exactly like the result does, and
+span records the group produced while it ran.  The delta is plain JSON-able
+data, so it crosses the process boundary exactly like the results do, and
 the engine merges it into the parent registry/tracer regardless of which
-backend executed the job.
+backend executed the group.
 """
 
 from __future__ import annotations
@@ -30,31 +32,42 @@ import functools
 import multiprocessing
 import os
 import traceback
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs import observe_job
-from repro.runtime.jobs import JobSpec, run_job
-
-#: (job index, "ok" | "error", result or error message, observation delta)
-ExecutionEvent = Tuple[int, str, object, dict]
-
-IndexedJob = Tuple[int, JobSpec]
+from repro.runtime.jobs import JobSpec, run_group
 
 
-def _execute(index: int, spec: JobSpec, observe: bool) -> ExecutionEvent:
-    watch = observe_job(spec.job_id, spec.kind, capture=observe)
+class DispatchGroup(NamedTuple):
+    """The unit of dispatch: sweep indices and their own specs, in sweep order.
+
+    The members of a fused group share one runner call; any other job is a
+    group of one.
+    """
+
+    indices: Tuple[int, ...]
+    specs: Tuple[JobSpec, ...]
+
+
+#: (the group's indices, "ok" | "error", results or error message, observation delta)
+ExecutionEvent = Tuple[Tuple[int, ...], str, object, dict]
+
+
+def _execute(group: DispatchGroup, observe: bool) -> ExecutionEvent:
+    head = group.specs[0]
+    watch = observe_job(head.job_id, head.kind, capture=observe)
     try:
         with watch:
-            result = run_job(spec)
-        return index, "ok", result, watch.delta()
+            results = run_group(group.specs)
+        return group.indices, "ok", results, watch.delta()
     except Exception:  # noqa: BLE001 - reported to the engine, re-raised there
-        return index, "error", traceback.format_exc(limit=8), watch.delta()
+        return group.indices, "error", traceback.format_exc(limit=8), watch.delta()
 
 
-def run_chunk(chunk: Sequence[IndexedJob], observe: bool) -> List[ExecutionEvent]:
-    """Run one chunk of jobs in order: the loop every worker process runs."""
-    return [_execute(index, spec, observe) for index, spec in chunk]
+def run_chunk(chunk: Sequence[DispatchGroup], observe: bool) -> List[ExecutionEvent]:
+    """Run one chunk of groups in order: the loop every worker process runs."""
+    return [_execute(group, observe) for group in chunk]
 
 
 class Executor:
@@ -63,21 +76,21 @@ class Executor:
     name = "abstract"
 
     def submit(
-        self, items: Sequence[IndexedJob], observe: bool = False
+        self, groups: Sequence[DispatchGroup], observe: bool = False
     ) -> Iterator[ExecutionEvent]:
         raise NotImplementedError
 
 
 class SerialExecutor(Executor):
-    """Run every job inline in the calling process."""
+    """Run every group inline in the calling process."""
 
     name = "serial"
 
     def submit(
-        self, items: Sequence[IndexedJob], observe: bool = False
+        self, groups: Sequence[DispatchGroup], observe: bool = False
     ) -> Iterator[ExecutionEvent]:
-        for index, spec in items:
-            yield _execute(index, spec, observe)
+        for group in groups:
+            yield _execute(group, observe)
 
 
 def default_worker_count() -> int:
@@ -88,9 +101,9 @@ def plan_chunks(total: int, workers: int) -> List[int]:
     """Size-aware dynamic chunk plan: a list of chunk sizes summing to ``total``.
 
     The plan follows guided self-scheduling: each chunk takes
-    ``remaining / (2 * workers)`` jobs, so early chunks are large (low
+    ``remaining / (2 * workers)`` groups, so early chunks are large (low
     dispatch overhead while everyone is busy) and the tail shrinks to single
-    jobs (no worker left holding a fat chunk while the rest idle — the
+    groups (no worker left holding a fat chunk while the rest idle — the
     straggler tail of a fixed ``chunksize`` dispatch).
     """
     if total < 0:
@@ -106,22 +119,24 @@ def plan_chunks(total: int, workers: int) -> List[int]:
     return sizes
 
 
-def split_chunks(items: Sequence[IndexedJob], workers: int) -> List[List[IndexedJob]]:
-    """Partition ``items`` (in order) according to :func:`plan_chunks`."""
-    chunks: List[List[IndexedJob]] = []
+def split_chunks(
+    groups: Sequence[DispatchGroup], workers: int
+) -> List[List[DispatchGroup]]:
+    """Partition ``groups`` (in order) according to :func:`plan_chunks`."""
+    chunks: List[List[DispatchGroup]] = []
     cursor = 0
-    for size in plan_chunks(len(items), workers):
-        chunks.append(list(items[cursor : cursor + size]))
+    for size in plan_chunks(len(groups), workers):
+        chunks.append(list(groups[cursor : cursor + size]))
         cursor += size
     return chunks
 
 
 class MultiprocessExecutor(Executor):
-    """Fan jobs out over a throwaway ``multiprocessing.Pool``.
+    """Fan groups out over a throwaway ``multiprocessing.Pool``.
 
     Chunks follow the :func:`plan_chunks` guided schedule and are pulled
-    dynamically (``chunksize=1`` over pre-sized chunk lists), so a slow job
-    late in the sweep no longer strands its fixed-chunk neighbours behind it.
+    dynamically (``chunksize=1`` over pre-sized chunk lists), so a slow group
+    late in the sweep does not strand its fixed-chunk neighbours behind it.
     Prefer :class:`repro.runtime.pool.WarmPoolExecutor` (what
     :func:`make_executor` returns) unless the workload specifically wants
     cold workers per run.
@@ -135,16 +150,16 @@ class MultiprocessExecutor(Executor):
         self.workers = workers if workers is not None else default_worker_count()
 
     def submit(
-        self, items: Sequence[IndexedJob], observe: bool = False
+        self, groups: Sequence[DispatchGroup], observe: bool = False
     ) -> Iterator[ExecutionEvent]:
-        items = list(items)
-        if not items:
+        groups = list(groups)
+        if not groups:
             return
-        if self.workers == 1 or len(items) == 1:
+        if self.workers == 1 or len(groups) == 1:
             # A one-worker pool would only add IPC overhead.
-            yield from SerialExecutor().submit(items, observe)
+            yield from SerialExecutor().submit(groups, observe)
             return
-        chunks = split_chunks(items, self.workers)
+        chunks = split_chunks(groups, self.workers)
         pool = multiprocessing.Pool(processes=min(self.workers, len(chunks)))
         try:
             run = functools.partial(run_chunk, observe=observe)

@@ -26,9 +26,9 @@ A kind registered with ``fuse_along`` (the params that may vary inside a
 group, such as the BER axis) is *fusable*: its one runner takes a group of
 specs that agree on every other param, in sweep order, and returns one
 result per spec, so the axis-independent work runs once per group.
-:func:`run_group` runs a fused group (see :mod:`repro.runtime.fusion`) and
-:func:`run_job` runs a lone job of such a kind as a group of one, both under
-one result-count check.
+:func:`run_group` runs one dispatch group — the sweep's own specs, of one
+kind, as :func:`repro.runtime.fusion.plan_fusion` forms them — under one
+result-count check; :func:`run_job` is a group of one.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def _ensure_kinds_loaded() -> None:
     """Import the sweep registry, which imports every kind-defining module.
 
     Worker processes started with the ``spawn`` method begin with an empty
-    registry; the first :func:`run_job` call populates it.
+    registry; the first :func:`run_group` call populates it.
     """
     global _KINDS_LOADED
     if _KINDS_LOADED:
@@ -207,24 +207,32 @@ def registered_kinds() -> Tuple[str, ...]:
     return tuple(sorted(_JOB_KINDS))
 
 
-def run_group(kind: str, specs: Sequence[JobSpec]) -> List[Any]:
-    """Run ``specs`` of fusable ``kind`` in one runner call, one result each."""
+def run_group(specs: Sequence[JobSpec]) -> List[Any]:
+    """Run one group of same-kind ``specs``; one JSON-able result per spec, in order.
+
+    A fusable kind's runner takes the whole group in one call; any other
+    kind only comes in groups of one.
+    """
+    if not specs:
+        raise ConfigurationError("a job group needs at least one spec")
+    kinds = {spec.kind for spec in specs}
+    if len(kinds) != 1:
+        raise ConfigurationError(f"cannot group mixed kinds: {sorted(kinds)}")
+    kind = specs[0].kind
     entry = _registered(kind)
-    if not entry.fuse_along:
+    if entry.fuse_along:
+        results = list(entry.runner(list(specs)))
+    elif len(specs) == 1:
+        results = [entry.runner(specs[0])]
+    else:
         raise ConfigurationError(f"job kind {kind!r} does not fuse")
-    results = list(entry.runner(list(specs)))
     if len(results) != len(specs):
         raise RuntimeError(
             f"runner for {kind!r} returned {len(results)} results for {len(specs)} jobs"
         )
-    return results
+    return to_jsonable(results)
 
 
 def run_job(spec: JobSpec) -> Any:
-    """Execute one job and return its JSON-able result."""
-    entry = _registered(spec.kind)
-    if entry.fuse_along:
-        (result,) = run_group(spec.kind, [spec])
-    else:
-        result = entry.runner(spec)
-    return to_jsonable(result)
+    """Execute one job and return its JSON-able result: a group of one."""
+    return run_group([spec])[0]

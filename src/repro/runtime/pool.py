@@ -19,8 +19,9 @@ as *steals*, the work-stealing behaviour fixed ``chunksize`` dispatch lacks.
 Every completed chunk carries the worker's :func:`warm_cache_stats`
 snapshot, so the parent reports fleet-wide warm-cache hit rates without a
 separate control round-trip.  Observability: ``pool.spawned_workers``,
-``pool.chunks``, ``pool.steal_events``, ``pool.jobs`` counters, a
-``pool.workers`` occupancy gauge, and a ``pool.submit`` span per run.
+``pool.chunks``, ``pool.steal_events``, ``pool.jobs`` (dispatch groups)
+counters, a ``pool.workers`` occupancy gauge, and a ``pool.submit`` span per
+run.
 
 Worker failures surface, they do not hang: results are collected with a
 liveness-checked timeout, and a dead worker with work outstanding shuts the
@@ -40,9 +41,9 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.obs import get_metrics, span
 from repro.runtime.executor import (
+    DispatchGroup,
     ExecutionEvent,
     Executor,
-    IndexedJob,
     SerialExecutor,
     default_worker_count,
     run_chunk,
@@ -154,7 +155,7 @@ class PersistentWorkerPool:
 
     def run_chunks(
         self,
-        chunks: Sequence[Sequence[IndexedJob]],
+        chunks: Sequence[Sequence[DispatchGroup]],
         observe: bool,
     ) -> Iterator[List[ExecutionEvent]]:
         """Dispatch ``chunks`` to whichever workers pull them first.
@@ -248,25 +249,25 @@ class WarmPoolExecutor(Executor):
         self.last_stats: Dict[str, object] = {}
 
     def submit(
-        self, items: Sequence[IndexedJob], observe: bool = False
+        self, groups: Sequence[DispatchGroup], observe: bool = False
     ) -> Iterator[ExecutionEvent]:
-        items = list(items)
-        if not items:
+        groups = list(groups)
+        if not groups:
             return
-        if self.workers == 1 or len(items) == 1:
-            yield from SerialExecutor().submit(items, observe)
+        if self.workers == 1 or len(groups) == 1:
+            yield from SerialExecutor().submit(groups, observe)
             return
         pool = get_pool()
         spawned = pool.ensure_workers(self.workers)
-        chunks = split_chunks(items, self.workers)
+        chunks = split_chunks(groups, self.workers)
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("pool.spawned_workers").inc(spawned)
             metrics.counter("pool.chunks").inc(len(chunks))
-            metrics.counter("pool.jobs").inc(len(items))
+            metrics.counter("pool.jobs").inc(len(groups))
             metrics.gauge("pool.workers").set(pool.size)
         jobs_done = 0
-        with span("pool.submit", jobs=len(items), chunks=len(chunks), workers=pool.size):
+        with span("pool.submit", jobs=len(groups), chunks=len(chunks), workers=pool.size):
             for events in pool.run_chunks(chunks, observe):
                 jobs_done += len(events)
                 yield from events

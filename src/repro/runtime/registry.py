@@ -237,7 +237,6 @@ def _register_all() -> None:
     from repro.core import scenarios as scenarios_module
     from repro.experiments import fig5, fig7, generalization, table2
     from repro.fleet import reliability as fleet_reliability
-    from repro.runtime import fusion as _fusion  # noqa: F401 - registers engine.fused
 
     register_sweep(
         "fig5",

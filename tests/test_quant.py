@@ -100,6 +100,31 @@ class TestStateDict:
         for scale, values in zip(scales, state.values()):
             assert scale == np.abs(values).max() / 127.0
 
+    @given(
+        tensors=st.lists(
+            st.one_of(
+                finite_arrays,
+                st.integers(1, 8).map(np.zeros),
+                st.sampled_from([5e-324, -1e-310, 2.2e-308]).map(lambda v: np.array([v, 0.0])),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        bits=st.integers(min_value=2, max_value=16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_scales_match_a_per_tensor_search(self, tensors, bits):
+        state = {f"t{index}": values for index, values in enumerate(tensors)}
+        scales = _injector(state, bits).quantize_state(state).scales
+        max_code = float(2 ** (bits - 1) - 1)
+        for scale, values in zip(scales, tensors):
+            assert scale == (float(np.abs(values).max()) / max_code or 1.0 / max_code)
+
+    def test_empty_tensor_rejected(self):
+        state = {"a": np.ones(3), "b": np.zeros((0, 4))}
+        with pytest.raises(QuantizationError, match="empty"):
+            _injector(state).quantize_state(state)
+
     def test_round_trip_preserves_shapes(self):
         state = self.make_state()
         restored = _injector(state).quantize_only(state)

@@ -197,6 +197,33 @@ class TestMultiLaneTraining:
         with pytest.raises(TrainingError):
             DqnConfig(train_lanes=-2)
 
+    @pytest.mark.parametrize("evaluate", ["policy", "faults"])
+    def test_evaluation_between_train_calls_changes_nothing(self, evaluate):
+        """Evaluation resets every lane with an explicit seed, so it must not
+        advance the env's SeedSequence that later multi-lane training spawns
+        its lane streams from."""
+        from repro.experiments.profiles import FAST_PROFILE
+        from repro.rl.evaluation import evaluate_policy, evaluate_under_faults
+
+        assert FAST_PROFILE.dqn.train_lanes > 1
+
+        def train(evaluate_between):
+            env = NavigationEnv(FAST_PROFILE.navigation, rng=3)
+            trainer = DqnTrainer(
+                env, policy_spec=FAST_PROFILE.policy_spec, config=FAST_PROFILE.dqn, rng=7
+            )
+            trainer.train(20)
+            if evaluate_between and evaluate == "policy":
+                evaluate_policy(env, trainer.q_network, 4)
+            elif evaluate_between:
+                evaluate_under_faults(
+                    env, trainer.q_network, 1.0, num_fault_maps=2, episodes_per_map=2
+                )
+            trainer.train(20)
+            return trainer
+
+        _assert_trainers_identical(train(False), train(True))
+
 
 class TestLockstepCollector:
     def _collector(self, config, lanes, num_episodes, schedule=None, cap=None):

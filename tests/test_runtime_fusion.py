@@ -1,10 +1,11 @@
-"""Job fusion: planning, execution, and fused-vs-unfused bitwise equivalence."""
+"""Job fusion: planning, group transport, execution, and fused-vs-unfused bitwise equivalence."""
 
 from __future__ import annotations
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments.generalization import (
@@ -14,9 +15,20 @@ from repro.experiments.generalization import (
 )
 from repro.fleet.reliability import fleet_reliability_sweep_spec
 from repro.runtime.engine import SweepExecutionError, SweepRunner
-from repro.runtime.fusion import FUSED_KIND, fused_spec, fusion_key, plan_fusion
-from repro.runtime.jobs import JobSpec, SweepSpec, fusion_axis, job_kind, run_group, run_job
+from repro.runtime.executor import SerialExecutor
+from repro.runtime.fusion import fusion_key, plan_fusion
+from repro.runtime.jobs import (
+    JobSpec,
+    SweepSpec,
+    fusion_axis,
+    job_kind,
+    registered_kinds,
+    run_group,
+    run_job,
+)
 from repro.runtime.journal import Journal
+from repro.runtime.pool import WarmPoolExecutor, shutdown_pool
+from repro.utils.serialization import stable_hash
 from repro.utils.warmcache import clear_warm_caches
 
 
@@ -28,6 +40,26 @@ def _run_fusable(specs):
     return [
         {"value": int(s.params["base"]) + int(s.params["level"]), "shared": base}
         for s in specs
+    ]
+
+
+@job_kind("test.plain")
+def _run_plain(spec):
+    return {"value": int(spec.params["base"]) + int(spec.params["level"])}
+
+
+@job_kind("test.fuse_echo", fuse_along=("level",))
+def _run_fuse_echo(specs):
+    """Reports what it received: each spec's cached and recomputed content
+    hash, its position in the group and the group's size."""
+    return [
+        {
+            "spec_hash": spec.spec_hash,
+            "content_hash": stable_hash(spec.canonical()),
+            "position": position,
+            "group": len(specs),
+        }
+        for position, spec in enumerate(specs)
     ]
 
 
@@ -69,35 +101,31 @@ def _fusable_jobs(bases, levels):
 class TestPlanFusion:
     def test_groups_by_invariant_params(self):
         jobs = _fusable_jobs(bases=(1, 2), levels=(0, 1, 2))
-        plan = plan_fusion(list(enumerate(jobs)))
-        assert len(plan.groups) == 2
-        assert plan.fused_job_count == 6
-        assert plan.singles == []
-        # Members keep sweep order within each group.
-        for group in plan.groups:
-            assert list(group.indices) == sorted(group.indices)
+        groups = plan_fusion(list(enumerate(jobs)))
+        assert [group.indices for group in groups] == [(0, 1, 2), (3, 4, 5)]
+        # A group carries the pending specs themselves, in sweep order.
+        for group in groups:
+            assert all(spec is jobs[index] for index, spec in zip(*group))
 
     def test_respects_max_width(self):
         jobs = _fusable_jobs(bases=(1,), levels=range(10))
-        plan = plan_fusion(list(enumerate(jobs)), max_width=4)
-        assert [len(g.indices) for g in plan.groups] == [4, 4, 2]
+        groups = plan_fusion(list(enumerate(jobs)), max_width=4)
+        assert [len(group.indices) for group in groups] == [4, 4, 2]
 
     def test_singleton_groups_stay_unfused(self):
         jobs = _fusable_jobs(bases=(1, 2, 3), levels=(0,))
-        plan = plan_fusion(list(enumerate(jobs)))
-        assert plan.groups == []
-        assert len(plan.singles) == 3
+        groups = plan_fusion(list(enumerate(jobs)))
+        assert [group.indices for group in groups] == [(0,), (1,), (2,)]
 
     def test_unregistered_kinds_pass_through(self):
-        jobs = [JobSpec(kind="test.double", params={"x": i}) for i in range(4)]
-        plan = plan_fusion(list(enumerate(jobs)))
-        assert plan.groups == []
-        assert len(plan.singles) == 4
+        jobs = [JobSpec(kind="test.double", params={"x": 0}) for _ in range(4)]
+        groups = plan_fusion(list(enumerate(jobs)))
+        assert [group.indices for group in groups] == [(0,), (1,), (2,), (3,)]
 
     def test_width_one_disables_fusion(self):
         jobs = _fusable_jobs(bases=(1,), levels=range(4))
-        plan = plan_fusion(list(enumerate(jobs)), max_width=1)
-        assert plan.groups == []
+        groups = plan_fusion(list(enumerate(jobs)), max_width=1)
+        assert [len(group.indices) for group in groups] == [1, 1, 1, 1]
 
     def test_rejects_bad_width(self):
         with pytest.raises(ConfigurationError):
@@ -111,29 +139,59 @@ class TestPlanFusion:
             job_kind("test.fusable")(_run_fusable)
         assert fusion_axis("test.fusable") == ("level",)
 
+    @given(
+        jobs=st.lists(
+            st.tuples(
+                st.sampled_from(["test.fusable", "test.plain", "test.double"]),
+                st.integers(0, 2),
+                st.integers(0, 5),
+                st.integers(1, 3),
+            ),
+            max_size=40,
+        ),
+        width=st.integers(1, 16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_pending_job_rides_exactly_one_group(self, jobs, width):
+        pending, index = [], -1
+        for kind, base, level, gap in jobs:
+            index += gap  # cache hits leave gaps between pending indices
+            pending.append((index, JobSpec(kind=kind, params={"base": base, "level": level})))
+        groups = plan_fusion(pending, width)
+        members = [(index, spec) for group in groups for index, spec in zip(*group)]
+        assert sorted(members, key=lambda member: member[0]) == pending
+        assert [group.indices[0] for group in groups] == sorted(
+            group.indices[0] for group in groups
+        )
+        fill = {}
+        for group in groups:
+            assert 1 <= len(group.indices) <= width
+            assert list(group.indices) == sorted(group.indices)
+            key = fusion_key(group.specs[0], ("level",))
+            if len(group.indices) > 1:
+                assert group.specs[0].kind == "test.fusable"
+                assert {fusion_key(spec, ("level",)) for spec in group.specs} == {key}
+            if group.specs[0].kind == "test.fusable" and width > 1:
+                fill.setdefault(key, []).append(len(group.indices))
+        # A bucket splits into full-width chunks and one remainder, never finer.
+        for sizes in fill.values():
+            assert all(size == width for size in sizes[:-1])
+
 
 class TestFusedSpec:
-    def test_members_reconstruct_hash_identical(self):
-        jobs = _fusable_jobs(bases=(7,), levels=(0, 1, 2))
-        fused = fused_spec(jobs)
-        assert fused.kind == FUSED_KIND
-        rebuilt = [
-            JobSpec(kind=fused.params["kind"], params=params)
-            for params in fused.params["members"]
-        ]
-        assert [m.spec_hash for m in rebuilt] == [j.spec_hash for j in jobs]
+    """A fused group's specs as :func:`run_group` runs them."""
 
     def test_mixed_kinds_rejected(self):
         jobs = [
             JobSpec(kind="test.fusable", params={"base": 1, "level": 0}),
-            JobSpec(kind="test.double", params={"x": 1}),
+            JobSpec(kind="test.plain", params={"base": 1, "level": 0}),
         ]
-        with pytest.raises(ConfigurationError):
-            fused_spec(jobs)
+        with pytest.raises(ConfigurationError, match="mixed kinds"):
+            run_group(jobs)
 
     def test_run_fused_returns_one_result_per_member(self):
         jobs = _fusable_jobs(bases=(3,), levels=(0, 1, 2))
-        results = run_job(fused_spec(jobs))
+        results = run_group(jobs)
         assert [r["value"] for r in results] == [3, 4, 5]
 
     def test_fusion_key_separates_off_axis_params(self):
@@ -147,19 +205,68 @@ class TestFusedSpec:
     def test_lone_job_runs_as_group_of_one(self):
         job = JobSpec(kind="test.fusable", params={"base": 3, "level": 2})
         assert run_job(job) == {"value": 5, "shared": 3.0}
-        assert run_job(job) == run_job(fused_spec([job, job]))[0]
+        assert run_job(job) == run_group([job, job])[0]
 
     def test_result_count_is_checked_for_groups_and_lone_jobs(self):
         jobs = _fusable_jobs(bases=(1,), levels=(0, 1, 2))
         jobs = [JobSpec(kind="test.fuse_short", params=job.params) for job in jobs]
         with pytest.raises(RuntimeError, match="returned 2 results for 3 jobs"):
-            run_job(fused_spec(jobs))
+            run_group(jobs)
         with pytest.raises(RuntimeError, match="returned 0 results for 1 jobs"):
             run_job(jobs[0])
 
     def test_group_of_a_kind_that_does_not_fuse_rejected(self):
+        jobs = [JobSpec(kind="test.plain", params={"base": 1, "level": level}) for level in (0, 1)]
+        assert run_group(jobs[:1]) == [run_job(jobs[0])] == [{"value": 1}]
         with pytest.raises(ConfigurationError, match="does not fuse"):
-            run_group(FUSED_KIND, [])
+            run_group(jobs)
+
+
+class TestGroupTransport:
+    """Executors hand a fusable runner the sweep's own specs, in sweep order."""
+
+    def _sweep(self):
+        jobs = [
+            JobSpec(kind=kind, params={"base": base, "level": level})
+            for base in (1, 2)
+            for kind in ("test.fuse_echo", "test.plain")
+            for level in (0, 1, 2)
+        ]
+        return SweepSpec(name="fusion-transport", jobs=tuple(jobs))
+
+    def _check(self, sweep, report):
+        echoed = 0
+        for spec, result in zip(sweep.jobs, report.results):
+            if spec.kind != "test.fuse_echo":
+                continue
+            echoed += 1
+            assert result["spec_hash"] == result["content_hash"] == spec.spec_hash
+            assert result["group"] == 3
+            assert result["position"] == spec.params["level"]
+        assert echoed == 6
+        assert (report.fused_groups, report.fused_jobs, report.executed) == (2, 6, 12)
+
+    def test_serial_runner_receives_the_sweeps_own_specs(self):
+        sweep = self._sweep()
+        self._check(sweep, SweepRunner(executor=SerialExecutor()).run(sweep))
+
+    def test_warm_pool_runner_receives_the_sweeps_own_specs(self):
+        sweep = self._sweep()
+        shutdown_pool()
+        try:
+            executor = WarmPoolExecutor(workers=2)
+            report = SweepRunner(executor=executor).run(sweep)
+            assert executor.last_stats["jobs"] == 8  # two fused groups, six of one
+        finally:
+            shutdown_pool()
+        self._check(sweep, report)
+
+    def test_no_synthetic_kind_is_registered(self):
+        assert "engine.fused" not in registered_kinds()
+
+    def test_run_group_rejects_empty_groups(self):
+        with pytest.raises(ConfigurationError, match="at least one spec"):
+            run_group([])
 
 
 def _strip_volatile(record):

@@ -14,6 +14,7 @@ from repro.runtime import pool as pool_module
 from repro.runtime.cache import ResultCache
 from repro.runtime.engine import SweepRunner
 from repro.runtime.executor import (
+    DispatchGroup,
     SerialExecutor,
     make_executor,
     plan_chunks,
@@ -58,10 +59,17 @@ def _pool_die_once(spec):
     os._exit(1)
 
 
+def _specs(kind, count, **extra):
+    return [JobSpec(kind=kind, params={"x": i, **extra}) for i in range(count)]
+
+
+def _groups(specs):
+    """One group of one per spec, indexed in order (what plain kinds dispatch as)."""
+    return [DispatchGroup((i,), (spec,)) for i, spec in enumerate(specs)]
+
+
 def _jobs(kind, count, **extra):
-    return [
-        (i, JobSpec(kind=kind, params={"x": i, **extra})) for i in range(count)
-    ]
+    return _groups(_specs(kind, count, **extra))
 
 
 @pytest.fixture
@@ -163,10 +171,12 @@ class TestWarmPoolExecutor:
         from repro.worlds.spec import WorldSpec
 
         world = WorldSpec(family="uniform", params={}, seed=7).to_jsonable()
-        items = [
-            (i, JobSpec(kind="test.pool_world", params={"world": world, "index": i}))
-            for i in range(8)
-        ]
+        items = _groups(
+            [
+                JobSpec(kind="test.pool_world", params={"world": world, "index": i})
+                for i in range(8)
+            ]
+        )
         executor = WarmPoolExecutor(workers=2)
         list(executor.submit(items))
         list(executor.submit(items))
@@ -186,13 +196,15 @@ class TestWarmPoolExecutor:
 
     def test_job_error_does_not_kill_pool(self, fresh_pool):
         executor = WarmPoolExecutor(workers=2)
-        items = [
-            (0, JobSpec(kind="test.pool_double", params={"x": "not-an-int"})),
-            (1, JobSpec(kind="test.pool_double", params={"x": 5})),
-        ]
-        events = {i: (s, p) for i, s, p, _ in executor.submit(items)}
+        items = _groups(
+            [
+                JobSpec(kind="test.pool_double", params={"x": "not-an-int"}),
+                JobSpec(kind="test.pool_double", params={"x": 5}),
+            ]
+        )
+        events = {i: (s, p) for (i,), s, p, _ in executor.submit(items)}
         assert events[0][0] == "error"
-        assert events[1] == ("ok", {"value": 10})
+        assert events[1] == ("ok", [{"value": 10}])
         # Pool still healthy for the next submission.
         more = list(executor.submit(_jobs("test.pool_double", 6)))
         assert len(more) == 6
@@ -239,7 +251,7 @@ def _crash_then_recover(root: str) -> None:
     os.setpgid(0, 0)  # its pool workers join this group, so a hang is killed whole
     pool_module._LIVENESS_INTERVAL_S = 0.05
     cache_root = Path(root) / "cache"
-    jobs = [spec for _, spec in _jobs("test.pool_double", 12)]
+    jobs = _specs("test.pool_double", 12)
     jobs.insert(6, JobSpec(kind="test.pool_die_once", params={"marker": f"{root}/died"}))
     sweep = SweepSpec(name="pool-crash", jobs=tuple(jobs))
     runner = SweepRunner(executor=WarmPoolExecutor(workers=2), cache=ResultCache(cache_root))
@@ -249,7 +261,7 @@ def _crash_then_recover(root: str) -> None:
     rerun = runner.run(sweep)
     assert (rerun.executed, rerun.cache_hits) == (len(sweep) - len(stored), len(stored))
     assert rerun.results == SweepRunner().run(sweep).results
-    fresh = tuple(spec for _, spec in _jobs("test.pool_double", 40))
+    fresh = tuple(_specs("test.pool_double", 40))
     report = SweepRunner(executor=WarmPoolExecutor(workers=2)).run(
         SweepSpec(name="pool-fresh", jobs=fresh)
     )
