@@ -34,7 +34,6 @@ from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.uav.platform import CRAZYFLIE, DJI_TELLO, UavPlatform, get_platform
 from repro.utils.warmcache import warm_cache
 from repro.worlds.metrics import world_metrics
-from repro.worlds.perturbations import Perturbation
 from repro.worlds.registry import generate_world
 from repro.worlds.spec import WorldSpec
 
@@ -281,19 +280,9 @@ class GeneralizedScenario:
         )
 
     # ------------------------------------------------------------------ factories
-    def navigation_config(
-        self,
-        observation: str = "vector",
-        perturbations: Sequence[Perturbation] = (),
-        randomize_on_reset: bool = False,
-    ) -> NavigationConfig:
+    def navigation_config(self, observation: str = "vector") -> NavigationConfig:
         """A navigation environment living inside this scenario's world."""
-        return NavigationConfig(
-            world_spec=self.world,
-            observation=observation,
-            perturbations=tuple(perturbations),
-            randomize_obstacles_on_reset=randomize_on_reset,
-        )
+        return NavigationConfig(world_spec=self.world, observation=observation)
 
     def environment(self, rng: int = 0, observation: str = "vector") -> NavigationEnv:
         return NavigationEnv(self.navigation_config(observation), rng=rng)

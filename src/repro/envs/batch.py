@@ -4,8 +4,8 @@
 stack.  It holds B independent episode states (positions, headings, clocks,
 path integrals, done flags) as stacked arrays and advances every running lane
 in one :meth:`step` call: action decoding is a table lookup over the action
-vector, the kinematics update is elementwise array math, motion segments of
-all lanes sharing a field are collision-checked through one
+vector, the kinematics update is elementwise array math, the motion segments
+of all running lanes are collision-checked through one
 :meth:`~repro.envs.obstacles.ObstacleField.segments_collide_timed` query,
 and observation construction goes through the batched
 :meth:`~repro.envs.sensors.RaySensor.sense_many` /
@@ -14,13 +14,14 @@ array op per step instead of B.  Every query carries the lanes' episode
 clocks as row times; the field decides whether time matters (a static field
 ignores them, a dynamic one places its movers at each lane's own time).
 
-**Determinism contract.**  Each lane owns its own RNG stream, field and world
-geometry, reset from a per-episode seed exactly the way
-:meth:`~repro.envs.navigation.NavigationEnv.reset` is; every arithmetic
+**Determinism contract.**  Every lane flies the template's world (its one
+field, start, goal and observation scale); each lane owns its own RNG
+stream, reset from a per-episode seed exactly the way
+:meth:`~repro.envs.navigation.NavigationEnv.reset` is, and every arithmetic
 operation in the step is elementwise-identical to the serial environment's
-(shared helpers: :func:`~repro.envs.navigation.compile_world`,
-:func:`~repro.envs.navigation.sample_start_position`,
-:func:`~repro.envs.obstacles.planar_distances`).  Greedy rollouts under
+(:func:`~repro.envs.navigation.sample_start_position` is replayed draw for
+draw, distances go through :func:`~repro.envs.obstacles.planar_distances`).
+Greedy rollouts under
 per-episode reset seeds therefore reproduce the serial
 :func:`~repro.envs.vector.run_episode` results *bitwise*, for any batch
 size — which is what makes the batched core a refactor of the rollout stack
@@ -36,13 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, EnvironmentError_
-from repro.envs.navigation import NavigationConfig, NavigationEnv, compile_world
-from repro.envs.obstacles import ObstacleField, planar_distances
+from repro.envs.navigation import NavigationConfig, NavigationEnv
+from repro.envs.obstacles import planar_distances
 from repro.envs.vector import BatchPolicy, EpisodeResult
 from repro.obs import get_metrics, span
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
@@ -82,10 +83,10 @@ class BatchStepResult:
 class BatchedNavigationEnv:
     """B lockstep :class:`~repro.envs.navigation.NavigationEnv` lanes.
 
-    The constructor mirrors ``NavigationEnv(config, rng)`` exactly (including
-    the initial world draw from the construction RNG stream); alternatively
-    :meth:`from_env` wraps an existing serial environment, sharing its
-    already-generated field so batched rollouts replay the very same world.
+    Every lane flies the world of one template environment: the constructor
+    builds ``NavigationEnv(config, rng)`` as the template, while
+    :meth:`from_env` wraps an existing serial environment and shares its
+    already-compiled field, so batched rollouts replay the very same world.
     """
 
     def __init__(
@@ -121,29 +122,13 @@ class BatchedNavigationEnv:
         self._speed_options = np.linspace(0.2, 1.0, config.num_speed_actions)
         if config.num_speed_actions == 1:
             self._speed_options = np.array([1.0])
-        if config.perturbations:
-            from repro.worlds.perturbations import SensorDegradation, WindGust
-
-            self._wind_layers = tuple(
-                p for p in config.perturbations if isinstance(p, WindGust)
-            )
-            self._sensor_layers = tuple(
-                p for p in config.perturbations if isinstance(p, SensorDegradation)
-            )
-        else:
-            self._wind_layers = ()
-            self._sensor_layers = ()
 
         B = self.batch_size
-        # Per-lane world state, seeded from the template's current world.
-        self._fields: List[ObstacleField] = [template.obstacle_field] * B
-        self._world_specs = [template.world_spec] * B
-        self._world_sizes: List[Tuple[float, float]] = [template.world_size] * B
-        self._starts = np.tile(np.asarray(template._start, dtype=np.float64), (B, 1))
-        self._goals = np.tile(np.asarray(template._goal, dtype=np.float64), (B, 1))
-        self._scales = np.full(
-            B, float(np.linalg.norm(np.asarray(template.world_size))), dtype=np.float64
-        )
+        # The template's world, flown by every lane.
+        self._field = template.obstacle_field
+        self._start = template._start.copy()
+        self._goal = template._goal.copy()
+        self._scale = float(np.linalg.norm(np.asarray(template.world_size)))
         # share_rng hands lane 0 the template's very Generator object: draws
         # through this batch continue the serial environment's stream, which is
         # what makes B=1 batched *training* consume RNG exactly like the serial
@@ -156,7 +141,7 @@ class BatchedNavigationEnv:
             [template._rng] if share_rng else [None] * B
         )
         # Per-lane episode state (lanes start finished; reset_lanes activates them).
-        self._positions = self._starts.copy()
+        self._positions = np.tile(self._start, (B, 1))
         self._headings = np.zeros(B, dtype=np.float64)
         self._steps = np.zeros(B, dtype=np.int64)
         self._times = np.zeros(B, dtype=np.float64)
@@ -170,7 +155,7 @@ class BatchedNavigationEnv:
         batch_size: int = DEFAULT_BATCH_SIZE,
         share_rng: bool = False,
     ) -> "BatchedNavigationEnv":
-        """Batch B lanes over an existing serial environment's current world.
+        """Batch B lanes over an existing serial environment's world.
 
         ``share_rng`` (``batch_size=1`` only) makes the single lane consume
         ``env``'s own RNG stream instead of a spawned child — the hook that
@@ -209,9 +194,8 @@ class BatchedNavigationEnv:
 
         Lane ``i`` reset with seed ``s`` replays exactly what
         ``NavigationEnv.reset(seed=s)`` would do on a serial environment
-        sharing this batch's construction world: reseed the lane RNG,
-        regenerate the lane's world when the config randomizes on reset,
-        sample the start position, face the goal.
+        flying this batch's world: reseed the lane RNG, sample the start
+        position, face the goal.
         """
         lanes = [int(lane) for lane in lanes]
         if seeds is None:
@@ -220,7 +204,6 @@ class BatchedNavigationEnv:
             raise ConfigurationError(
                 f"got {len(seeds)} seeds for {len(lanes)} lanes"
             )
-        config = self.config
         for lane, seed in zip(lanes, seeds):
             if not 0 <= lane < self.batch_size:
                 raise ConfigurationError(
@@ -234,30 +217,11 @@ class BatchedNavigationEnv:
                     own if own is not None else child
                     for own, child in zip(self._rngs, children)
                 ]
-            rng = self._rngs[lane]
-            if config.randomize_obstacles_on_reset:
-                if config.world_spec is not None:
-                    self._world_specs[lane] = config.world_spec.with_seed(
-                        int(rng.integers(0, 2**31 - 1))
-                    )
-                field, start, goal, world_size = compile_world(
-                    config,
-                    self._world_specs[lane],
-                    self._world_sizes[lane],
-                    self._starts[lane],
-                    self._goals[lane],
-                    rng,
-                )
-                self._fields[lane] = field
-                self._starts[lane] = start
-                self._goals[lane] = goal
-                self._world_sizes[lane] = world_size
-                self._scales[lane] = float(np.linalg.norm(np.asarray(world_size)))
         lane_array = np.asarray(lanes, dtype=np.int64)
         self._steps[lane_array] = 0
         self._times[lane_array] = 0.0
         self._positions[lane_array] = self._sample_start_positions(lane_array)
-        goal_vectors = self._goals[lane_array] - self._positions[lane_array]
+        goal_vectors = self._goal - self._positions[lane_array]
         self._headings[lane_array] = np.arctan2(goal_vectors[:, 1], goal_vectors[:, 0])
         self._path_lengths[lane_array] = 0.0
         self._done[lane_array] = False
@@ -279,18 +243,17 @@ class BatchedNavigationEnv:
         self._done[np.asarray([int(lane) for lane in lanes], dtype=np.int64)] = True
 
     def _sample_start_positions(self, lanes: np.ndarray) -> np.ndarray:
-        """Start positions for ``lanes``: fixed starts plus optional noise.
+        """Start positions for ``lanes``: the fixed start plus optional noise.
 
         Replays :func:`~repro.envs.navigation.sample_start_position` for every
         lane — same per-lane draws from the same per-lane streams, same
         rejection rule — but evaluates each round's candidate collision checks
-        as one batched query per shared field.
+        as one batched field query.
         """
         noise = self.config.start_position_noise_m
-        positions = self._starts[lanes].copy()
+        positions = np.tile(self._start, (lanes.size, 1))
         if noise <= 0.0:
             return positions
-        field_groups = list(self._group_by_field(lanes))
         radius = self.config.vehicle_radius_m
         pending = np.arange(lanes.size)
         for _ in range(32):
@@ -298,18 +261,13 @@ class BatchedNavigationEnv:
                 break
             candidates = np.empty((pending.size, 2), dtype=np.float64)
             for offset, row in enumerate(pending):
-                lane = int(lanes[row])
-                candidates[offset] = self._starts[lane] + self._rngs[lane].uniform(
+                candidates[offset] = self._start + self._rngs[int(lanes[row])].uniform(
                     -noise, noise, size=2
                 )
-            collided = np.zeros(pending.size, dtype=bool)
-            for field, rows in field_groups:
-                in_round = np.isin(pending, rows)
-                if in_round.any():
-                    # Episodes start at t = 0.
-                    collided[in_round] = field.collides_many_timed(
-                        candidates[in_round], np.zeros(np.count_nonzero(in_round)), radius
-                    )
+            # Episodes start at t = 0.
+            collided = self._field.collides_many_timed(
+                candidates, np.zeros(pending.size), radius
+            )
             placed = ~collided
             positions[pending[placed]] = candidates[placed]
             pending = pending[collided]
@@ -353,43 +311,27 @@ class BatchedNavigationEnv:
 
         self._steps[lanes] += 1
         positions = self._positions[lanes]
-        goals = self._goals[lanes]
-        previous_distances = planar_distances(goals - positions)
+        previous_distances = planar_distances(self._goal - positions)
         headings = self._wrap_angles(self._headings[lanes] + heading_changes)
         self._headings[lanes] = headings
         displacements = speed_fractions * config.max_speed_m_s * config.step_duration_s
         new_positions = positions + displacements[:, None] * np.stack(
             [np.cos(headings), np.sin(headings)], axis=1
         )
-        if self._wind_layers:
-            for row, lane in enumerate(lanes):
-                shifted = new_positions[row]
-                for wind in self._wind_layers:
-                    shifted = shifted + wind.displacement(
-                        self._rngs[lane], config.step_duration_s
-                    )
-                new_positions[row] = shifted
-            displacements = planar_distances(new_positions - positions)
 
         start_times = self._times[lanes]
         end_times = start_times + config.step_duration_s
-        collided = np.zeros(lanes.size, dtype=bool)
         with span("rollout.collision_check"):
-            for field, rows in self._group_by_field(lanes):
-                collided[rows] = field.segments_collide_timed(
-                    positions[rows],
-                    new_positions[rows],
-                    start_times[rows],
-                    end_times[rows],
-                    config.vehicle_radius_m,
-                )
+            collided = self._field.segments_collide_timed(
+                positions, new_positions, start_times, end_times, config.vehicle_radius_m
+            )
         self._times[lanes] = end_times
 
         moved = ~collided
         self._path_lengths[lanes] += np.where(moved, displacements, 0.0)
         updated_positions = np.where(moved[:, None], new_positions, positions)
         self._positions[lanes] = updated_positions
-        new_distances = planar_distances(goals - updated_positions)
+        new_distances = planar_distances(self._goal - updated_positions)
         success = moved & (new_distances <= config.goal_radius_m)
         progress_rewards = config.step_penalty + config.progress_scale * (
             previous_distances - new_distances
@@ -424,77 +366,38 @@ class BatchedNavigationEnv:
         return out
 
     # ------------------------------------------------------------------ observations
-    def _group_by_field(self, lanes: np.ndarray):
-        """Yield ``(field, row_offsets)`` grouping ``lanes`` by field object."""
-        groups: Dict[int, List[int]] = {}
-        order: Dict[int, ObstacleField] = {}
-        for row, lane in enumerate(lanes):
-            field = self._fields[lane]
-            groups.setdefault(id(field), []).append(row)
-            order[id(field)] = field
-        for key, rows in groups.items():
-            yield order[key], np.asarray(rows, dtype=np.int64)
-
     def _observe_lanes(self, lanes: np.ndarray) -> np.ndarray:
-        """Observations for ``lanes``, one batched sensor query per field.
-
-        Lanes over the same field share a single batched ray/occupancy query
-        regardless of clock skew, with each lane's episode clock as its row
-        time; the field decides whether time matters.  No per-``(field,
-        time)`` snapshot is built.
-        """
-        with span("rollout.ray_cast"):
-            return self._observe_lanes_inner(lanes)
-
-    def _observe_lanes_inner(self, lanes: np.ndarray) -> np.ndarray:
-        # Fast path: every lane over one shared field (the common case — a
-        # fixed-world evaluation batch, or one generated world across all
-        # lanes) needs no python group-build at all.
-        first = self._fields[int(lanes[0])]
-        if all(self._fields[int(lane)] is first for lane in lanes[1:]):
-            return self._observe_group(first, lanes)
-        observations = np.empty(
-            (lanes.size,) + self.observation_space.shape, dtype=np.float64
-        )
-        for field, rows in self._group_by_field(lanes):
-            observations[rows] = self._observe_group(field, lanes[rows])
-        return observations
-
-    def _observe_group(self, field: ObstacleField, lanes: np.ndarray) -> np.ndarray:
-        """Sensor observations for ``lanes`` over one shared ``field``.
+        """Observations for ``lanes``, one batched sensor query over the field.
 
         Each lane's episode clock is its row time, so a dynamic field's
-        movers are placed at per-lane times in the same batched query,
-        bit-identical to sensing one frozen snapshot per lane.
+        movers are placed at per-lane times in the same query, bit-identical
+        to sensing one frozen snapshot per lane; no per-time snapshot is
+        built.
         """
         config = self.config
-        positions = self._positions[lanes]
-        headings = self._headings[lanes]
-        goals = self._goals[lanes]
-        times = self._times[lanes]
-        if config.observation == "image":
-            return config.imager.render_many(field, positions, headings, goals, times)
-        rays = config.ray_sensor.sense_many(field, positions, headings, times)
-        if self._sensor_layers:
-            # Layers outer, lanes inner: per-lane generators are independent
-            # streams, so batching across lanes keeps every lane's own draw
-            # order (noise before dropout, layers in sequence) untouched.
-            rngs = [self._rngs[int(lane)] for lane in lanes]
-            for degradation in self._sensor_layers:
-                rays = degradation.apply_batch(rays, rngs)
-        goal_vectors = goals - positions
-        goal_distances = planar_distances(goal_vectors)
-        goal_bearings = np.arctan2(goal_vectors[:, 1], goal_vectors[:, 0]) - headings
-        features = np.stack(
-            [
-                np.minimum(1.0, goal_distances / self._scales[lanes]),
-                np.sin(goal_bearings),
-                np.cos(goal_bearings),
-                headings / math.pi,
-            ],
-            axis=1,
-        )
-        return np.concatenate([rays, features], axis=1)
+        with span("rollout.ray_cast"):
+            positions = self._positions[lanes]
+            headings = self._headings[lanes]
+            times = self._times[lanes]
+            goals = np.broadcast_to(self._goal, positions.shape)
+            if config.observation == "image":
+                return config.imager.render_many(
+                    self._field, positions, headings, goals, times
+                )
+            rays = config.ray_sensor.sense_many(self._field, positions, headings, times)
+            goal_vectors = goals - positions
+            goal_distances = planar_distances(goal_vectors)
+            goal_bearings = np.arctan2(goal_vectors[:, 1], goal_vectors[:, 0]) - headings
+            features = np.stack(
+                [
+                    np.minimum(1.0, goal_distances / self._scale),
+                    np.sin(goal_bearings),
+                    np.cos(goal_bearings),
+                    headings / math.pi,
+                ],
+                axis=1,
+            )
+            return np.concatenate([rays, features], axis=1)
 
     @staticmethod
     def _wrap_angles(angles: np.ndarray) -> np.ndarray:

@@ -10,6 +10,11 @@ occupancy image (convolutional C3F2/C5F4 profile).
 Episodes terminate on goal arrival (success), collision (failure) or timeout
 (failure).  The environment tracks the flown path length so that corrupted
 policies manifest as the path detours the paper's flight-time model builds on.
+
+An environment flies one world, compiled at construction: the generated
+world of ``config.world_spec``, or a uniform-density field drawn from one
+integer seed off the construction RNG stream.  A reset re-samples only the
+episode's start position (``start_position_noise_m``) from the env stream.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from repro.envs.spaces import Box, Discrete
 from repro.utils.rng import SeedLike, as_generator
 
 if TYPE_CHECKING:  # repro.worlds imports this module's package; resolve lazily
-    from repro.worlds.perturbations import Perturbation
     from repro.worlds.spec import WorldSpec
 
 
@@ -47,10 +51,6 @@ class NavigationConfig:
     #: uniform ``density`` field; ``world_size``/``start``/``goal`` above are
     #: then ignored in favour of the generated world's geometry.
     world_spec: Optional["WorldSpec"] = None
-    #: Ordered deployment perturbation layers (wind drift on the dynamics
-    #: step, ray-sensor degradation on each observation), applied on top of
-    #: whichever world is active.
-    perturbations: Tuple["Perturbation", ...] = ()
     start: Tuple[float, float] = (2.0, 10.0)
     goal: Tuple[float, float] = (18.0, 10.0)
     goal_radius_m: float = 1.0
@@ -64,7 +64,6 @@ class NavigationConfig:
     observation: str = "vector"  # "vector" or "image"
     ray_sensor: RaySensor = field(default_factory=RaySensor)
     imager: OccupancyImager = field(default_factory=OccupancyImager)
-    randomize_obstacles_on_reset: bool = False
     #: Uniform noise (metres) added to the start position at every reset; gives
     #: episode diversity on an otherwise fixed world (and makes evaluation an
     #: average over trajectories rather than a single deterministic rollout).
@@ -88,15 +87,6 @@ class NavigationConfig:
             raise ConfigurationError("goal_radius_m must be positive and vehicle_radius_m non-negative")
         if self.start_position_noise_m < 0:
             raise ConfigurationError("start_position_noise_m must be non-negative")
-        object.__setattr__(self, "perturbations", tuple(self.perturbations))
-        if self.perturbations:
-            from repro.worlds.perturbations import SensorDegradation, WindGust
-
-            for perturbation in self.perturbations:
-                if not isinstance(perturbation, (WindGust, SensorDegradation)):
-                    raise ConfigurationError(
-                        f"unknown perturbation type {type(perturbation).__name__}"
-                    )
 
     @property
     def num_actions(self) -> int:
@@ -114,42 +104,6 @@ class StepResult:
     info: Dict[str, float]
 
 
-def compile_world(
-    config: NavigationConfig,
-    world_spec: Optional["WorldSpec"],
-    world_size: Tuple[float, float],
-    start: np.ndarray,
-    goal: np.ndarray,
-    rng: np.random.Generator,
-) -> Tuple[ObstacleField, np.ndarray, np.ndarray, Tuple[float, float]]:
-    """Build the active world for one episode lane.
-
-    Returns ``(field, start, goal, world_size)``.  When ``world_spec`` is set
-    the generated world's geometry wins; otherwise a uniform-density field is
-    drawn.  The obstacle seed is taken from the caller's RNG *stream* (rather
-    than handing the generator the stream itself) so the sequence of worlds is
-    a pure function of the reset seed, independent of how much randomness
-    field generation happens to consume.  Shared by :class:`NavigationEnv`
-    and the lockstep :class:`~repro.envs.batch.BatchedNavigationEnv` so both
-    replay identical world sequences from identical seeds.
-    """
-    if world_spec is not None:
-        from repro.worlds.registry import generate_world
-
-        world = generate_world(world_spec)
-        return world.field, world.start.copy(), world.goal.copy(), world.world_size
-    obstacle_seed = int(rng.integers(0, 2**31 - 1))
-    field = generate_obstacles(
-        world_size,
-        config.density,
-        start,
-        goal,
-        rng=obstacle_seed,
-        vehicle_radius=config.vehicle_radius_m,
-    )
-    return field, start, goal, world_size
-
-
 def sample_start_position(
     snapshot: ObstacleField,
     start: np.ndarray,
@@ -159,8 +113,9 @@ def sample_start_position(
 ) -> np.ndarray:
     """One episode's start position: the fixed start plus optional uniform noise.
 
-    Shared by the serial and batched environments so their per-lane RNG
-    consumption (and therefore every downstream draw) stays identical.
+    The batched environment replays it draw for draw, so a lane's RNG
+    consumption (and therefore every downstream draw) matches the serial
+    environment's.
     """
     if noise_m <= 0.0:
         return start.copy()
@@ -178,34 +133,38 @@ class NavigationEnv:
         self.config = config
         self._rng = as_generator(rng)
         self.action_space = Discrete(config.num_actions)
-        self._world_spec = config.world_spec
-        self._world_size = config.world_size
-        self._start = np.array(config.start, dtype=np.float64)
-        self._goal = np.array(config.goal, dtype=np.float64)
-        if config.world_spec is None:
+        if config.world_spec is not None:
+            from repro.worlds.registry import generate_world
+
+            world = generate_world(config.world_spec)
+            self._field = world.field
+            self._start, self._goal = world.start.copy(), world.goal.copy()
+            self._world_size = world.world_size
+        else:
+            self._world_size = config.world_size
+            self._start = np.array(config.start, dtype=np.float64)
+            self._goal = np.array(config.goal, dtype=np.float64)
             width, height = config.world_size
             for name, point in (("start", self._start), ("goal", self._goal)):
                 if not (0 < point[0] < width and 0 < point[1] < height):
                     raise ConfigurationError(f"{name} position {tuple(point)} outside the world {config.world_size}")
-        self._field = self._generate_field()
+            # The field takes one integer seed off the env stream, however
+            # much randomness its rejection sampling uses, so every later
+            # draw is the same whatever the density.
+            self._field = generate_obstacles(
+                self._world_size,
+                config.density,
+                self._start,
+                self._goal,
+                rng=int(self._rng.integers(0, 2**31 - 1)),
+                vehicle_radius=config.vehicle_radius_m,
+            )
         self._heading_options = np.linspace(
             -config.max_heading_change_rad, config.max_heading_change_rad, config.num_heading_actions
         )
         self._speed_options = np.linspace(0.2, 1.0, config.num_speed_actions)
         if config.num_speed_actions == 1:
             self._speed_options = np.array([1.0])
-        if config.perturbations:
-            from repro.worlds.perturbations import SensorDegradation, WindGust
-
-            self._wind_layers = tuple(
-                p for p in config.perturbations if isinstance(p, WindGust)
-            )
-            self._sensor_layers = tuple(
-                p for p in config.perturbations if isinstance(p, SensorDegradation)
-            )
-        else:
-            self._wind_layers = ()
-            self._sensor_layers = ()
         self.observation_space = self._build_observation_space()
         # Episode state
         self._position = self._start.copy()
@@ -216,17 +175,6 @@ class NavigationEnv:
         self._done = True
 
     # ------------------------------------------------------------------ setup helpers
-    def _generate_field(self) -> ObstacleField:
-        field, self._start, self._goal, self._world_size = compile_world(
-            self.config,
-            self._world_spec,
-            self._world_size,
-            self._start,
-            self._goal,
-            self._rng,
-        )
-        return field
-
     @property
     def _field_is_dynamic(self) -> bool:
         """True when the active field carries moving obstacles (duck-typed to
@@ -253,11 +201,6 @@ class NavigationEnv:
     def world_size(self) -> Tuple[float, float]:
         """The active world's bounds (the generated world's when a spec is set)."""
         return self._world_size
-
-    @property
-    def world_spec(self) -> Optional[WorldSpec]:
-        """The spec of the world currently loaded (reseeded on randomized resets)."""
-        return self._world_spec
 
     @property
     def time_s(self) -> float:
@@ -293,15 +236,6 @@ class NavigationEnv:
         """Start a new episode and return the initial observation."""
         if seed is not None:
             self._rng = as_generator(seed)
-        if self.config.randomize_obstacles_on_reset:
-            if self.config.world_spec is not None:
-                # A fresh world from the same family/params: the per-reset
-                # world seed comes from the env RNG stream, so two envs with
-                # the same seed replay identical world sequences.
-                self._world_spec = self.config.world_spec.with_seed(
-                    int(self._rng.integers(0, 2**31 - 1))
-                )
-            self._field = self._generate_field()
         self._steps = 0
         self._time_s = 0.0
         self._position = self._sample_start()
@@ -333,12 +267,6 @@ class NavigationEnv:
         new_position = self._position + displacement * np.array(
             [math.cos(self._heading), math.sin(self._heading)]
         )
-        if self._wind_layers:
-            for wind in self._wind_layers:
-                new_position = new_position + wind.displacement(
-                    self._rng, self.config.step_duration_s
-                )
-            displacement = float(planar_distances(new_position - self._position))
 
         step_end_time = self._time_s + self.config.step_duration_s
         if self._field_is_dynamic:
@@ -386,8 +314,6 @@ class NavigationEnv:
         if self.config.observation == "image":
             return self.config.imager.render(field_now, self._position, self._heading, self._goal)
         rays = self.config.ray_sensor.sense(field_now, self._position, self._heading)
-        for degradation in self._sensor_layers:
-            rays = degradation.apply(rays, self._rng)
         goal_vector = self._goal - self._position
         goal_distance = float(planar_distances(goal_vector))
         goal_bearing = float(np.arctan2(goal_vector[1], goal_vector[0]) - self._heading)
@@ -407,9 +333,8 @@ class NavigationEnv:
         return float((angle + math.pi) % (2.0 * math.pi) - math.pi)
 
     def __repr__(self) -> str:
-        world = (
-            self._world_spec.name if self._world_spec is not None else self.config.density.value
-        )
+        world_spec = self.config.world_spec
+        world = world_spec.name if world_spec is not None else self.config.density.value
         return (
             f"NavigationEnv(world={world}, size={self._world_size}, "
             f"obstacles={self._field.num_obstacles}, actions={self.action_space.n})"

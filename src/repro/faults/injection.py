@@ -26,7 +26,6 @@ memory.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Mapping, Tuple
@@ -274,15 +273,13 @@ class BitErrorInjector:
         array).  ``quantized`` is never modified, so one
         :meth:`quantize_state` result serves any number of fault maps.
         """
-        metrics = get_metrics()
-        started = time.perf_counter() if metrics.enabled else 0.0
         with span("faults.corrupt"):
             corrupted = self._corrupt(quantized, fault_map)
             values = quantized.dequantize(self.backend.to_numpy(corrupted))
+        metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("faults.maps_applied").inc()
             metrics.counter("faults.bits_flipped").inc(self._flipped_bits(quantized, corrupted))
-            metrics.histogram("faults.corrupt_s").observe(time.perf_counter() - started)
         return self.layout.unflatten(values)
 
     def perturb_state_dict(

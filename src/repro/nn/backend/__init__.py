@@ -54,12 +54,11 @@ class ArrayBackend:
 
     @property
     def metric_tag(self) -> str:
-        """The tag this backend contributes to metric names and fingerprints.
+        """The tag this backend contributes to run fingerprints and cache keys.
 
         CPU-only backends tag with their bare name; device-selecting backends
-        (torch) append the device so GPU runs form a separate ledger series:
-        ``train.backend.torch.cuda.gradient_steps`` vs
-        ``train.backend.numpy.gradient_steps``.
+        (torch) append the device (``torch.cpu``, ``torch.cuda``), so a GPU
+        run's ledger fingerprint never compares against a CPU baseline.
         """
         return self.name
 

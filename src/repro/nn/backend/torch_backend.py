@@ -3,8 +3,8 @@
 The device comes from the ``REPRO_TORCH_DEVICE`` environment variable (or an
 explicit ``TorchBackend(device=...)``); ``cuda`` requests are validated
 eagerly against ``torch.cuda.is_available()``.  The backend's
-:attr:`metric_tag` is ``torch.<device>``, so gradient-step metrics and ledger
-fingerprints keep GPU and CPU runs in separate series.
+:attr:`metric_tag` is ``torch.<device>``, so ledger fingerprints keep GPU and
+CPU runs in separate series.
 
 ``torch`` is imported under a guard the way SNIPPETS' iGibson environment
 guards its torch import: importing *this module* does not require torch to be
@@ -81,8 +81,8 @@ class TorchBackend(ArrayBackend):
 
     @property
     def metric_tag(self) -> str:
-        # torch.cpu vs torch.cuda: GPU gradient timings must form their own
-        # metric/ledger series, never average into the CPU baseline.
+        # torch.cpu vs torch.cuda: GPU runs must form their own ledger
+        # series, never average into the CPU baseline.
         return f"{self.name}.{self.device}"
 
     # ------------------------------------------------------------------ conversion

@@ -8,9 +8,8 @@ Five cooperating pieces, the in-process ones disabled by default:
 * :mod:`repro.obs.tracing` — ``with span("rollout.ray_cast"):`` timing on
   ``perf_counter_ns``, a bounded in-memory ring, and Chrome trace-event JSON
   export loadable in Perfetto / ``chrome://tracing``.
-* :mod:`repro.obs.sink` / :mod:`repro.obs.heartbeat` — episode-cadence
-  training telemetry fed by the trainer callback, and the rate-limited
-  progress line of long sweep runs.
+* :mod:`repro.obs.heartbeat` — the rate-limited progress line of long
+  sweep runs.
 * :mod:`repro.obs.store` — the **run ledger**: an append-only JSONL file of
   per-run records (metrics snapshot, span rollup, environment fingerprint)
   written automatically by the sweep engine and the benchmark suite, with
@@ -41,7 +40,6 @@ from repro.obs.metrics import (
     get_metrics,
     metrics_enabled,
 )
-from repro.obs.sink import TelemetrySink
 from repro.obs.store import (
     RegressionFinding,
     RunLedger,
@@ -75,7 +73,6 @@ __all__ = [
     "RegressionFinding",
     "RunLedger",
     "RunRecord",
-    "TelemetrySink",
     "Tracer",
     "check_ledger",
     "chrome_trace_drop_count",

@@ -22,7 +22,6 @@ the reference implementation the equivalence tests pin against.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -209,8 +208,6 @@ class DqnTrainer:
 
     def learn_on_batch(self, batch: Transition) -> float:
         """One optimizer update from one mini-batch."""
-        metrics = get_metrics()
-        started = time.perf_counter() if metrics.enabled else 0.0
         with span(
             "train.gradient_step", backend=self.backend.name, device=self.backend.device
         ):
@@ -218,16 +215,10 @@ class DqnTrainer:
             loss_value = self.accumulate_gradients(batch)
             self.optimizer.step()
         self.history.gradient_steps += 1
+        metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("train.gradient_steps").inc()
             metrics.histogram("train.loss").observe(loss_value)
-            # metric_tag carries the device for device-selecting backends
-            # ("torch.cpu"/"torch.cuda"), so GPU and CPU runs never share a series.
-            tag = self.backend.metric_tag
-            metrics.counter(f"train.backend.{tag}.gradient_steps").inc()
-            metrics.histogram(f"train.backend.{tag}.gradient_step_s").observe(
-                time.perf_counter() - started
-            )
         return loss_value
 
     def sync_target_network(self) -> None:

@@ -220,9 +220,6 @@ class SweepRunner:
                             cached = (
                                 cache.get(spec) if spec.spec_hash in cache_index else MISS
                             )
-                            if metrics.enabled:
-                                probe = "hit" if cached is not MISS else "miss"
-                                metrics.counter(f"cache.probe.{probe}").inc()
                             if cached is not MISS:
                                 settle(index, cached)
                                 report.cache_hits += 1

@@ -19,7 +19,7 @@ as *steals*, the work-stealing behaviour fixed ``chunksize`` dispatch lacks.
 Every completed chunk carries the worker's :func:`warm_cache_stats`
 snapshot, so the parent reports fleet-wide warm-cache hit rates without a
 separate control round-trip.  Observability: ``pool.spawned_workers``,
-``pool.chunks``, ``pool.steal_events``, ``pool.jobs`` (dispatch groups)
+``pool.chunks``, ``pool.steal_events``, ``pool.groups`` (dispatch groups)
 counters, a ``pool.workers`` occupancy gauge, and a ``pool.submit`` span per
 run.
 
@@ -264,12 +264,12 @@ class WarmPoolExecutor(Executor):
         if metrics.enabled:
             metrics.counter("pool.spawned_workers").inc(spawned)
             metrics.counter("pool.chunks").inc(len(chunks))
-            metrics.counter("pool.jobs").inc(len(groups))
+            metrics.counter("pool.groups").inc(len(groups))
             metrics.gauge("pool.workers").set(pool.size)
-        jobs_done = 0
-        with span("pool.submit", jobs=len(groups), chunks=len(chunks), workers=pool.size):
+        groups_done = 0
+        with span("pool.submit", groups=len(groups), chunks=len(chunks), workers=pool.size):
             for events in pool.run_chunks(chunks, observe):
-                jobs_done += len(events)
+                groups_done += len(events)
                 yield from events
         steals = self._count_steals(pool.last_chunk_workers, pool.size)
         if metrics.enabled:
@@ -279,7 +279,7 @@ class WarmPoolExecutor(Executor):
             "spawned": spawned,
             "spawned_total": pool.spawned_total,
             "chunks": len(chunks),
-            "jobs": jobs_done,
+            "groups": groups_done,
             "steal_events": steals,
             "warm": pool.warm_stats(),
         }

@@ -7,20 +7,13 @@ its parameters, and :func:`generate_world` compiles it into a validated
 :class:`GeneratedWorld` whose start→goal corridor is BFS-guaranteed.  Specs
 travel through :mod:`repro.runtime` job params, which is how the
 ``generalization`` sweep evaluates thousands of generated deployments with
-caching, sharding and resume.
+caching, sharding and resume.  ``NavigationConfig(world_spec=...)`` puts one
+generated world into a navigation environment: the env compiles it once, at
+construction, and every episode (and every lane of a batched env) flies it.
 """
 
 from repro.worlds.dynamic import DynamicObstacleField, MovingObstacle
 from repro.worlds.metrics import WorldMetrics, world_metrics
-from repro.worlds.perturbations import (
-    PERTURBATION_KINDS,
-    Perturbation,
-    SensorDegradation,
-    WindGust,
-    perturbation_from_jsonable,
-    perturbation_to_jsonable,
-    perturbations_from_jsonable,
-)
 from repro.worlds.registry import (
     DEFAULT_VEHICLE_RADIUS_M,
     GeneratedWorld,
@@ -41,10 +34,6 @@ __all__ = [
     "DynamicObstacleField",
     "GeneratedWorld",
     "MovingObstacle",
-    "PERTURBATION_KINDS",
-    "Perturbation",
-    "SensorDegradation",
-    "WindGust",
     "WorldFamily",
     "WorldMetrics",
     "WorldSpec",
@@ -52,9 +41,6 @@ __all__ = [
     "generate_world",
     "get_world_family",
     "iter_world_families",
-    "perturbation_from_jsonable",
-    "perturbation_to_jsonable",
-    "perturbations_from_jsonable",
     "registered_families",
     "render_world",
     "validate_world",

@@ -54,10 +54,6 @@ class WorldSpec:
         """Short human-readable identity, e.g. ``corridor[1a2b3c4d]``."""
         return f"{self.family}[{self.spec_hash[:8]}]"
 
-    def with_seed(self, seed: int) -> "WorldSpec":
-        """The same family/params with a different seed (fresh world draw)."""
-        return WorldSpec(family=self.family, params=self.params, seed=int(seed))
-
     # ------------------------------------------------------------------ serialisation
     def to_jsonable(self) -> Dict[str, Any]:
         return self.canonical()

@@ -1,11 +1,11 @@
 """Tests for the lockstep batched rollout core.
 
-The load-bearing property is the determinism contract: greedy rollouts under
-per-episode reset seeds reproduce the serial ``run_episode`` loop *bitwise*,
-for any batch size, across every environment feature (perturbations,
-randomized worlds, generated worlds, moving obstacles).  That contract is
-what makes the batched core a refactor of the episode-execution stack rather
-than a second simulator.
+The load-bearing property is the determinism contract: every lane flies the
+template's world, and greedy rollouts under per-episode reset seeds
+reproduce the serial ``run_episode`` loop *bitwise*, for any batch size, on
+uniform, generated and dynamic worlds, with vector or image observations.
+That contract is what makes the batched core a refactor of the
+episode-execution stack rather than a second simulator.
 """
 
 from dataclasses import replace
@@ -21,7 +21,6 @@ from repro.envs.vector import run_episode
 from repro.errors import ConfigurationError, EnvironmentError_
 from repro.nn.policies import build_policy, mlp
 from repro.rl.evaluation import GreedyPolicy
-from repro.worlds.perturbations import SensorDegradation, WindGust
 from repro.worlds.spec import WorldSpec
 
 
@@ -70,26 +69,6 @@ class TestBatchedSerialEquivalence:
         batched = run_batched_episodes(env, policy, 20, reset_seed=50)
         # Dataclass equality covers floats (path length, reward) exactly.
         assert batched == serial
-
-    def test_equivalence_with_perturbations(self, batch_config):
-        config = replace(
-            batch_config,
-            perturbations=(
-                WindGust(drift_m_s=(0.3, -0.1), gust_std_m_s=0.2),
-                SensorDegradation(dropout_prob=0.15, noise_std=0.05),
-            ),
-        )
-        policy = _greedy_for(config)
-        serial = _serial_reference(config, policy, 10, reset_seed=7)
-        env = BatchedNavigationEnv.from_env(NavigationEnv(config, rng=3), batch_size=4)
-        assert run_batched_episodes(env, policy, 10, reset_seed=7) == serial
-
-    def test_equivalence_with_randomized_worlds(self, batch_config):
-        config = replace(batch_config, randomize_obstacles_on_reset=True)
-        policy = _greedy_for(config)
-        serial = _serial_reference(config, policy, 8, reset_seed=21)
-        env = BatchedNavigationEnv.from_env(NavigationEnv(config, rng=3), batch_size=3)
-        assert run_batched_episodes(env, policy, 8, reset_seed=21) == serial
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
     def test_equivalence_with_dynamic_generated_world(self, batch_config, batch_size):
@@ -220,51 +199,6 @@ class TestBatchedEnvApi:
         env = BatchedNavigationEnv(batch_config, batch_size=3)
         with pytest.raises(ConfigurationError):
             run_batched_episodes(env, lambda observations: 0, 3, reset_seed=0)
-
-
-class TestBatchedSensorDegradation:
-    """The vectorised degradation path must preserve per-lane RNG streams:
-    row ``i`` of ``apply_batch`` is bit-identical to ``apply`` on lane ``i``'s
-    own generator, because each lane's draws (noise, then dropout, per layer)
-    happen in the same order from the same independent stream."""
-
-    @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    def test_apply_batch_matches_sequential_apply(self, batch_size):
-        degradation = SensorDegradation(dropout_prob=0.2, noise_std=0.1)
-        readings = np.random.default_rng(0).uniform(0.0, 1.0, size=(batch_size, 6))
-        batch_rngs = [np.random.default_rng(1000 + lane) for lane in range(batch_size)]
-        serial_rngs = [np.random.default_rng(1000 + lane) for lane in range(batch_size)]
-        batched = degradation.apply_batch(readings, batch_rngs)
-        for lane in range(batch_size):
-            expected = degradation.apply(readings[lane], serial_rngs[lane])
-            assert np.array_equal(batched[lane], expected)
-        # The generators advanced identically, so subsequent draws agree too.
-        for batch_rng, serial_rng in zip(batch_rngs, serial_rngs):
-            assert batch_rng.random() == serial_rng.random()
-
-    def test_apply_batch_layers_compose_like_sequential_layers(self):
-        layers = (
-            SensorDegradation(dropout_prob=0.1, noise_std=0.05),
-            SensorDegradation(dropout_prob=0.0, noise_std=0.2),
-        )
-        readings = np.random.default_rng(2).uniform(0.0, 1.0, size=(5, 8))
-        batch_rngs = [np.random.default_rng(50 + lane) for lane in range(5)]
-        serial_rngs = [np.random.default_rng(50 + lane) for lane in range(5)]
-        batched = readings
-        for layer in layers:
-            batched = layer.apply_batch(batched, batch_rngs)
-        for lane in range(5):
-            expected = readings[lane]
-            for layer in layers:
-                expected = layer.apply(expected, serial_rngs[lane])
-            assert np.array_equal(batched[lane], expected)
-
-    def test_apply_batch_noop_layer_returns_copy(self):
-        degradation = SensorDegradation(dropout_prob=0.0, noise_std=0.0)
-        readings = np.random.default_rng(3).uniform(0.0, 1.0, size=(3, 4))
-        out = degradation.apply_batch(readings, [np.random.default_rng(0)] * 3)
-        assert np.array_equal(out, readings)
-        assert out is not readings
 
 
 class TestBatchedGeometryPrimitives:

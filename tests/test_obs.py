@@ -10,7 +10,6 @@ import json
 import math
 import os
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.obs import (
     Heartbeat,
     MetricsRegistry,
     NOOP_METRICS,
-    TelemetrySink,
     chrome_trace_drop_count,
     chrome_trace_to_spans,
     collecting_metrics,
@@ -536,67 +534,3 @@ class TestHeartbeat:
         line = heartbeat.format_line(0, 0)  # nothing settled yet
         assert "0.0 jobs/s" in line
         assert "eta ?" in line
-
-
-class _FakeHistory:
-    def __init__(self):
-        self.losses = [0.5, 0.4, 0.3]
-        self.total_steps = 200
-        self.num_episodes = 4
-        self.gradient_steps = 10
-        self.episode_rewards = [1.0, 2.0, 3.0, 4.0]
-
-    def success_rate(self, window):
-        return 0.5
-
-    def mean_reward(self, window):
-        return 2.5
-
-
-class _SizedReplay:
-    def __init__(self, capacity, size):
-        self.capacity = capacity
-        self._size = size
-
-    def __len__(self):
-        return self._size
-
-
-def _fake_trainer(replay_size=40):
-    return SimpleNamespace(
-        replay=_SizedReplay(capacity=100, size=replay_size),
-        config=SimpleNamespace(epsilon_schedule=lambda step: 0.125),
-    )
-
-
-class TestTelemetrySink:
-    def test_on_episode_fills_latest_and_registry(self):
-        registry = enable_metrics()
-        sink = TelemetrySink()
-        sink.on_episode(3, _FakeHistory(), _fake_trainer())
-        latest = sink.summary()
-        assert latest["episode"] == 3
-        assert latest["replay_fill"] == pytest.approx(0.4)
-        assert latest["epsilon"] == pytest.approx(0.125)
-        assert latest["loss_mean"] == pytest.approx(0.4)
-        assert latest["success_rate"] == 0.5
-        snap = registry.snapshot()
-        assert snap["counters"]["train.episodes_observed"] == 1
-        # The collector and the trainer own these gauges; the sink leaves them alone.
-        assert "train.epsilon" not in snap["gauges"]
-        assert "train.replay_fill" not in snap["gauges"]
-        assert snap["histograms"]["train.episode_reward"]["count"] == 1
-
-    def test_attach_chains_user_callback(self):
-        sink = TelemetrySink()
-        seen = []
-        callback = sink.attach(_fake_trainer(), callback=lambda ep, hist: seen.append(ep))
-        callback(7, _FakeHistory())
-        assert seen == [7]
-        assert sink.summary()["episode"] == 7
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            TelemetrySink(log_every=0)
-        with pytest.raises(ValueError):
-            TelemetrySink(loss_window=-1)

@@ -128,14 +128,6 @@ class TestSerialEquivalence:
             batched.train(1)
         _assert_trainers_identical(serial, batched)
 
-    def test_b1_matches_with_randomized_worlds(self, train_env_config):
-        config = replace(train_env_config, randomize_obstacles_on_reset=True)
-        serial = _dqn_trainer(config)
-        serial.train_serial(6)
-        batched = _dqn_trainer(config)
-        batched.train(6)
-        _assert_trainers_identical(serial, batched)
-
 
 class TestMultiLaneTraining:
     @pytest.mark.parametrize("lanes", [4, 16])

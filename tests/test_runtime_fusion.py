@@ -14,6 +14,7 @@ from repro.experiments.generalization import (
     generalization_sweep_spec,
 )
 from repro.fleet.reliability import fleet_reliability_sweep_spec
+from repro.obs import collecting_metrics
 from repro.runtime.engine import SweepExecutionError, SweepRunner
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.fusion import fusion_key, plan_fusion
@@ -255,8 +256,13 @@ class TestGroupTransport:
         shutdown_pool()
         try:
             executor = WarmPoolExecutor(workers=2)
-            report = SweepRunner(executor=executor).run(sweep)
-            assert executor.last_stats["jobs"] == 8  # two fused groups, six of one
+            with collecting_metrics() as registry:
+                report = SweepRunner(executor=executor).run(sweep)
+            # Two fused groups of three and six groups of one carry 12 jobs.
+            assert executor.last_stats["groups"] == 8
+            counters = registry.snapshot()["counters"]
+            assert counters["pool.groups"] == 8
+            assert counters["engine.jobs_executed"] == len(sweep) == 12
         finally:
             shutdown_pool()
         self._check(sweep, report)

@@ -22,14 +22,10 @@ from repro.uav.platform import CRAZYFLIE
 from repro.worlds import (
     DynamicObstacleField,
     MovingObstacle,
-    SensorDegradation,
-    WindGust,
     WorldSpec,
     ascii_map,
     generate_world,
     get_world_family,
-    perturbation_from_jsonable,
-    perturbation_to_jsonable,
     registered_families,
     render_world,
     validate_world,
@@ -58,13 +54,6 @@ class TestWorldSpec:
         rebuilt = WorldSpec.from_jsonable(spec.to_jsonable())
         assert rebuilt == spec
         assert rebuilt.spec_hash == spec.spec_hash
-
-    def test_with_seed(self):
-        spec = WorldSpec("rooms", {"door_m": 2.0}, seed=0)
-        reseeded = spec.with_seed(9)
-        assert reseeded.family == spec.family
-        assert reseeded.params == spec.params
-        assert reseeded.seed == 9
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -428,35 +417,6 @@ def test_non_finite_geometry_is_rejected(build, bad):
         build(bad)
 
 
-class TestPerturbations:
-    def test_wind_displacement(self):
-        wind = WindGust(drift_m_s=(1.0, -0.5), gust_std_m_s=0.0)
-        displacement = wind.displacement(np.random.default_rng(0), duration_s=2.0)
-        assert np.allclose(displacement, [2.0, -1.0])
-
-    def test_sensor_degradation_dropout_reads_free_space(self):
-        degradation = SensorDegradation(dropout_prob=1.0)
-        readings = degradation.apply(np.full(8, 0.2), np.random.default_rng(0))
-        assert np.allclose(readings, 1.0)
-
-    def test_sensor_noise_stays_normalized(self):
-        degradation = SensorDegradation(noise_std=0.5)
-        readings = degradation.apply(np.full(64, 0.5), np.random.default_rng(0))
-        assert readings.min() >= 0.0 and readings.max() <= 1.0
-
-    def test_serialization_round_trip(self):
-        for perturbation in (
-            WindGust(drift_m_s=(0.4, 0.1), gust_std_m_s=0.2),
-            SensorDegradation(dropout_prob=0.1, noise_std=0.05),
-        ):
-            payload = perturbation_to_jsonable(perturbation)
-            assert perturbation_from_jsonable(payload) == perturbation
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            perturbation_from_jsonable({"kind": "earthquake"})
-
-
 class TestNavigationIntegration:
     def test_env_from_world_spec(self):
         config = NavigationConfig(world_spec=WorldSpec("corridor", seed=2))
@@ -477,46 +437,6 @@ class TestNavigationIntegration:
         assert env.time_s == pytest.approx(config.step_duration_s)
         env.reset(seed=1)
         assert env.time_s == 0.0
-
-    def test_wind_changes_trajectory_deterministically(self):
-        base = NavigationConfig(world_spec=WorldSpec("forest", seed=1))
-        windy = NavigationConfig(
-            world_spec=WorldSpec("forest", seed=1),
-            perturbations=(WindGust(drift_m_s=(0.0, 0.8)),),
-        )
-        env_base, env_windy = NavigationEnv(base, rng=0), NavigationEnv(windy, rng=0)
-        env_base.reset(seed=0), env_windy.reset(seed=0)
-        env_base.step(12), env_windy.step(12)
-        assert not np.allclose(env_base.position, env_windy.position)
-        env_windy_2 = NavigationEnv(windy, rng=0)
-        env_windy_2.reset(seed=0)
-        env_windy_2.step(12)
-        assert np.allclose(env_windy.position, env_windy_2.position)
-
-    def test_sensor_degradation_applies_to_observation(self):
-        clean = NavigationConfig(world_spec=WorldSpec("forest", seed=1))
-        degraded = NavigationConfig(
-            world_spec=WorldSpec("forest", seed=1),
-            perturbations=(SensorDegradation(dropout_prob=1.0),),
-        )
-        num_rays = clean.ray_sensor.num_rays
-        obs_clean = NavigationEnv(clean, rng=0).reset(seed=0)
-        obs_degraded = NavigationEnv(degraded, rng=0).reset(seed=0)
-        assert np.allclose(obs_degraded[:num_rays], 1.0)
-        assert not np.allclose(obs_clean[:num_rays], 1.0)
-
-    def test_randomized_world_spec_resets_replay_identically(self):
-        config = NavigationConfig(
-            world_spec=WorldSpec("rooms", seed=0), randomize_obstacles_on_reset=True
-        )
-        a, b = NavigationEnv(config, rng=0), NavigationEnv(config, rng=0)
-        specs = []
-        for index in range(3):
-            a.reset(seed=10 + index), b.reset(seed=10 + index)
-            assert a.world_spec == b.world_spec
-            assert np.array_equal(a.obstacle_field.centers, b.obstacle_field.centers)
-            specs.append(a.world_spec)
-        assert len({spec.seed for spec in specs}) == 3  # fresh world per reset
 
 
 class TestMetricsAndRender:
