@@ -50,7 +50,7 @@ def _policy_for(env: NavigationEnv):
 def rollout_setup(request):
     config = FAST_PROFILE.navigation_for_density(ObstacleDensity(request.param))
     serial_env = NavigationEnv(config, rng=7)
-    batched_env = BatchedNavigationEnv.from_env(
+    batched_env = BatchedNavigationEnv(
         NavigationEnv(config, rng=7), batch_size=NUM_EPISODES
     )
     return request.param, serial_env, batched_env, _policy_for(serial_env)
@@ -105,7 +105,7 @@ def test_batched_speedup_at_b64(time_pairs):
     """Acceptance gate: >= 5x episodes/sec on the batched path at B = 64."""
     config = FAST_PROFILE.navigation_for_density(ObstacleDensity.SPARSE)
     serial_env = NavigationEnv(config, rng=7)
-    batched_env = BatchedNavigationEnv.from_env(
+    batched_env = BatchedNavigationEnv(
         NavigationEnv(config, rng=7), batch_size=NUM_EPISODES
     )
     policy = _policy_for(serial_env)
@@ -130,7 +130,7 @@ def _dynamic_config():
 def dynamic_rollout_setup():
     config = _dynamic_config()
     serial_env = NavigationEnv(config, rng=7)
-    batched_env = BatchedNavigationEnv.from_env(
+    batched_env = BatchedNavigationEnv(
         NavigationEnv(config, rng=7), batch_size=NUM_EPISODES
     )
     return serial_env, batched_env, _policy_for(serial_env)
@@ -164,7 +164,7 @@ def test_dynamic_batched_speedup_at_b64(time_pairs):
     one ``at_time`` snapshot per distinct (field, time) group."""
     config = _dynamic_config()
     serial_env = NavigationEnv(config, rng=7)
-    batched_env = BatchedNavigationEnv.from_env(
+    batched_env = BatchedNavigationEnv(
         NavigationEnv(config, rng=7), batch_size=NUM_EPISODES
     )
     policy = _policy_for(serial_env)

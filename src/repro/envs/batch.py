@@ -14,18 +14,19 @@ array op per step instead of B.  Every query carries the lanes' episode
 clocks as row times; the field decides whether time matters (a static field
 ignores them, a dynamic one places its movers at each lane's own time).
 
-**Determinism contract.**  Every lane flies the template's world (its one
-field, start, goal and observation scale); each lane owns its own RNG
-stream, reset from a per-episode seed exactly the way
-:meth:`~repro.envs.navigation.NavigationEnv.reset` is, and every arithmetic
-operation in the step is elementwise-identical to the serial environment's
-(:func:`~repro.envs.navigation.sample_start_position` is replayed draw for
-draw, distances go through :func:`~repro.envs.obstacles.planar_distances`).
-Greedy rollouts under
-per-episode reset seeds therefore reproduce the serial
+**Determinism contract.**  Every lane flies the world of the serial
+environment it is built over (its one field, start, goal and observation
+scale); each lane owns its own RNG stream, reset from a per-episode seed
+exactly the way :meth:`~repro.envs.navigation.NavigationEnv.reset` is, and
+every arithmetic operation in the step is elementwise-identical to the
+serial environment's (:func:`~repro.envs.navigation.sample_start_position`
+is replayed draw for draw, distances go through
+:func:`~repro.envs.obstacles.planar_distances`).  The greedy, reset-seeded
+episodes of :func:`run_batched_episodes` therefore reproduce the serial
 :func:`~repro.envs.vector.run_episode` results *bitwise*, for any batch
 size — which is what makes the batched core a refactor of the rollout stack
-rather than a second, subtly different simulator.
+rather than a second, subtly different simulator.  Exploration is the
+training collector's (:class:`~repro.rl.collect.LockstepCollector`).
 
 Only lanes whose ``done`` flag is clear are advanced (the *done-mask*);
 finished lanes keep their terminal statistics until :meth:`reset_lanes`
@@ -37,16 +38,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, EnvironmentError_
-from repro.envs.navigation import NavigationConfig, NavigationEnv
+from repro.envs.navigation import NavigationEnv
 from repro.envs.obstacles import planar_distances
 from repro.envs.vector import BatchPolicy, EpisodeResult
 from repro.obs import get_metrics, span
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.utils.rng import as_generator, spawn_generators
 
 #: Default lane count, and the lane cap of ``evaluate_policy`` and
 #: ``evaluate_under_faults`` (``repro.rl.evaluation``).
@@ -83,35 +84,30 @@ class BatchStepResult:
 class BatchedNavigationEnv:
     """B lockstep :class:`~repro.envs.navigation.NavigationEnv` lanes.
 
-    Every lane flies the world of one template environment: the constructor
-    builds ``NavigationEnv(config, rng)`` as the template, while
-    :meth:`from_env` wraps an existing serial environment and shares its
-    already-compiled field, so batched rollouts replay the very same world.
+    Every lane flies the world of the serial environment ``env``, sharing
+    its already-compiled field, so batched rollouts replay the very same
+    world.  ``share_rng`` (``batch_size=1`` only) makes the single lane
+    consume ``env``'s own RNG stream instead of a spawned child — the hook
+    that lets B=1 batched training replay the serial trainer bitwise.
     """
 
     def __init__(
         self,
-        config: NavigationConfig = NavigationConfig(),
+        env: NavigationEnv,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        rng: SeedLike = 0,
-        template: Optional[NavigationEnv] = None,
         share_rng: bool = False,
     ) -> None:
         if batch_size <= 0:
             raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
         if share_rng and batch_size != 1:
             raise ConfigurationError(
-                "share_rng shares the template's single RNG stream and is only "
-                f"meaningful for batch_size=1, got batch_size={batch_size}"
+                "share_rng shares the serial environment's single RNG stream and "
+                f"is only meaningful for batch_size=1, got batch_size={batch_size}"
             )
-        if share_rng and template is None:
-            raise ConfigurationError("share_rng requires a template environment")
-        if template is None:
-            template = NavigationEnv(config, rng=rng)
-        self.config = template.config
+        self.config = env.config
         self.batch_size = int(batch_size)
-        self.action_space = template.action_space
-        self.observation_space = template.observation_space
+        self.action_space = env.action_space
+        self.observation_space = env.observation_space
         config = self.config
 
         self._heading_options = np.linspace(
@@ -124,21 +120,21 @@ class BatchedNavigationEnv:
             self._speed_options = np.array([1.0])
 
         B = self.batch_size
-        # The template's world, flown by every lane.
-        self._field = template.obstacle_field
-        self._start = template._start.copy()
-        self._goal = template._goal.copy()
-        self._scale = float(np.linalg.norm(np.asarray(template.world_size)))
-        # share_rng hands lane 0 the template's very Generator object: draws
-        # through this batch continue the serial environment's stream, which is
-        # what makes B=1 batched *training* consume RNG exactly like the serial
+        # The serial environment's world, flown by every lane.
+        self._field = env.obstacle_field
+        self._start = env._start.copy()
+        self._goal = env._goal.copy()
+        self._scale = float(np.linalg.norm(np.asarray(env.world_size)))
+        # share_rng hands lane 0 the serial environment's very Generator
+        # object: draws through this batch continue its stream, which is what
+        # makes B=1 batched *training* consume RNG exactly like the serial
         # trainer (see repro.rl.collect).  The default gives every lane its own
-        # child of the template's stream, spawned when a lane is first reset
-        # without a seed: an evaluation seeds every reset, so it never advances
-        # the template's SeedSequence that later training spawns from.
-        self._template_rng = template._rng
+        # child of that stream, spawned when a lane is first reset without a
+        # seed: an evaluation seeds every reset, so it never advances the
+        # SeedSequence that later training spawns from.
+        self._env_rng = env._rng
         self._rngs: List[Optional[np.random.Generator]] = (
-            [template._rng] if share_rng else [None] * B
+            [env._rng] if share_rng else [None] * B
         )
         # Per-lane episode state (lanes start finished; reset_lanes activates them).
         self._positions = np.tile(self._start, (B, 1))
@@ -148,34 +144,11 @@ class BatchedNavigationEnv:
         self._path_lengths = np.zeros(B, dtype=np.float64)
         self._done = np.ones(B, dtype=bool)
 
-    @classmethod
-    def from_env(
-        cls,
-        env: NavigationEnv,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        share_rng: bool = False,
-    ) -> "BatchedNavigationEnv":
-        """Batch B lanes over an existing serial environment's world.
-
-        ``share_rng`` (``batch_size=1`` only) makes the single lane consume
-        ``env``'s own RNG stream instead of a spawned child — the hook that
-        lets B=1 batched training replay the serial trainer bitwise.
-        """
-        return cls(env.config, batch_size=batch_size, template=env, share_rng=share_rng)
-
     # ------------------------------------------------------------------ introspection
     @property
     def done(self) -> np.ndarray:
         """Copy of the per-lane done mask."""
         return self._done.copy()
-
-    @property
-    def path_lengths_m(self) -> np.ndarray:
-        return self._path_lengths.copy()
-
-    @property
-    def episode_steps(self) -> np.ndarray:
-        return self._steps.copy()
 
     def __repr__(self) -> str:
         active = int(np.count_nonzero(~self._done))
@@ -195,29 +168,28 @@ class BatchedNavigationEnv:
         Lane ``i`` reset with seed ``s`` replays exactly what
         ``NavigationEnv.reset(seed=s)`` would do on a serial environment
         flying this batch's world: reseed the lane RNG, sample the start
-        position, face the goal.
+        position, face the goal.  Every lane is checked (in the batch, listed
+        once) before any lane changes.
         """
-        lanes = [int(lane) for lane in lanes]
+        lane_list = self._checked_lanes(lanes)
         if seeds is None:
-            seeds = [None] * len(lanes)
-        if len(seeds) != len(lanes):
+            seeds = [None] * len(lane_list)
+        if len(seeds) != len(lane_list):
             raise ConfigurationError(
-                f"got {len(seeds)} seeds for {len(lanes)} lanes"
+                f"got {len(seeds)} seeds for {len(lane_list)} lanes"
             )
-        for lane, seed in zip(lanes, seeds):
-            if not 0 <= lane < self.batch_size:
-                raise ConfigurationError(
-                    f"lane {lane} outside batch of {self.batch_size}"
-                )
+        if len(set(lane_list)) != len(lane_list):
+            raise ConfigurationError(f"lanes {lane_list} list a lane more than once")
+        for lane, seed in zip(lane_list, seeds):
             if seed is not None:
                 self._rngs[lane] = as_generator(int(seed))
             elif self._rngs[lane] is None:
-                children = spawn_generators(self._template_rng, self.batch_size)
+                children = spawn_generators(self._env_rng, self.batch_size)
                 self._rngs = [
                     own if own is not None else child
                     for own, child in zip(self._rngs, children)
                 ]
-        lane_array = np.asarray(lanes, dtype=np.int64)
+        lane_array = np.asarray(lane_list, dtype=np.int64)
         self._steps[lane_array] = 0
         self._times[lane_array] = 0.0
         self._positions[lane_array] = self._sample_start_positions(lane_array)
@@ -235,12 +207,17 @@ class BatchedNavigationEnv:
         mid-flight must stop being advanced by :meth:`step` even though the
         environment itself never terminated it.
         """
-        for lane in lanes:
-            if not 0 <= int(lane) < self.batch_size:
+        self._done[np.asarray(self._checked_lanes(lanes), dtype=np.int64)] = True
+
+    def _checked_lanes(self, lanes: Sequence[int]) -> List[int]:
+        """``lanes`` as ints, once every lane is known to be in the batch."""
+        lane_list = [int(lane) for lane in lanes]
+        for lane in lane_list:
+            if not 0 <= lane < self.batch_size:
                 raise ConfigurationError(
-                    f"lane {int(lane)} outside batch of {self.batch_size}"
+                    f"lane {lane} outside batch of {self.batch_size}"
                 )
-        self._done[np.asarray([int(lane) for lane in lanes], dtype=np.int64)] = True
+        return lane_list
 
     def _sample_start_positions(self, lanes: np.ndarray) -> np.ndarray:
         """Start positions for ``lanes``: the fixed start plus optional noise.
@@ -411,9 +388,10 @@ class LaneEpisodeFeed:
     :meth:`prime` starts the first ``min(B, num_episodes)`` episodes, and
     :meth:`refill` immediately restarts a finished lane on the next pending
     episode so every step stays a full-width batch until the pool drains.
-    ``seed_for`` supplies the per-episode reset seed (evaluation rollouts);
-    when omitted, each reset continues the lane's own RNG stream exactly like
-    ``NavigationEnv.reset()`` without a seed — the training semantics.
+    With ``reset_seed`` set, episode ``i`` resets its lane with
+    ``reset_seed + i`` (evaluation rollouts); when it is ``None``, each reset
+    continues the lane's own RNG stream exactly like ``NavigationEnv.reset()``
+    without a seed — the training semantics.
 
     This is the auto-reset machinery shared by evaluation
     (:func:`run_batched_episodes`, where lanes drain at the tail) and the
@@ -425,7 +403,7 @@ class LaneEpisodeFeed:
         self,
         env: BatchedNavigationEnv,
         num_episodes: int,
-        seed_for: Optional[Callable[[int], Optional[int]]] = None,
+        reset_seed: Optional[int] = None,
     ) -> None:
         if num_episodes < 0:
             raise ConfigurationError(
@@ -433,7 +411,7 @@ class LaneEpisodeFeed:
             )
         self.env = env
         self.num_episodes = int(num_episodes)
-        self._seed_for = seed_for
+        self._reset_seed = reset_seed
         #: Episode index currently running on each lane; -1 marks an idle lane.
         self.lane_episode = np.full(env.batch_size, -1, dtype=np.int64)
         self._next_episode = 0
@@ -449,7 +427,7 @@ class LaneEpisodeFeed:
         return self._next_episode >= self.num_episodes and not (self.lane_episode >= 0).any()
 
     def _seed(self, episode: int) -> Optional[int]:
-        return None if self._seed_for is None else self._seed_for(episode)
+        return None if self._reset_seed is None else self._reset_seed + episode
 
     def prime(self) -> np.ndarray:
         """Start the first episodes; returns the full (B, ...) observation array."""
@@ -528,41 +506,19 @@ def run_batched_episodes(
     env: BatchedNavigationEnv,
     policy: BatchPolicy,
     num_episodes: int,
-    epsilon: float = 0.0,
-    rng: SeedLike = 0,
-    reset_seed: Optional[int] = None,
+    reset_seed: int,
 ) -> List[EpisodeResult]:
-    """Stream ``num_episodes`` episodes through the batch's lanes in lockstep.
+    """Fly ``num_episodes`` greedy episodes through the batch's lanes in lockstep.
 
-    Episode ``i`` resets its lane with ``reset_seed + i`` (or, when
-    ``reset_seed`` is ``None``, with a seed drawn from episode ``i``'s own
-    stream spawned off ``rng``), and a lane that finishes is immediately
-    refilled with the next pending episode, so every policy forward stays a
-    full-width batch until the tail.  Results come back in episode order.
-
-    Greedy (``epsilon == 0``) runs with an explicit ``reset_seed`` reproduce
-    the serial :func:`~repro.envs.vector.run_episode` loop bitwise.  With
-    exploration, every episode draws from its *own* spawned RNG stream, which
-    is what makes the results independent of the batch size.
+    Episode ``i`` resets its lane with ``reset_seed + i``, and a lane that
+    finishes is immediately refilled with the next pending episode, so every
+    policy forward stays a full-width batch until the tail.  Results come
+    back in episode order and reproduce the serial
+    :func:`~repro.envs.vector.run_episode` loop bitwise.
     """
-    if num_episodes < 0:
-        raise ConfigurationError(f"num_episodes must be non-negative, got {num_episodes}")
-    if num_episodes == 0:
-        return []
     B = env.batch_size
-    episode_rngs = (
-        spawn_generators(rng, num_episodes)
-        if (epsilon > 0.0 or reset_seed is None)
-        else None
-    )
-
-    def seed_for(episode: int) -> int:
-        if reset_seed is not None:
-            return int(reset_seed) + episode
-        return int(episode_rngs[episode].integers(0, 2**31 - 1))
-
     results: List[Optional[EpisodeResult]] = [None] * num_episodes
-    feed = LaneEpisodeFeed(env, num_episodes, seed_for=seed_for)
+    feed = LaneEpisodeFeed(env, num_episodes, reset_seed=reset_seed)
     reward_totals = np.zeros(B, dtype=np.float64)
     observations = feed.prime()
 
@@ -577,11 +533,6 @@ def run_batched_episodes(
                 f"batch policy returned {chosen.shape} actions for {active.size} observations"
             )
         actions[active] = chosen
-        if epsilon > 0.0:
-            for lane in active:
-                generator = episode_rngs[feed.lane_episode[lane]]
-                if generator.random() < epsilon:
-                    actions[lane] = env.action_space.sample(generator)
         result = env.step(actions)
         reward_totals[active] += result.rewards[active]
         observations[active] = result.observations[active]

@@ -250,7 +250,7 @@ class DqnTrainer:
         if num_episodes <= 0:
             raise TrainingError(f"num_episodes must be positive, got {num_episodes}")
         lanes = min(self.config.train_lanes, num_episodes)
-        batch_env = BatchedNavigationEnv.from_env(
+        batch_env = BatchedNavigationEnv(
             self.env, batch_size=lanes, share_rng=lanes == 1
         )
         exploration = (

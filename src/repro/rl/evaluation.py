@@ -107,7 +107,7 @@ def evaluate_policy(
     stepped or reset.
     """
     reset_base = _episode_reset_base(as_generator(rng), num_episodes)
-    batch_env = BatchedNavigationEnv.from_env(env, max(1, min(num_episodes, DEFAULT_BATCH_SIZE)))
+    batch_env = BatchedNavigationEnv(env, max(1, min(num_episodes, DEFAULT_BATCH_SIZE)))
     results = run_batched_episodes(
         batch_env, GreedyPolicy(network), num_episodes, reset_seed=reset_base
     )
@@ -159,7 +159,7 @@ def evaluate_under_faults(
     quantized = injector.quantize_state_cached(network.state_dict())
     deployed = network.clone()
     policy = GreedyPolicy(deployed)
-    batch_env = BatchedNavigationEnv.from_env(
+    batch_env = BatchedNavigationEnv(
         env, max(1, min(episodes_per_map, DEFAULT_BATCH_SIZE))
     )
 

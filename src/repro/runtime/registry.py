@@ -6,16 +6,15 @@ bundles a *builder* (returns the :class:`~repro.runtime.jobs.SweepSpec`) with
 an *assembler* (turns the ordered job results back into the experiment's
 :class:`~repro.utils.tables.Table` output).
 
-Three registration styles coexist:
+Two registration styles coexist:
 
-* fig5 / fig7 / table2 expose real multi-job grids (refactored to build
-  their tables through the engine), registered from their own modules' spec
-  factories and assemblers;
+* fig5 / fig7 / table2 (refactored to build their tables through the
+  engine), the scenario sweep, the generalization sweeps and the fleet sweep
+  expose real multi-job grids, registered from their modules' spec factories
+  and assemblers;
 * the remaining figures/tables run as a single ``experiment.table`` job that
   invokes the generator by dotted name — still cacheable and journalable,
-  just not internally parallel;
-* ``scenarios`` and ``rollouts`` are runtime-native workloads: 72
-  per-scenario pipeline evaluations and deterministic policy-rollout batches.
+  just not internally parallel.
 
 Importing this module registers every job kind, which is why
 :mod:`repro.runtime.jobs` lazily imports it from worker processes.
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
@@ -104,111 +103,6 @@ def _register_generator(name: str, description: str, module: str, function: str)
     register_sweep(name, description, build, assemble)
 
 
-# ---------------------------------------------------------------------- rollouts
-#: Default rollout batch: one job per (density, policy seed) pair.
-ROLLOUT_POLICY_SEEDS: Tuple[int, ...] = (0, 1)
-
-
-def rollout_sweep_spec(
-    num_episodes: int = 4,
-    hidden_units: Sequence[int] = (32, 32),
-    epsilon: float = 0.05,
-    policy_seeds: Sequence[int] = ROLLOUT_POLICY_SEEDS,
-) -> SweepSpec:
-    """Deterministic reduced-scale policy rollouts across the three densities."""
-    from repro.envs.obstacles import ObstacleDensity
-
-    jobs = [
-        JobSpec(
-            kind="rollout.episodes",
-            params={
-                "density": density.value,
-                "num_episodes": int(num_episodes),
-                "hidden_units": [int(units) for units in hidden_units],
-                "epsilon": float(epsilon),
-                "policy_seed": int(policy_seed),
-                # Rollout-protocol version, part of the spec hash: v2 runs on
-                # the lockstep batched core with per-episode exploration
-                # streams, so results cached/journaled under the v1 serial
-                # shared-stream protocol can never be served for these jobs.
-                "protocol": 2,
-            },
-        )
-        for density in ObstacleDensity
-        for policy_seed in policy_seeds
-    ]
-    return SweepSpec(
-        name="rollouts",
-        description="Reduced-scale navigation rollouts (deterministic per-job seeding)",
-        jobs=tuple(jobs),
-    )
-
-
-@job_kind("rollout.episodes")
-def _run_rollout_episodes(spec: JobSpec) -> Dict[str, Any]:
-    """Roll a (fresh, reduced-scale) policy through N seeded episodes.
-
-    All randomness — environment layout, policy initialisation, exploration —
-    derives from the spec hash, so any worker that picks this job up produces
-    the identical episode batch.  Episodes execute on the lockstep batched
-    core: every exploration draw comes from the episode's own spawned stream,
-    so the results are independent of the lane count.
-    """
-    from repro.envs.batch import BatchedNavigationEnv, run_batched_episodes
-    from repro.envs.navigation import NavigationEnv
-    from repro.envs.obstacles import ObstacleDensity
-    from repro.envs.vector import success_rate
-    from repro.experiments.profiles import FAST_PROFILE
-    from repro.nn.policies import build_policy, mlp
-    from repro.rl.evaluation import GreedyPolicy
-
-    params = spec.params
-    config = FAST_PROFILE.navigation_for_density(ObstacleDensity(str(params["density"])))
-    env = NavigationEnv(config, rng=spec.seed)
-    network = build_policy(
-        mlp(tuple(int(units) for units in params["hidden_units"])),
-        observation_shape=env.observation_space.shape,
-        num_actions=env.action_space.n,
-        rng=int(params["policy_seed"]),
-    )
-    num_episodes = int(params["num_episodes"])
-    batch_env = BatchedNavigationEnv.from_env(env, batch_size=max(1, num_episodes))
-    results = run_batched_episodes(
-        batch_env,
-        GreedyPolicy(network),
-        num_episodes=num_episodes,
-        epsilon=float(params["epsilon"]),
-        rng=spec.seed,
-        reset_seed=spec.seed,
-    )
-    return {
-        "density": params["density"],
-        "policy_seed": params["policy_seed"],
-        "num_episodes": len(results),
-        "success_rate_pct": 100.0 * success_rate(results),
-        "mean_steps": sum(r.steps for r in results) / len(results),
-        "mean_path_length_m": sum(r.path_length_m for r in results) / len(results),
-        "mean_reward": sum(r.total_reward for r in results) / len(results),
-    }
-
-
-def _assemble_rollouts(sweep: SweepSpec, results: Sequence[Any]) -> Table:
-    table = Table(
-        title="Runtime rollouts: reduced-scale navigation episodes per scenario density",
-        columns=[
-            "density",
-            "policy_seed",
-            "num_episodes",
-            "success_rate_pct",
-            "mean_steps",
-            "mean_path_length_m",
-            "mean_reward",
-        ],
-    )
-    table.extend(row for row in results if row is not None)
-    return table
-
-
 # ---------------------------------------------------------------------- registrations
 def _assemble_scenarios(sweep: SweepSpec, results: Sequence[Any]) -> Table:
     table = Table(
@@ -267,12 +161,6 @@ def _register_all() -> None:
         "Best operating point and robustness for each of the 72 deployment scenarios",
         scenarios_module.scenario_sweep_spec,
         _assemble_scenarios,
-    )
-    register_sweep(
-        "rollouts",
-        "Reduced-scale deterministic policy rollouts across densities",
-        rollout_sweep_spec,
-        _assemble_rollouts,
     )
     register_sweep(
         "generalization",

@@ -342,9 +342,9 @@ class TestEpisodeRunners:
         )
         return lambda observations: np.full(len(observations), action)
 
-    def _episodes(self, env, num_episodes, **kwargs):
-        batch = BatchedNavigationEnv.from_env(env, num_episodes)
-        return run_batched_episodes(batch, self._straight_policy(env), num_episodes, **kwargs)
+    def _episodes(self, env, num_episodes, reset_seed):
+        batch = BatchedNavigationEnv(env, num_episodes)
+        return run_batched_episodes(batch, self._straight_policy(env), num_episodes, reset_seed)
 
     def test_run_episode_summary(self, small_env):
         result = run_episode(small_env, self._straight_policy(small_env))
@@ -352,19 +352,12 @@ class TestEpisodeRunners:
         assert result.success or result.collision or result.steps >= small_env.config.max_steps
 
     def test_run_episodes_and_success_rate(self, small_env):
-        results = self._episodes(small_env, 5, rng=0)
+        results = self._episodes(small_env, 5, reset_seed=0)
         assert len(results) == 5
         assert 0.0 <= success_rate(results) <= 1.0
 
-    def test_epsilon_exploration_changes_trajectories(self, small_env):
-        greedy = self._episodes(small_env, 3, rng=1)
-        noisy = self._episodes(small_env, 3, epsilon=1.0, rng=1)
-        assert np.mean([r.path_length_m for r in noisy]) != pytest.approx(
-            np.mean([r.path_length_m for r in greedy])
-        )
-
     def test_mean_path_length_empty_and_nonempty(self, small_env):
-        results = self._episodes(small_env, 4, rng=0)
+        results = self._episodes(small_env, 4, reset_seed=0)
         value = mean_path_length(results, successful_only=False)
         assert value > 0.0
         assert success_rate([]) == 0.0

@@ -1,9 +1,10 @@
 """Tests for the lockstep batched rollout core.
 
 The load-bearing property is the determinism contract: every lane flies the
-template's world, and greedy rollouts under per-episode reset seeds
-reproduce the serial ``run_episode`` loop *bitwise*, for any batch size, on
-uniform, generated and dynamic worlds, with vector or image observations.
+serial environment's world, and greedy rollouts under per-episode reset
+seeds reproduce the serial ``run_episode`` loop *bitwise*, for any batch
+size, on uniform, generated and dynamic worlds, with vector or image
+observations.
 That contract is what makes the batched core a refactor of the
 episode-execution stack rather than a second simulator.
 """
@@ -63,7 +64,7 @@ class TestBatchedSerialEquivalence:
     def test_greedy_rollouts_bitwise_match_serial(self, batch_config, batch_size):
         policy = _greedy_for(batch_config)
         serial = _serial_reference(batch_config, policy, 20, reset_seed=50)
-        env = BatchedNavigationEnv.from_env(
+        env = BatchedNavigationEnv(
             NavigationEnv(batch_config, rng=3), batch_size=batch_size
         )
         batched = run_batched_episodes(env, policy, 20, reset_seed=50)
@@ -80,7 +81,7 @@ class TestBatchedSerialEquivalence:
         config = replace(batch_config, world_spec=WorldSpec("dynamic", seed=2))
         policy = _greedy_for(config)
         serial = _serial_reference(config, policy, 12, reset_seed=31)
-        env = BatchedNavigationEnv.from_env(
+        env = BatchedNavigationEnv(
             NavigationEnv(config, rng=3), batch_size=batch_size
         )
         assert run_batched_episodes(env, policy, 12, reset_seed=31) == serial
@@ -90,7 +91,7 @@ class TestBatchedSerialEquivalence:
         of the others) and pin each returned observation against a fresh
         ``at_time``-snapshot env at that lane's clock."""
         config = replace(batch_config, world_spec=WorldSpec("dynamic", seed=2))
-        env = BatchedNavigationEnv.from_env(NavigationEnv(config, rng=3), batch_size=3)
+        env = BatchedNavigationEnv(NavigationEnv(config, rng=3), batch_size=3)
         env.reset_lanes([0, 1, 2], [100, 101, 102])
         straight = env.action_space.n // 2
         env.step(np.full(3, straight, dtype=np.int64))
@@ -114,62 +115,58 @@ class TestBatchedSerialEquivalence:
         )
         policy = _greedy_for(config)
         serial = _serial_reference(config, policy, 4, reset_seed=13)
-        env = BatchedNavigationEnv.from_env(NavigationEnv(config, rng=3), batch_size=2)
+        env = BatchedNavigationEnv(NavigationEnv(config, rng=3), batch_size=2)
         assert run_batched_episodes(env, policy, 4, reset_seed=13) == serial
-
-
-class TestEpsilonBatchIndependence:
-    @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    def test_exploring_rollouts_independent_of_batch_size(self, batch_config, batch_size):
-        policy = _greedy_for(batch_config)
-        reference_env = BatchedNavigationEnv.from_env(
-            NavigationEnv(batch_config, rng=3), batch_size=1
-        )
-        reference = run_batched_episodes(
-            reference_env, policy, 16, epsilon=0.25, rng=17, reset_seed=40
-        )
-        env = BatchedNavigationEnv.from_env(
-            NavigationEnv(batch_config, rng=3), batch_size=batch_size
-        )
-        assert run_batched_episodes(env, policy, 16, epsilon=0.25, rng=17, reset_seed=40) == reference
-
-    def test_exploration_rng_changes_results(self, batch_config):
-        policy = _greedy_for(batch_config)
-        env = BatchedNavigationEnv.from_env(NavigationEnv(batch_config, rng=3), batch_size=8)
-        a = run_batched_episodes(env, policy, 12, epsilon=0.5, rng=1, reset_seed=40)
-        b = run_batched_episodes(env, policy, 12, epsilon=0.5, rng=2, reset_seed=40)
-        assert a != b
 
 
 class TestBatchedEnvApi:
     def test_invalid_batch_size_rejected(self, batch_config):
         with pytest.raises(ConfigurationError):
-            BatchedNavigationEnv(batch_config, batch_size=0)
+            BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=0)
 
     def test_step_with_all_lanes_done_rejected(self, batch_config):
-        env = BatchedNavigationEnv(batch_config, batch_size=3)
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=3)
         with pytest.raises(EnvironmentError_):
             env.step(np.zeros(3, dtype=np.int64))
 
     def test_invalid_action_rejected(self, batch_config):
-        env = BatchedNavigationEnv(batch_config, batch_size=2)
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=2)
         env.reset_lanes([0, 1], [0, 1])
         with pytest.raises(EnvironmentError_):
             env.step(np.array([0, env.action_space.n]))
 
     def test_action_shape_validated(self, batch_config):
-        env = BatchedNavigationEnv(batch_config, batch_size=2)
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=2)
         env.reset_lanes([0, 1], [0, 1])
         with pytest.raises(EnvironmentError_):
             env.step(np.zeros(5, dtype=np.int64))
 
     def test_seed_count_mismatch_rejected(self, batch_config):
-        env = BatchedNavigationEnv(batch_config, batch_size=2)
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=2)
         with pytest.raises(ConfigurationError):
             env.reset_lanes([0, 1], [0])
 
+    def test_lane_listed_twice_rejected_before_any_lane_changes(self, batch_config):
+        """A lane listed twice would draw its start twice from the second
+        seed's stream, a state no serial reset produces."""
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=3), batch_size=2)
+        with pytest.raises(ConfigurationError):
+            env.reset_lanes([0, 0], [1, 2])
+        assert env.done.all()
+        serial_env = NavigationEnv(batch_config, rng=3)
+        assert np.array_equal(env.reset_lanes([0], [2])[0], serial_env.reset(seed=2))
+
+    def test_lane_outside_batch_rejected_before_any_lane_changes(self, batch_config):
+        """Lane 0 must not be reseeded by a call that then rejects lane 5."""
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=3), batch_size=2)
+        with pytest.raises(ConfigurationError):
+            env.reset_lanes([0, 5], [1, 2])
+        assert env.done.all()
+        fresh = BatchedNavigationEnv(NavigationEnv(batch_config, rng=3), batch_size=2)
+        assert np.array_equal(env.reset_lanes([0]), fresh.reset_lanes([0]))
+
     def test_done_mask_freezes_finished_lanes(self, batch_config):
-        env = BatchedNavigationEnv(batch_config, batch_size=2)
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=2)
         env.reset_lanes([0], [0])
         assert list(env.done) == [False, True]
         # Stepping advances only the active lane; the idle lane stays put.
@@ -179,24 +176,24 @@ class TestBatchedEnvApi:
         assert result.steps[0] == 1 and result.steps[1] == 0
 
     def test_observations_match_observation_space(self, batch_config):
-        env = BatchedNavigationEnv(batch_config, batch_size=3)
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=3)
         observations = env.reset_lanes([0, 1, 2], [0, 1, 2])
         assert observations.shape == (3,) + env.observation_space.shape
         assert all(env.observation_space.contains(row) for row in observations)
 
     def test_results_returned_in_episode_order(self, batch_config):
         policy = _greedy_for(batch_config)
-        env = BatchedNavigationEnv.from_env(NavigationEnv(batch_config, rng=3), batch_size=5)
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=3), batch_size=5)
         results = run_batched_episodes(env, policy, 11, reset_seed=60)
         assert len(results) == 11
         assert all(result is not None for result in results)
 
     def test_zero_episodes(self, batch_config):
-        env = BatchedNavigationEnv(batch_config, batch_size=2)
-        assert run_batched_episodes(env, _greedy_for(batch_config), 0) == []
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=2)
+        assert run_batched_episodes(env, _greedy_for(batch_config), 0, reset_seed=0) == []
 
     def test_policy_must_return_one_action_per_observation(self, batch_config):
-        env = BatchedNavigationEnv(batch_config, batch_size=3)
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=3)
         with pytest.raises(ConfigurationError):
             run_batched_episodes(env, lambda observations: 0, 3, reset_seed=0)
 

@@ -220,7 +220,7 @@ class TestMultiLaneTraining:
 class TestLockstepCollector:
     def _collector(self, config, lanes, num_episodes, schedule=None, cap=None):
         env = NavigationEnv(config, rng=3)
-        batch_env = BatchedNavigationEnv.from_env(
+        batch_env = BatchedNavigationEnv(
             env, batch_size=lanes, share_rng=lanes == 1
         )
         network = build_policy(
@@ -278,7 +278,7 @@ class TestLockstepCollector:
             self._collector(train_env_config, 2, 4, cap=-5)
 
     def test_stream_count_must_match_lanes(self, train_env_config):
-        env = BatchedNavigationEnv.from_env(NavigationEnv(train_env_config, rng=3), 4)
+        env = BatchedNavigationEnv(NavigationEnv(train_env_config, rng=3), 4)
         network = build_policy(mlp((16,)), env.observation_space.shape, env.action_space.n, rng=0)
         with pytest.raises(TrainingError):
             LockstepCollector(
@@ -291,10 +291,10 @@ class TestLaneEpisodeFeed:
         """The batched refill replays per-lane draws of sequential refills."""
 
         def run(batched_refill: bool):
-            env = BatchedNavigationEnv.from_env(
+            env = BatchedNavigationEnv(
                 NavigationEnv(train_env_config, rng=3), batch_size=4
             )
-            feed = LaneEpisodeFeed(env, 10, seed_for=lambda episode: 90 + episode)
+            feed = LaneEpisodeFeed(env, 10, reset_seed=90)
             feed.prime()
             lanes = [0, 2, 3]
             observations = np.zeros((4,) + env.observation_space.shape)
@@ -314,10 +314,10 @@ class TestLaneEpisodeFeed:
         assert np.array_equal(lanes_a, lanes_b)
 
     def test_exhausted_refill_retires_env_lane(self, train_env_config):
-        env = BatchedNavigationEnv.from_env(
+        env = BatchedNavigationEnv(
             NavigationEnv(train_env_config, rng=3), batch_size=2
         )
-        feed = LaneEpisodeFeed(env, 2, seed_for=lambda episode: episode)
+        feed = LaneEpisodeFeed(env, 2, reset_seed=0)
         feed.prime()
         refilled, _ = feed.refill_many([0, 1])
         assert refilled.size == 0
@@ -327,11 +327,9 @@ class TestLaneEpisodeFeed:
     def test_share_rng_validation(self, train_env_config):
         env = NavigationEnv(train_env_config, rng=3)
         with pytest.raises(ConfigurationError):
-            BatchedNavigationEnv.from_env(env, batch_size=2, share_rng=True)
-        with pytest.raises(ConfigurationError):
-            BatchedNavigationEnv(train_env_config, batch_size=1, share_rng=True)
+            BatchedNavigationEnv(env, batch_size=2, share_rng=True)
 
     def test_retire_lane_validation(self, train_env_config):
-        env = BatchedNavigationEnv.from_env(NavigationEnv(train_env_config, rng=3), 2)
+        env = BatchedNavigationEnv(NavigationEnv(train_env_config, rng=3), 2)
         with pytest.raises(ConfigurationError):
             env.retire_lanes([5])

@@ -14,7 +14,7 @@ from repro.core.scenarios import (
     scenario_sweep_spec,
 )
 from repro.errors import ConfigurationError
-from repro.runtime.jobs import JobSpec, SweepSpec, run_job
+from repro.runtime.jobs import JobSpec, SweepSpec, _registered, registered_kinds, run_job
 
 
 class TestJobSpec:
@@ -141,20 +141,35 @@ class TestScenarioSpecFactories:
         assert result["flight_energy_j"] != canonical["flight_energy_j"]
 
 
-class TestRolloutJob:
-    def test_rollout_job_is_deterministic(self):
-        from repro.runtime.registry import rollout_sweep_spec
+class TestRegistryAgreement:
+    """The sweep registry and the job-kind registry describe the same work:
+    no sweep names a kind that cannot run, and no library runner outlives
+    every sweep that ran it.  Kinds the tests register themselves are
+    defined outside ``repro`` and are left out."""
 
-        spec = rollout_sweep_spec(num_episodes=2).jobs[0]
-        assert run_job(spec) == run_job(spec)
+    @staticmethod
+    def _kinds_by_sweep():
+        from repro.runtime.registry import iter_registered_sweeps
 
-    def test_rollout_result_shape(self):
-        from repro.runtime.registry import rollout_sweep_spec
+        return {
+            entry.name: {job.kind for job in entry.spec()}
+            for entry in iter_registered_sweeps()
+        }
 
-        result = run_job(rollout_sweep_spec(num_episodes=2).jobs[0])
-        assert result["num_episodes"] == 2
-        assert 0.0 <= result["success_rate_pct"] <= 100.0
-        assert result["mean_steps"] > 0
+    def test_every_sweep_job_names_a_registered_kind(self):
+        kinds = set(registered_kinds())
+        for name, used in self._kinds_by_sweep().items():
+            assert used <= kinds, (name, used - kinds)
+
+    def test_every_library_kind_runs_in_a_registered_sweep(self):
+        used = set().union(*self._kinds_by_sweep().values())
+        library = {
+            kind
+            for kind in registered_kinds()
+            if _registered(kind).runner.__module__.startswith("repro.")
+        }
+        assert "rollout.generalized" in library
+        assert library - used == set()
 
 
 class TestGeneralizedRolloutJob:
