@@ -28,10 +28,12 @@ size — which is what makes the batched core a refactor of the rollout stack
 rather than a second, subtly different simulator.  Exploration is the
 training collector's (:class:`~repro.rl.collect.LockstepCollector`).
 
-Only lanes whose ``done`` flag is clear are advanced (the *done-mask*);
-finished lanes keep their terminal statistics until :meth:`reset_lanes`
-reseeds them, which is how :func:`run_batched_episodes` streams an arbitrary
-number of episodes through a fixed number of lanes.
+Only lanes whose ``done`` flag is clear are advanced (the *done-mask*):
+:meth:`~BatchedNavigationEnv.step` takes one action per running lane and
+returns one row per running lane.  Finished lanes keep their terminal
+statistics until :meth:`~BatchedNavigationEnv.reset_lanes` reseeds them,
+which is how :class:`LaneEpisodeFeed` streams an arbitrary number of
+episodes through a fixed number of lanes.
 """
 
 from __future__ import annotations
@@ -56,25 +58,20 @@ DEFAULT_BATCH_SIZE = 64
 
 @dataclass
 class BatchStepResult:
-    """Outcome of one lockstep step, as full ``(B, ...)`` arrays.
+    """Outcome of one lockstep step: one row per lane the step advanced.
 
-    Rows of lanes that were not stepped (already done, or never reset) hold
-    zeros for the per-step quantities (observations, rewards, flags) and the
-    lane's current values for the state snapshots (``steps``,
-    ``path_lengths_m``); ``stepped`` marks the lanes this call actually
-    advanced — only their rows are meaningful.
+    ``lanes`` names the rows' lanes, in ascending lane order.
     """
 
-    observations: np.ndarray        #: (B, *obs_shape); zero rows for unstepped lanes
-    rewards: np.ndarray             #: (B,) per-step rewards
-    terminated: np.ndarray          #: (B,) bool, goal or collision this step
-    truncated: np.ndarray           #: (B,) bool, timeout this step
-    success: np.ndarray             #: (B,) bool, goal reached this step
-    collision: np.ndarray           #: (B,) bool, collided this step
-    steps: np.ndarray               #: (B,) episode step counters
-    path_lengths_m: np.ndarray      #: (B,) flown path integrals
-    distances_to_goal_m: np.ndarray  #: (B,) distance to goal after the step
-    stepped: np.ndarray             #: (B,) bool, lanes advanced by this call
+    lanes: np.ndarray               #: (k,) the lanes stepped, ascending
+    observations: np.ndarray        #: (k, *obs_shape) observations after the step
+    rewards: np.ndarray             #: (k,) per-step rewards
+    terminated: np.ndarray          #: (k,) bool, goal or collision this step
+    truncated: np.ndarray           #: (k,) bool, timeout this step
+    success: np.ndarray             #: (k,) bool, goal reached this step
+    collision: np.ndarray           #: (k,) bool, collided this step
+    steps: np.ndarray               #: (k,) episode step counters
+    path_lengths_m: np.ndarray      #: (k,) flown path integrals
 
     @property
     def done(self) -> np.ndarray:
@@ -171,7 +168,12 @@ class BatchedNavigationEnv:
         position, face the goal.  Every lane is checked (in the batch, listed
         once) before any lane changes.
         """
-        lane_list = self._checked_lanes(lanes)
+        lane_list = [int(lane) for lane in lanes]
+        for lane in lane_list:
+            if not 0 <= lane < self.batch_size:
+                raise ConfigurationError(
+                    f"lane {lane} outside batch of {self.batch_size}"
+                )
         if seeds is None:
             seeds = [None] * len(lane_list)
         if len(seeds) != len(lane_list):
@@ -198,26 +200,6 @@ class BatchedNavigationEnv:
         self._path_lengths[lane_array] = 0.0
         self._done[lane_array] = False
         return self._observe_lanes(lane_array)
-
-    def retire_lanes(self, lanes: Sequence[int]) -> None:
-        """Mark ``lanes`` finished without stepping them.
-
-        Training caps episodes shorter than ``config.max_steps`` (the serial
-        trainer's ``max_steps_per_episode``); a lane whose episode hit that cap
-        mid-flight must stop being advanced by :meth:`step` even though the
-        environment itself never terminated it.
-        """
-        self._done[np.asarray(self._checked_lanes(lanes), dtype=np.int64)] = True
-
-    def _checked_lanes(self, lanes: Sequence[int]) -> List[int]:
-        """``lanes`` as ints, once every lane is known to be in the batch."""
-        lane_list = [int(lane) for lane in lanes]
-        for lane in lane_list:
-            if not 0 <= lane < self.batch_size:
-                raise ConfigurationError(
-                    f"lane {lane} outside batch of {self.batch_size}"
-                )
-        return lane_list
 
     def _sample_start_positions(self, lanes: np.ndarray) -> np.ndarray:
         """Start positions for ``lanes``: the fixed start plus optional noise.
@@ -256,27 +238,27 @@ class BatchedNavigationEnv:
     def step(self, actions: np.ndarray) -> BatchStepResult:
         """Advance every running lane by one lockstep action.
 
-        ``actions`` is a length-B integer vector; entries of finished lanes
-        are ignored (the done-mask).  Raises when every lane is finished —
-        reset lanes first.
+        ``actions`` holds one integer action per running lane, in ascending
+        lane order; the result has one row per running lane (its ``lanes``).
+        Raises when every lane is finished — reset lanes first.
         """
-        actions = np.asarray(actions)
-        if actions.shape != (self.batch_size,):
-            raise EnvironmentError_(
-                f"actions must have shape ({self.batch_size},), got {actions.shape}"
-            )
-        active = ~self._done
-        if not active.any():
+        lanes = np.nonzero(~self._done)[0]
+        if lanes.size == 0:
             raise EnvironmentError_(
                 "step() called with every lane finished; call reset_lanes() first"
             )
-        lanes = np.nonzero(active)[0]
+        actions = np.asarray(actions)
+        if actions.shape != lanes.shape:
+            raise EnvironmentError_(
+                f"actions must have one entry per running lane, shape {lanes.shape}, "
+                f"got {actions.shape}"
+            )
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("env.steps").inc(lanes.size)
             metrics.histogram("env.lane_occupancy").observe(lanes.size / self.batch_size)
         config = self.config
-        acts = actions[lanes].astype(np.int64)
+        acts = actions.astype(np.int64)
         if np.any((acts < 0) | (acts >= self.action_space.n)):
             bad = acts[(acts < 0) | (acts >= self.action_space.n)][0]
             raise EnvironmentError_(
@@ -322,25 +304,17 @@ class BatchedNavigationEnv:
         truncated = ~terminated & (self._steps[lanes] >= config.max_steps)
         self._done[lanes] = terminated | truncated
 
-        observations = np.zeros((self.batch_size,) + self.observation_space.shape)
-        observations[lanes] = self._observe_lanes(lanes)
         return BatchStepResult(
-            observations=observations,
-            rewards=self._scatter(lanes, rewards),
-            terminated=self._scatter(lanes, terminated),
-            truncated=self._scatter(lanes, truncated),
-            success=self._scatter(lanes, success),
-            collision=self._scatter(lanes, collided),
-            steps=self._steps.copy(),
-            path_lengths_m=self._path_lengths.copy(),
-            distances_to_goal_m=self._scatter(lanes, new_distances),
-            stepped=active.copy(),
+            lanes=lanes,
+            observations=self._observe_lanes(lanes),
+            rewards=rewards,
+            terminated=terminated,
+            truncated=truncated,
+            success=success,
+            collision=collided,
+            steps=self._steps[lanes],
+            path_lengths_m=self._path_lengths[lanes],
         )
-
-    def _scatter(self, lanes: np.ndarray, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.batch_size, dtype=values.dtype)
-        out[lanes] = values
-        return out
 
     # ------------------------------------------------------------------ observations
     def _observe_lanes(self, lanes: np.ndarray) -> np.ndarray:
@@ -384,19 +358,19 @@ class BatchedNavigationEnv:
 class LaneEpisodeFeed:
     """Streams a fixed pool of episodes through a batch's lanes.
 
-    The feed owns the lane -> episode assignment of lockstep execution:
-    :meth:`prime` starts the first ``min(B, num_episodes)`` episodes, and
-    :meth:`refill` immediately restarts a finished lane on the next pending
-    episode so every step stays a full-width batch until the pool drains.
+    The feed owns the lane -> episode assignment and the episode books of
+    lockstep execution: it starts the first ``min(B, num_episodes)`` episodes
+    at construction, keeps each lane's current observation and return, and
+    :meth:`advance` restarts a lane whose episode ended on the next pending
+    episode, so every step stays a full-width batch until the pool drains.
     With ``reset_seed`` set, episode ``i`` resets its lane with
     ``reset_seed + i`` (evaluation rollouts); when it is ``None``, each reset
     continues the lane's own RNG stream exactly like ``NavigationEnv.reset()``
     without a seed — the training semantics.
 
-    This is the auto-reset machinery shared by evaluation
-    (:func:`run_batched_episodes`, where lanes drain at the tail) and the
-    training collector (:class:`~repro.rl.collect.LockstepCollector`, where
-    lanes keep collecting past episode ends until the budget is spent).
+    Its callers only choose actions: :func:`run_batched_episodes` (greedy
+    evaluation, where lanes drain at the tail) and the training collector
+    (:class:`~repro.rl.collect.LockstepCollector`).
     """
 
     def __init__(
@@ -414,92 +388,72 @@ class LaneEpisodeFeed:
         self._reset_seed = reset_seed
         #: Episode index currently running on each lane; -1 marks an idle lane.
         self.lane_episode = np.full(env.batch_size, -1, dtype=np.int64)
+        #: Each lane's current observation (the one its next action acts on).
+        self.observations = np.zeros((env.batch_size,) + env.observation_space.shape)
+        self._returns = np.zeros(env.batch_size, dtype=np.float64)
         self._next_episode = 0
+        self._start(np.arange(min(env.batch_size, self.num_episodes)))
 
     @property
     def active_lanes(self) -> np.ndarray:
         """Lanes currently running an episode, in ascending lane order."""
         return np.nonzero(self.lane_episode >= 0)[0]
 
-    @property
-    def exhausted(self) -> bool:
-        """True once every episode has finished (no active lanes, none pending)."""
-        return self._next_episode >= self.num_episodes and not (self.lane_episode >= 0).any()
+    def _start(self, lanes: np.ndarray) -> None:
+        """Start pending episodes on ``lanes`` in lane order; idle the rest.
 
-    def _seed(self, episode: int) -> Optional[int]:
-        return None if self._reset_seed is None else self._reset_seed + episode
+        Every started lane shares one :meth:`BatchedNavigationEnv.reset_lanes`
+        call; each is reseeded per episode (or continues its own stream), so
+        the batched rejection rounds replay one-at-a-time resets exactly.
+        """
+        count = min(lanes.size, self.num_episodes - self._next_episode)
+        started = lanes[:count]
+        episodes = list(range(self._next_episode, self._next_episode + count))
+        self._next_episode += count
+        self.lane_episode[lanes[count:]] = -1
+        if count:
+            seeds = [
+                None if self._reset_seed is None else self._reset_seed + episode
+                for episode in episodes
+            ]
+            self.observations[started] = self.env.reset_lanes(started, seeds)
+            self.lane_episode[started] = episodes
+            self._returns[started] = 0.0
 
-    def prime(self) -> np.ndarray:
-        """Start the first episodes; returns the full (B, ...) observation array."""
-        observations = np.zeros(
-            (self.env.batch_size,) + self.env.observation_space.shape
-        )
-        fill = list(range(min(self.env.batch_size, self.num_episodes)))
-        if fill:
-            observations[fill] = self.env.reset_lanes(
-                fill, [self._seed(episode) for episode in fill]
+    def advance(
+        self, actions: np.ndarray
+    ) -> Tuple[BatchStepResult, List[Tuple[int, EpisodeResult]]]:
+        """Step the running lanes with ``actions`` (one per :attr:`active_lanes` row).
+
+        Returns the step's result and ``(episode, EpisodeResult)`` for each
+        episode that ended, in lane order; those lanes restart on pending
+        episodes (or idle), so :attr:`observations` holds the next step's
+        inputs.
+        """
+        result = self.env.step(actions)
+        lanes = result.lanes
+        self._returns[lanes] += result.rewards
+        self.observations[lanes] = result.observations
+        ended = np.nonzero(result.done)[0]
+        finished = [
+            (
+                int(self.lane_episode[lanes[row]]),
+                EpisodeResult(
+                    success=bool(result.success[row]),
+                    collision=bool(result.collision[row]),
+                    steps=int(result.steps[row]),
+                    path_length_m=float(result.path_lengths_m[row]),
+                    total_reward=float(self._returns[lanes[row]]),
+                ),
             )
-        self.lane_episode[fill] = fill
-        self._next_episode = len(fill)
-        return observations
-
-    def refill(self, lane: int) -> Optional[np.ndarray]:
-        """Restart ``lane`` on the next pending episode.
-
-        Returns the new episode's first observation, or ``None`` when the pool
-        is exhausted — the lane is then idled *and* retired in the environment,
-        so subsequent steps no longer advance it (a capped episode may have
-        left the env lane mid-flight).
-        """
-        lane = int(lane)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("env.episodes").inc()
-        if self._next_episode < self.num_episodes:
-            episode = self._next_episode
-            self._next_episode += 1
-            observation = self.env.reset_lanes([lane], [self._seed(episode)])[0]
-            self.lane_episode[lane] = episode
-            return observation
-        self.lane_episode[lane] = -1
-        self.env.retire_lanes([lane])
-        return None
-
-    def refill_many(self, lanes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Refill several finished lanes through one batched reset.
-
-        Semantically ``[refill(lane) for lane in lanes]`` — same episode
-        assignment order, same per-lane RNG draws — but all restarted lanes
-        share a single :meth:`BatchedNavigationEnv.reset_lanes` call, so their
-        start-position rejection rounds and first observations are one batched
-        query instead of one per episode.  Returns ``(refilled_lanes,
-        observations)`` for the lanes that received a new episode; the rest
-        are idled and retired.
-        """
-        metrics = get_metrics()
-        if metrics.enabled:
-            # Each refilled-or-retired lane is one just-finished episode.
-            metrics.counter("env.episodes").inc(len(lanes))
-        assigned: List[Tuple[int, int]] = []
-        exhausted: List[int] = []
-        for lane in lanes:
-            if self._next_episode < self.num_episodes:
-                assigned.append((int(lane), self._next_episode))
-                self._next_episode += 1
-            else:
-                exhausted.append(int(lane))
-        if exhausted:
-            self.lane_episode[exhausted] = -1
-            self.env.retire_lanes(exhausted)
-        refilled = np.asarray([lane for lane, _ in assigned], dtype=np.int64)
-        if not assigned:
-            return refilled, np.zeros((0,) + self.env.observation_space.shape)
-        observations = self.env.reset_lanes(
-            [lane for lane, _ in assigned],
-            [self._seed(episode) for _, episode in assigned],
-        )
-        self.lane_episode[refilled] = [episode for _, episode in assigned]
-        return refilled, observations
+            for row in ended
+        ]
+        if ended.size:
+            metrics = get_metrics()
+            if metrics.enabled:
+                metrics.counter("env.episodes").inc(ended.size)
+            self._start(lanes[ended])
+        return result, finished
 
 
 def run_batched_episodes(
@@ -516,42 +470,18 @@ def run_batched_episodes(
     back in episode order and reproduce the serial
     :func:`~repro.envs.vector.run_episode` loop bitwise.
     """
-    B = env.batch_size
     results: List[Optional[EpisodeResult]] = [None] * num_episodes
     feed = LaneEpisodeFeed(env, num_episodes, reset_seed=reset_seed)
-    reward_totals = np.zeros(B, dtype=np.float64)
-    observations = feed.prime()
-
     while True:
         active = feed.active_lanes
         if active.size == 0:
             break
-        actions = np.zeros(B, dtype=np.int64)
-        chosen = np.asarray(policy(observations[active]), dtype=np.int64).reshape(-1)
-        if chosen.shape != (active.size,):
+        actions = np.asarray(policy(feed.observations[active]), dtype=np.int64).reshape(-1)
+        if actions.shape != (active.size,):
             raise ConfigurationError(
-                f"batch policy returned {chosen.shape} actions for {active.size} observations"
+                f"batch policy returned {actions.shape} actions for {active.size} observations"
             )
-        actions[active] = chosen
-        result = env.step(actions)
-        reward_totals[active] += result.rewards[active]
-        observations[active] = result.observations[active]
-        finished = active[result.done[active]]
-        for lane in finished:
-            episode = int(feed.lane_episode[lane])
-            results[episode] = EpisodeResult(
-                success=bool(result.success[lane]),
-                collision=bool(result.collision[lane]),
-                steps=int(result.steps[lane]),
-                path_length_m=float(result.path_lengths_m[lane]),
-                total_reward=float(reward_totals[lane]),
-            )
-        if finished.size:
-            # One batched reset per lockstep step: every refilled lane is
-            # reseeded per episode, so the batched rejection rounds replay the
-            # per-lane draws of one-at-a-time refills exactly.
-            refilled, refill_obs = feed.refill_many(finished)
-            if refilled.size:
-                observations[refilled] = refill_obs
-                reward_totals[refilled] = 0.0
+        _, finished = feed.advance(actions)
+        for episode, result in finished:
+            results[episode] = result
     return results  # type: ignore[return-value]

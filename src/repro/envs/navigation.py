@@ -219,10 +219,6 @@ class NavigationEnv:
     def path_length_m(self) -> float:
         return self._path_length
 
-    @property
-    def straight_line_distance_m(self) -> float:
-        return float(planar_distances(self._goal - self._start))
-
     # ------------------------------------------------------------------ action decoding
     def decode_action(self, action: int) -> Tuple[float, float]:
         """Return (heading change in rad, speed fraction) for a discrete action index."""

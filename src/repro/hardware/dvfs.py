@@ -69,9 +69,6 @@ class VoltageScaling:
         fraction = (volts - self.threshold_volts) / (self.nominal_volts - self.threshold_volts)
         return self.nominal_frequency_mhz * fraction
 
-    def frequency_at_normalized(self, normalized_voltage: float) -> float:
-        return self.frequency_mhz(self.to_volts(normalized_voltage))
-
     def energy_scale(self, volts: float) -> float:
         """Dynamic-energy multiplier relative to nominal supply (``(V/Vnom)^2``)."""
         if volts <= 0:
@@ -84,12 +81,6 @@ class VoltageScaling:
 
     def energy_savings_at_normalized(self, normalized_voltage: float) -> float:
         return self.energy_savings(self.to_volts(normalized_voltage))
-
-    def power_scale(self, volts: float) -> float:
-        """Dynamic-power multiplier relative to nominal (``V^2 * f`` scaling)."""
-        return self.energy_scale(volts) * (
-            self.frequency_mhz(volts) / self.nominal_frequency_mhz
-        )
 
 
 #: Scaling for the 14 nm chip the paper models (1 V nominal, Vmin = 0.70 V).

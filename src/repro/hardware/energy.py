@@ -39,9 +39,6 @@ class SramEnergyCurve:
         ratio = normalized_voltage / self.reference_normalized_voltage
         return self.reference_energy_nj * ratio**self.exponent
 
-    def energy_at_volts_nj(self, volts: float) -> float:
-        return self.energy_nj(self.scaling.to_normalized(volts))
-
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -78,18 +75,6 @@ class EnergyModel:
         return self.scaling.energy_scale(volts)
 
     # ------------------------------------------------------------------ per-layer energy
-    def layer_energy_joules(self, cost: LayerCost, volts: float) -> float:
-        """Dynamic energy of one layer execution at the given supply voltage."""
-        factor = self.voltage_factor(volts)
-        dynamic_pj = (
-            cost.macs * self.mac_energy_pj
-            + (cost.ifmap_sram_reads + cost.filter_sram_reads) * self.sram_read_energy_pj
-            + cost.ofmap_sram_writes * self.sram_write_energy_pj
-        ) * factor
-        # Off-chip DRAM traffic does not scale with the core supply voltage.
-        dynamic_pj += cost.dram_accesses * self.dram_access_energy_pj
-        return dynamic_pj * 1e-12
-
     def breakdown_joules(self, cost: LayerCost, volts: float) -> Dict[str, float]:
         """Energy breakdown (compute / sram / dram) for one layer, in joules."""
         factor = self.voltage_factor(volts)

@@ -1,8 +1,6 @@
 """Weight initialization schemes.
 
-Kaiming (He) initialization is the default for ReLU networks; Xavier (Glorot)
-is provided for completeness and for the linear output head of Q-networks,
-where a smaller initial scale keeps early Q-value estimates near zero.
+Kaiming (He) initialization is the default for ReLU networks.
 """
 
 from __future__ import annotations
@@ -33,14 +31,6 @@ def kaiming_uniform(shape: Tuple[int, ...], rng: SeedLike = None, gain: float = 
     generator = as_generator(rng)
     fan_in, _ = _fan_in_out(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
-    return generator.uniform(-bound, bound, size=shape).astype(np.float64)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: SeedLike = None, gain: float = 1.0) -> np.ndarray:
-    """Glorot-uniform initialization."""
-    generator = as_generator(rng)
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return generator.uniform(-bound, bound, size=shape).astype(np.float64)
 
 

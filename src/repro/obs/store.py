@@ -224,21 +224,6 @@ class RunRecord:
             fingerprint=dict(payload.get("fingerprint", {})),
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "type": "run",
-            "run_id": self.run_id,
-            "kind": self.kind,
-            "name": self.name,
-            "spec_hash": self.spec_hash,
-            "ts": self.ts,
-            "wall_time_s": self.wall_time_s,
-            "counts": self.counts,
-            "metrics": self.metrics,
-            "spans": self.spans,
-            "fingerprint": self.fingerprint,
-        }
-
     def metric(self, metric: str) -> Optional[float]:
         return metric_value(self, metric)
 

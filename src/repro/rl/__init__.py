@@ -11,7 +11,7 @@ extends it with the perturbed gradient pass.  Experience collection runs on
 
 from repro.rl.replay_buffer import ReplayBuffer, Transition
 from repro.rl.schedules import ConstantSchedule, ExponentialDecay, LinearDecay
-from repro.rl.collect import EpisodeRecord, LockstepCollector, StepBatch
+from repro.rl.collect import LockstepCollector, StepBatch
 from repro.rl.dqn import DqnConfig, DqnTrainer, TrainingHistory
 from repro.rl.evaluation import (
     GreedyPolicy,
@@ -31,7 +31,6 @@ __all__ = [
     "DqnConfig",
     "DqnTrainer",
     "TrainingHistory",
-    "EpisodeRecord",
     "LockstepCollector",
     "StepBatch",
     "GreedyPolicy",

@@ -26,25 +26,16 @@ intentionally differ from the serial interleaving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.envs.batch import BatchedNavigationEnv, LaneEpisodeFeed
+from repro.envs.vector import EpisodeResult
 from repro.errors import TrainingError
 from repro.nn.network import Sequential
 from repro.obs import get_metrics
 from repro.rl.schedules import Schedule
-
-
-@dataclass(frozen=True)
-class EpisodeRecord:
-    """Bookkeeping for one training episode completed by the collector."""
-
-    episode: int
-    total_reward: float
-    success: bool
-    steps: int
 
 
 @dataclass(frozen=True)
@@ -62,7 +53,7 @@ class StepBatch:
     next_observations: np.ndarray   #: (k, *obs_shape) successor observations
     dones: np.ndarray               #: (k,) float, 1.0 where the step terminated
     epsilons: np.ndarray            #: (k,) exploration rates used (global-count indexed)
-    finished: Tuple[EpisodeRecord, ...]  #: episodes that completed this step
+    finished: Tuple[Tuple[int, EpisodeResult], ...]  #: (episode, result) of episodes that ended
 
     @property
     def num_transitions(self) -> int:
@@ -73,10 +64,11 @@ class LockstepCollector:
     """Drives B env lanes per step and yields batched transitions for training.
 
     The collector owns the *acting* side of the training loop: batched greedy
-    forward, per-lane epsilon-greedy exploration, stepping, episode
-    bookkeeping, and lane refill.  Learning cadence (replay pushes, gradient
-    steps, target syncs) stays in the trainer, interleaved on the global step
-    counter the trainer passes to :meth:`collect`.
+    forward and per-lane epsilon-greedy exploration; its
+    :class:`~repro.envs.batch.LaneEpisodeFeed` steps the lanes, keeps the
+    episode books and refills finished lanes.  Learning cadence (replay
+    pushes, gradient steps, target syncs) stays in the trainer, interleaved on
+    the global step counter the trainer passes to :meth:`collect`.
     """
 
     def __init__(
@@ -86,7 +78,6 @@ class LockstepCollector:
         schedule: Schedule,
         exploration_rngs: Sequence[np.random.Generator],
         num_episodes: int,
-        max_steps_per_episode: Optional[int] = None,
     ) -> None:
         if num_episodes <= 0:
             raise TrainingError(f"num_episodes must be positive, got {num_episodes}")
@@ -99,16 +90,7 @@ class LockstepCollector:
         self.q_network = q_network
         self.schedule = schedule
         self.exploration_rngs = list(exploration_rngs)
-        if max_steps_per_episode is None:
-            max_steps_per_episode = env.config.max_steps
-        if max_steps_per_episode <= 0:
-            raise TrainingError(
-                f"max_steps_per_episode must be positive, got {max_steps_per_episode}"
-            )
-        self.max_steps_per_episode = int(max_steps_per_episode)
         self._feed = LaneEpisodeFeed(env, num_episodes)
-        self._observations = self._feed.prime()
-        self._reward_totals = np.zeros(env.batch_size, dtype=np.float64)
 
     @property
     def collecting(self) -> bool:
@@ -126,11 +108,11 @@ class LockstepCollector:
         active = self._feed.active_lanes
         if active.size == 0:
             raise TrainingError("collect() called with no active episodes")
-        observations = self._observations[active].copy()
+        observations = self._feed.observations[active]
         epsilons = self.schedule.values(total_steps + np.arange(active.size))
 
         q_values = self.q_network.forward(observations)
-        actions_taken = np.argmax(q_values, axis=1).astype(np.int64)
+        actions = np.argmax(q_values, axis=1).astype(np.int64)
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("train.env_steps").inc(active.size)
@@ -141,45 +123,17 @@ class LockstepCollector:
         for row, lane in enumerate(active):
             stream = self.exploration_rngs[lane]
             if stream.random() < epsilons[row]:
-                actions_taken[row] = self.env.action_space.sample(stream)
+                actions[row] = self.env.action_space.sample(stream)
 
-        actions = np.zeros(self.env.batch_size, dtype=np.int64)
-        actions[active] = actions_taken
-        result = self.env.step(actions)
-
-        rewards = result.rewards[active].copy()
-        next_observations = result.observations[active].copy()
-        # Replay convention of the serial trainer: bootstrapping is cut only
-        # by true termination (goal/collision), never by the step-budget cap.
-        dones = result.terminated[active].astype(np.float64)
-        self._reward_totals[active] += rewards
-        self._observations[active] = next_observations
-
-        capped = result.steps[active] >= self.max_steps_per_episode
-        finished_lanes = active[result.done[active] | capped]
-        finished: List[EpisodeRecord] = []
-        for lane in finished_lanes:
-            lane = int(lane)
-            finished.append(
-                EpisodeRecord(
-                    episode=int(self._feed.lane_episode[lane]),
-                    total_reward=float(self._reward_totals[lane]),
-                    success=bool(result.success[lane]),
-                    steps=int(result.steps[lane]),
-                )
-            )
-            self._reward_totals[lane] = 0.0
-        if finished_lanes.size:
-            refilled, refill_obs = self._feed.refill_many(finished_lanes)
-            if refilled.size:
-                self._observations[refilled] = refill_obs
-
+        result, finished = self._feed.advance(actions)
         return StepBatch(
             observations=observations,
-            actions=actions_taken,
-            rewards=rewards,
-            next_observations=next_observations,
-            dones=dones,
+            actions=actions,
+            rewards=result.rewards,
+            next_observations=result.observations,
+            # Replay convention of the serial trainer: bootstrapping is cut
+            # only by true termination (goal/collision), never by a timeout.
+            dones=result.terminated.astype(np.float64),
             epsilons=epsilons,
             finished=tuple(finished),
         )

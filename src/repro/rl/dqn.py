@@ -23,7 +23,7 @@ the reference implementation the equivalence tests pin against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -226,12 +226,7 @@ class DqnTrainer:
         self.target_network.copy_from(self.q_network)
 
     # ------------------------------------------------------------------ training loop
-    def train(
-        self,
-        num_episodes: int,
-        max_steps_per_episode: Optional[int] = None,
-        callback: Optional[Callable[[int, TrainingHistory], None]] = None,
-    ) -> TrainingHistory:
+    def train(self, num_episodes: int) -> TrainingHistory:
         """Run the training loop for ``num_episodes`` episodes on lockstep lanes.
 
         Experience collection runs ``config.train_lanes`` batched environment
@@ -240,9 +235,8 @@ class DqnTrainer:
         the gradient/target-sync cadence interleaved on the global transition
         counter exactly as the serial loop would.  ``train_lanes=1`` shares
         the serial environment's and trainer's RNG streams and reproduces
-        :meth:`train_serial` bitwise.  ``callback(episode, history)`` fires
-        once per completed episode, in completion order (== episode order at
-        B = 1).
+        :meth:`train_serial` bitwise.  Episodes enter the history in
+        completion order (== episode order at B = 1).
         """
         from repro.envs.batch import BatchedNavigationEnv
         from repro.rl.collect import LockstepCollector
@@ -262,14 +256,12 @@ class DqnTrainer:
             self.config.epsilon_schedule,
             exploration,
             num_episodes,
-            max_steps_per_episode,
         )
         while collector.collecting:
-            step_batch = collector.collect(self.history.total_steps)
-            self._absorb_step_batch(step_batch, callback)
+            self._absorb_step_batch(collector.collect(self.history.total_steps))
         return self.history
 
-    def _absorb_step_batch(self, step_batch, callback) -> None:
+    def _absorb_step_batch(self, step_batch) -> None:
         """Store one lockstep step's transitions and replay the learning cadence.
 
         The k transitions are pushed in one vectorised insert, then the
@@ -301,26 +293,19 @@ class DqnTrainer:
                 self.history.losses.append(self.learn_on_batch(batch))
             if step % self.config.target_update_interval == 0:
                 self.sync_target_network()
-        for record in step_batch.finished:
-            self.history.episode_rewards.append(record.total_reward)
-            self.history.episode_successes.append(record.success)
-            self.history.episode_lengths.append(record.steps)
-            if callback is not None:
-                callback(record.episode, self.history)
-            if (record.episode + 1) % 50 == 0:
+        for episode, result in step_batch.finished:
+            self.history.episode_rewards.append(result.total_reward)
+            self.history.episode_successes.append(result.success)
+            self.history.episode_lengths.append(result.steps)
+            if (episode + 1) % 50 == 0:
                 logger.info(
                     "episode %d: reward=%.2f success_rate(last 50)=%.2f",
-                    record.episode + 1,
-                    record.total_reward,
+                    episode + 1,
+                    result.total_reward,
                     self.history.success_rate(window=50),
                 )
 
-    def train_serial(
-        self,
-        num_episodes: int,
-        max_steps_per_episode: Optional[int] = None,
-        callback: Optional[Callable[[int, TrainingHistory], None]] = None,
-    ) -> TrainingHistory:
+    def train_serial(self, num_episodes: int) -> TrainingHistory:
         """The pre-refactor scalar training loop, kept as the reference.
 
         One environment, one observation, one transition at a time.  This is
@@ -330,13 +315,12 @@ class DqnTrainer:
         """
         if num_episodes <= 0:
             raise TrainingError(f"num_episodes must be positive, got {num_episodes}")
-        max_steps = max_steps_per_episode or self.env.config.max_steps
         for episode in range(num_episodes):
             observation = self.env.reset()
             episode_reward = 0.0
             episode_success = False
             steps = 0
-            for _ in range(max_steps):
+            for _ in range(self.env.config.max_steps):
                 epsilon = self.config.epsilon_schedule(self.history.total_steps)
                 action = self.act(observation, epsilon)
                 result = self.env.step(action)
@@ -362,8 +346,6 @@ class DqnTrainer:
             self.history.episode_rewards.append(episode_reward)
             self.history.episode_successes.append(episode_success)
             self.history.episode_lengths.append(steps)
-            if callback is not None:
-                callback(episode, self.history)
             if (episode + 1) % 50 == 0:
                 logger.info(
                     "episode %d: reward=%.2f success_rate(last 50)=%.2f",

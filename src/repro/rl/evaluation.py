@@ -26,6 +26,7 @@ import numpy as np
 from repro.envs.batch import BatchedNavigationEnv, DEFAULT_BATCH_SIZE, run_batched_episodes
 from repro.envs.navigation import NavigationEnv
 from repro.envs.vector import EpisodeResult, mean_path_length, success_rate
+from repro.errors import ConfigurationError
 from repro.faults.fault_map import FaultMap
 from repro.faults.injection import BitErrorInjector
 from repro.nn.network import Sequential
@@ -89,6 +90,11 @@ class RobustnessPoint:
         return 100.0 * self.success_rate
 
 
+def _check_episode_count(name: str, count: int) -> None:
+    if count < 1:
+        raise ConfigurationError(f"{name} must be at least 1, got {count}")
+
+
 def _episode_reset_base(rng: np.random.Generator, num_episodes: int) -> int:
     """A reset-seed base such that ``base + i`` stays a valid 31-bit seed."""
     return int(rng.integers(0, 2**31 - 1 - num_episodes))
@@ -106,8 +112,9 @@ def evaluate_policy(
     ``DEFAULT_BATCH_SIZE`` lanes over ``env``'s world; ``env`` itself is never
     stepped or reset.
     """
+    _check_episode_count("num_episodes", num_episodes)
     reset_base = _episode_reset_base(as_generator(rng), num_episodes)
-    batch_env = BatchedNavigationEnv(env, max(1, min(num_episodes, DEFAULT_BATCH_SIZE)))
+    batch_env = BatchedNavigationEnv(env, min(num_episodes, DEFAULT_BATCH_SIZE))
     results = run_batched_episodes(
         batch_env, GreedyPolicy(network), num_episodes, reset_seed=reset_base
     )
@@ -135,6 +142,7 @@ def evaluate_under_faults(
     missions only; a map that loses every mission contributes no path sample
     (the aggregate is NaN only when *every* map lost every mission).
     """
+    _check_episode_count("episodes_per_map", episodes_per_map)
     injector = BitErrorInjector.for_network(network)
     map_rng, episode_rng = spawn_generators(rng, 2)
     if fault_maps is None:
@@ -159,9 +167,7 @@ def evaluate_under_faults(
     quantized = injector.quantize_state_cached(network.state_dict())
     deployed = network.clone()
     policy = GreedyPolicy(deployed)
-    batch_env = BatchedNavigationEnv(
-        env, max(1, min(episodes_per_map, DEFAULT_BATCH_SIZE))
-    )
+    batch_env = BatchedNavigationEnv(env, min(episodes_per_map, DEFAULT_BATCH_SIZE))
 
     per_map_success: List[float] = []
     per_map_paths: List[float] = []

@@ -61,9 +61,6 @@ class Table:
             "rows": [to_jsonable(row) for row in self.rows],
         }
 
-    def to_markdown(self, float_format: str = ".3g") -> str:
-        return format_markdown(self, float_format=float_format)
-
     def __len__(self) -> int:
         return len(self.rows)
 

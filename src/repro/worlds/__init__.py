@@ -20,7 +20,6 @@ from repro.worlds.registry import (
     WorldFamily,
     generate_world,
     get_world_family,
-    iter_world_families,
     registered_families,
     validate_world,
     world_family,
@@ -40,7 +39,6 @@ __all__ = [
     "ascii_map",
     "generate_world",
     "get_world_family",
-    "iter_world_families",
     "registered_families",
     "render_world",
     "validate_world",

@@ -17,7 +17,7 @@ ceremony.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -134,11 +134,6 @@ def get_world_family(name: str) -> WorldFamily:
 def registered_families() -> Tuple[str, ...]:
     _ensure_families_loaded()
     return tuple(sorted(_FAMILIES))
-
-
-def iter_world_families() -> Iterator[WorldFamily]:
-    for name in registered_families():
-        yield _FAMILIES[name]
 
 
 # ---------------------------------------------------------------------- validation

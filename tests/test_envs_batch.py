@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.envs.batch import BatchedNavigationEnv, run_batched_episodes
 from repro.envs.navigation import NavigationConfig, NavigationEnv
@@ -22,6 +23,7 @@ from repro.envs.vector import run_episode
 from repro.errors import ConfigurationError, EnvironmentError_
 from repro.nn.policies import build_policy, mlp
 from repro.rl.evaluation import GreedyPolicy
+from repro.utils.rng import spawn_generators
 from repro.worlds.spec import WorldSpec
 
 
@@ -166,14 +168,19 @@ class TestBatchedEnvApi:
         assert np.array_equal(env.reset_lanes([0]), fresh.reset_lanes([0]))
 
     def test_done_mask_freezes_finished_lanes(self, batch_config):
-        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=2)
-        env.reset_lanes([0], [0])
-        assert list(env.done) == [False, True]
-        # Stepping advances only the active lane; the idle lane stays put.
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=3)
+        env.reset_lanes([0, 2], [0, 2])
+        assert list(env.done) == [False, True, False]
+        # Stepping takes and returns one row per running lane; the idle lane
+        # stays put.
         straight = (env.action_space.n // 2)
         result = env.step(np.full(2, straight, dtype=np.int64))
-        assert bool(result.stepped[0]) and not bool(result.stepped[1])
-        assert result.steps[0] == 1 and result.steps[1] == 0
+        assert result.lanes.tolist() == [0, 2]
+        assert result.steps.tolist() == [1, 1]
+        assert result.observations.shape == (2,) + env.observation_space.shape
+        assert env._steps[1] == 0
+        with pytest.raises(EnvironmentError_):
+            env.step(np.full(3, straight, dtype=np.int64))
 
     def test_observations_match_observation_space(self, batch_config):
         env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=3)
@@ -196,6 +203,92 @@ class TestBatchedEnvApi:
         env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=3)
         with pytest.raises(ConfigurationError):
             run_batched_episodes(env, lambda observations: 0, 3, reset_seed=0)
+
+
+#: Short, fast episodes, so a few steps reach the truncation step and the
+#: obstacles (and, in the dynamic world, the movers).
+INTERLEAVING_CONFIGS = {
+    family: NavigationConfig(
+        max_speed_m_s=4.0,
+        step_duration_s=0.5,
+        max_steps=5,
+        observation="vector",
+        ray_sensor=RaySensor(num_rays=8, max_range_m=10.0, step_m=0.25),
+        start_position_noise_m=0.8,
+        world_spec=WorldSpec(family, seed=2),
+    )
+    for family in ("uniform", "dynamic")
+}
+
+
+def _lane_state(env: BatchedNavigationEnv):
+    """Every per-lane quantity a call could change, lane streams included."""
+    arrays = (env._positions, env._headings, env._steps, env._times, env._path_lengths, env._done)
+    streams = [None if rng is None else rng.bit_generator.state for rng in env._rngs]
+    return [array.copy() for array in arrays], streams
+
+
+class TestLaneInterleaving:
+    """Any interleaving of ``reset_lanes`` and ``step`` is B serial envs."""
+
+    @pytest.mark.parametrize("family", sorted(INTERLEAVING_CONFIGS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_interleaving_matches_serial_envs(self, family, data):
+        config = INTERLEAVING_CONFIGS[family]
+        lanes_in_batch = data.draw(st.integers(1, 5), label="batch_size")
+        batched = BatchedNavigationEnv(NavigationEnv(config, rng=3), lanes_in_batch)
+        serial = [NavigationEnv(config, rng=3) for _ in range(lanes_in_batch)]
+        # A lane's first seedless reset continues child `lane` of the env's stream.
+        children = spawn_generators(NavigationEnv(config, rng=3)._rng, lanes_in_batch)
+        for env, child in zip(serial, children):
+            env._rng = child
+        running = [False] * lanes_in_batch
+        actions = st.integers(0, batched.action_space.n - 1)
+        operations = st.sampled_from(("step", "step", "step", "reset"))
+        for _ in range(data.draw(st.integers(1, 16), label="operations")):
+            if any(running) and data.draw(operations) == "step":
+                lanes = [lane for lane in range(lanes_in_batch) if running[lane]]
+                chosen = data.draw(st.lists(actions, min_size=len(lanes), max_size=len(lanes)))
+                result = batched.step(np.asarray(chosen))
+                assert result.lanes.tolist() == lanes
+                for row, (lane, action) in enumerate(zip(lanes, chosen)):
+                    expected = serial[lane].step(action)
+                    assert np.array_equal(result.observations[row], expected.observation)
+                    assert result.rewards[row] == expected.reward
+                    assert bool(result.terminated[row]) == expected.terminated
+                    assert bool(result.truncated[row]) == expected.truncated
+                    assert result.path_lengths_m[row] == serial[lane].path_length_m
+                    running[lane] = not (expected.terminated or expected.truncated)
+                continue
+            lanes = data.draw(
+                st.lists(st.integers(0, lanes_in_batch - 1), unique=True, max_size=3),
+                label="lanes",
+            )
+            fault = data.draw(st.sampled_from((None, None, "twice", "outside")), label="fault")
+            if fault == "twice" and lanes:
+                lanes.append(lanes[0])
+            elif fault == "outside":
+                lanes.insert(data.draw(st.integers(0, len(lanes))), lanes_in_batch)
+            seeds = data.draw(
+                st.lists(
+                    st.none() | st.integers(0, 2**16), min_size=len(lanes), max_size=len(lanes)
+                ),
+                label="seeds",
+            )
+            if len(set(lanes)) < len(lanes) or fault == "outside":
+                before = _lane_state(batched)
+                with pytest.raises(ConfigurationError):
+                    batched.reset_lanes(lanes, seeds)
+                after = _lane_state(batched)
+                assert all(map(np.array_equal, before[0], after[0]))
+                assert before[1] == after[1]
+                continue
+            observations = batched.reset_lanes(lanes, seeds)
+            for row, (lane, seed) in enumerate(zip(lanes, seeds)):
+                assert np.array_equal(observations[row], serial[lane].reset(seed=seed))
+                running[lane] = True
+        assert batched.done.tolist() == [not flag for flag in running]
 
 
 class TestBatchedGeometryPrimitives:

@@ -309,12 +309,6 @@ class TestDqnTrainer:
         with pytest.raises(TrainingError):
             trainer.train(0)
 
-    def test_callback_invoked(self, small_env, fast_config):
-        trainer = DqnTrainer(small_env, policy_spec=mlp((16,)), config=fast_config, rng=0)
-        episodes_seen = []
-        trainer.train(3, callback=lambda episode, history: episodes_seen.append(episode))
-        assert episodes_seen == [0, 1, 2]
-
 
 class TestTrainingHistory:
     def test_success_rate_window(self):
@@ -390,6 +384,30 @@ class TestEvaluation:
         assert isinstance(evaluation, PolicyEvaluation)
         assert evaluation.num_episodes == 4
         assert 0.0 <= evaluation.success_rate <= 1.0
+
+    @pytest.mark.parametrize("num_episodes", [0, -1])
+    def test_evaluate_policy_rejects_fewer_than_one_episode(self, small_env, num_episodes):
+        from repro.nn.policies import build_policy
+
+        network = build_policy(mlp((16,)), small_env.observation_space.shape, small_env.action_space.n, rng=0)
+        with pytest.raises(ConfigurationError):
+            evaluate_policy(small_env, network, num_episodes=num_episodes, rng=0)
+
+    def test_evaluate_under_faults_rejects_zero_episodes_per_map(self, small_env, monkeypatch):
+        """A map that flies no mission has no success rate (it used to read 0%);
+        the count is rejected before any fault map is drawn."""
+        from repro.faults.fault_map import FaultMap
+        from repro.nn.policies import build_policy
+
+        def draw(*args, **kwargs):
+            raise AssertionError("a fault map was drawn")
+
+        monkeypatch.setattr(FaultMap, "random", draw)
+        network = build_policy(mlp((16,)), small_env.observation_space.shape, small_env.action_space.n, rng=0)
+        with pytest.raises(ConfigurationError):
+            evaluate_under_faults(
+                small_env, network, ber_percent=1.0, num_fault_maps=3, episodes_per_map=0
+            )
 
     def test_one_episode_evaluation_leaves_env_untouched(self, small_env):
         """A one-episode evaluation flies on its own lane like any other, so

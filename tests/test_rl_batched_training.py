@@ -110,15 +110,6 @@ class TestSerialEquivalence:
         assert serial.num_injections == batched.num_injections
         _assert_trainers_identical(serial, batched)
 
-    def test_b1_matches_with_episode_cap(self, train_env_config):
-        """max_steps_per_episode below the env's own cap (the retire path)."""
-        serial = _dqn_trainer(train_env_config)
-        serial.train_serial(6, max_steps_per_episode=10)
-        batched = _dqn_trainer(train_env_config)
-        batched.train(6, max_steps_per_episode=10)
-        assert max(batched.history.episode_lengths) <= 10
-        _assert_trainers_identical(serial, batched)
-
     def test_b1_matches_across_repeated_train_calls(self, train_env_config):
         """The on-device pattern: many train(1) calls share one RNG stream."""
         serial = _dqn_trainer(train_env_config)
@@ -140,10 +131,8 @@ class TestMultiLaneTraining:
 
     def test_episode_accounting(self, train_env_config):
         trainer = _dqn_trainer(train_env_config, lanes=4)
-        episodes_seen = []
-        history = trainer.train(10, callback=lambda e, h: episodes_seen.append(e))
+        history = trainer.train(10)
         assert history.num_episodes == 10
-        assert sorted(episodes_seen) == list(range(10))
         assert history.total_steps == sum(history.episode_lengths)
         assert len(trainer.replay) == min(history.total_steps, trainer.replay.capacity)
         assert history.gradient_steps > 0
@@ -218,7 +207,7 @@ class TestMultiLaneTraining:
 
 
 class TestLockstepCollector:
-    def _collector(self, config, lanes, num_episodes, schedule=None, cap=None):
+    def _collector(self, config, lanes, num_episodes, schedule=None):
         env = NavigationEnv(config, rng=3)
         batch_env = BatchedNavigationEnv(
             env, batch_size=lanes, share_rng=lanes == 1
@@ -232,7 +221,6 @@ class TestLockstepCollector:
             schedule or ConstantSchedule(0.0),
             spawn_generators(11, lanes),
             num_episodes,
-            cap,
         )
 
     def test_epsilon_is_a_function_of_the_global_count(self, train_env_config):
@@ -265,17 +253,10 @@ class TestLockstepCollector:
         while collector.collecting:
             step_batch = collector.collect(total)
             total += step_batch.num_transitions
-            episodes.extend(record.episode for record in step_batch.finished)
+            episodes.extend(episode for episode, _ in step_batch.finished)
         assert sorted(episodes) == list(range(7))
         with pytest.raises(TrainingError):
             collector.collect(total)
-
-    def test_non_positive_episode_cap_rejected(self, train_env_config):
-        """0 must be rejected, not silently remapped to the env default."""
-        with pytest.raises(TrainingError):
-            self._collector(train_env_config, 2, 4, cap=0)
-        with pytest.raises(TrainingError):
-            self._collector(train_env_config, 2, 4, cap=-5)
 
     def test_stream_count_must_match_lanes(self, train_env_config):
         env = BatchedNavigationEnv(NavigationEnv(train_env_config, rng=3), 4)
@@ -287,49 +268,47 @@ class TestLockstepCollector:
 
 
 class TestLaneEpisodeFeed:
-    def test_refill_many_matches_one_at_a_time(self, train_env_config):
-        """The batched refill replays per-lane draws of sequential refills."""
+    def test_one_reset_of_several_lanes_equals_one_reset_per_lane(self, train_env_config):
+        """A feed restarts every finished lane through one ``reset_lanes``
+        call; it must replay the per-lane draws of one reset per lane, for
+        seeded resets and for lanes that continue their own streams."""
+        lanes = [0, 2, 3]
 
-        def run(batched_refill: bool):
+        def run(seeds, together: bool):
             env = BatchedNavigationEnv(
                 NavigationEnv(train_env_config, rng=3), batch_size=4
             )
-            feed = LaneEpisodeFeed(env, 10, reset_seed=90)
-            feed.prime()
-            lanes = [0, 2, 3]
-            observations = np.zeros((4,) + env.observation_space.shape)
-            if batched_refill:
-                refilled, obs = feed.refill_many(lanes)
-                observations[refilled] = obs
+            env.reset_lanes([0, 1, 2, 3], [80, 81, 82, 83])
+            if together:
+                observations = env.reset_lanes(lanes, seeds)
             else:
-                for lane in lanes:
-                    obs = feed.refill(lane)
-                    if obs is not None:
-                        observations[lane] = obs
-            return observations, feed.lane_episode.copy()
+                observations = np.concatenate(
+                    [env.reset_lanes([lane], [seed]) for lane, seed in zip(lanes, seeds)]
+                )
+            following = env.reset_lanes(lanes)
+            return observations, following, env._positions.copy()
 
-        obs_a, lanes_a = run(batched_refill=True)
-        obs_b, lanes_b = run(batched_refill=False)
-        assert np.array_equal(obs_a, obs_b)
-        assert np.array_equal(lanes_a, lanes_b)
+        for seeds in ([90, 92, 93], [None, None, None]):
+            for together, apart in zip(run(seeds, True), run(seeds, False)):
+                assert np.array_equal(together, apart)
 
-    def test_exhausted_refill_retires_env_lane(self, train_env_config):
+    def test_drained_feed_reports_each_episode_once_and_leaves_lanes_done(
+        self, train_env_config
+    ):
         env = BatchedNavigationEnv(
             NavigationEnv(train_env_config, rng=3), batch_size=2
         )
-        feed = LaneEpisodeFeed(env, 2, reset_seed=0)
-        feed.prime()
-        refilled, _ = feed.refill_many([0, 1])
-        assert refilled.size == 0
-        assert feed.exhausted
+        feed = LaneEpisodeFeed(env, 5, reset_seed=0)
+        straight = env.action_space.n // 2
+        episodes = []
+        while feed.active_lanes.size:
+            actions = np.full(feed.active_lanes.size, straight, dtype=np.int64)
+            episodes.extend(episode for episode, _ in feed.advance(actions)[1])
+        assert sorted(episodes) == list(range(5))
         assert env.done.all()
+        assert (feed.lane_episode == -1).all()
 
     def test_share_rng_validation(self, train_env_config):
         env = NavigationEnv(train_env_config, rng=3)
         with pytest.raises(ConfigurationError):
             BatchedNavigationEnv(env, batch_size=2, share_rng=True)
-
-    def test_retire_lane_validation(self, train_env_config):
-        env = BatchedNavigationEnv(NavigationEnv(train_env_config, rng=3), 2)
-        with pytest.raises(ConfigurationError):
-            env.retire_lanes([5])
