@@ -1,6 +1,6 @@
 """Ablation benchmark: accelerator cost model across policy architectures and dataflows.
 
-Not a table in the paper, but the design-choice ablation DESIGN.md calls out:
+Not a table in the paper, but a design-choice ablation:
 how the per-inference processing energy and latency differ between the C3F2
 and C5F4 policies (Fig. 7's compute-power ratios ultimately come from this)
 and between output-stationary and weight-stationary dataflows.

@@ -10,7 +10,7 @@ the cross product of
   0.1 / 0.5 / 1 %).
 
 :func:`iterate_scenarios` enumerates them; each scenario knows how to build
-its mission pipeline and (at reduced scale) its navigation environment.
+its mission pipeline and its runtime job.
 
 :class:`GeneralizedScenario` lifts the environment axis beyond the three
 fixed densities: any procedurally generated :class:`~repro.worlds.spec.WorldSpec`
@@ -27,9 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.calibrated import AutonomyScheme, CalibratedRobustnessModel
 from repro.core.pipeline import MissionPipeline, PipelineConfig
-from repro.envs.navigation import NavigationConfig, NavigationEnv
 from repro.envs.obstacles import ObstacleDensity
-from repro.errors import ConfigurationError
 from repro.runtime.jobs import JobSpec, SweepSpec, job_kind
 from repro.uav.platform import CRAZYFLIE, DJI_TELLO, UavPlatform, get_platform
 from repro.utils.warmcache import warm_cache
@@ -84,13 +82,6 @@ class Scenario:
             config, robustness=CalibratedRobustnessModel().for_density(self.density)
         )
 
-    def navigation_config(self, observation: str = "vector") -> NavigationConfig:
-        """A reduced-scale navigation environment matching this scenario's density."""
-        return NavigationConfig(density=self.density, observation=observation)
-
-    def environment(self, rng: int = 0, observation: str = "vector") -> NavigationEnv:
-        return NavigationEnv(self.navigation_config(observation), rng=rng)
-
     # ------------------------------------------------------------------ spec factories
     def job_spec(
         self,
@@ -139,63 +130,6 @@ def iterate_scenarios() -> Iterator[Scenario]:
 def scenario_count() -> int:
     """Total number of scenarios (72 in the paper)."""
     return len(DENSITIES) * len(PLATFORMS) * len(POLICY_VARIANTS) * len(BIT_ERROR_LEVELS_PERCENT)
-
-
-def get_scenario(index: int) -> Scenario:
-    """Scenario number ``index`` (0-based) in the deterministic enumeration order.
-
-    Decodes the index arithmetically (mixed-radix over the four axes) instead
-    of materialising all 72 scenarios per call.
-    """
-    total = scenario_count()
-    if not 0 <= index < total:
-        raise ConfigurationError(f"scenario index must be in [0, {total}), got {index}")
-    index, ber_index = divmod(index, len(BIT_ERROR_LEVELS_PERCENT))
-    index, policy_index = divmod(index, len(POLICY_VARIANTS))
-    density_index, platform_index = divmod(index, len(PLATFORMS))
-    policy_name, multiplier = POLICY_VARIANTS[policy_index]
-    return Scenario(
-        density=DENSITIES[density_index],
-        platform=PLATFORMS[platform_index],
-        policy_name=policy_name,
-        compute_power_multiplier=multiplier,
-        ber_percent=BIT_ERROR_LEVELS_PERCENT[ber_index],
-    )
-
-
-def scenario_by_name(name: str) -> Scenario:
-    """Look up a scenario by its ``density/platform/policy/p=X%`` name.
-
-    Parses the name instead of scanning the enumeration, so lookups stay O(1)
-    no matter how large the scenario grid grows.
-    """
-    parts = name.split("/")
-    if len(parts) != 4 or not parts[3].startswith("p=") or not parts[3].endswith("%"):
-        raise ConfigurationError(
-            f"malformed scenario name {name!r}; expected 'density/platform/policy/p=X%'"
-        )
-    density_name, platform_name, policy_name, ber_part = parts
-    try:
-        density = ObstacleDensity(density_name)
-    except ValueError:
-        raise ConfigurationError(f"unknown obstacle density {density_name!r} in {name!r}") from None
-    platform = get_platform(platform_name)
-    variants: Dict[str, float] = dict(POLICY_VARIANTS)
-    if policy_name not in variants:
-        raise ConfigurationError(
-            f"unknown policy {policy_name!r}; expected one of {sorted(variants)}"
-        )
-    try:
-        ber_percent = float(ber_part[2:-1])
-    except ValueError:
-        raise ConfigurationError(f"malformed bit-error level {ber_part!r} in {name!r}") from None
-    return Scenario(
-        density=density,
-        platform=platform,
-        policy_name=policy_name,
-        compute_power_multiplier=variants[policy_name],
-        ber_percent=ber_percent,
-    )
 
 
 def scenario_sweep_spec(
@@ -279,14 +213,7 @@ class GeneralizedScenario:
             f"/p={self.ber_percent:g}%"
         )
 
-    # ------------------------------------------------------------------ factories
-    def navigation_config(self, observation: str = "vector") -> NavigationConfig:
-        """A navigation environment living inside this scenario's world."""
-        return NavigationConfig(world_spec=self.world, observation=observation)
-
-    def environment(self, rng: int = 0, observation: str = "vector") -> NavigationEnv:
-        return NavigationEnv(self.navigation_config(observation), rng=rng)
-
+    # ------------------------------------------------------------------ spec factories
     def job_spec(
         self,
         candidate_voltages: Sequence[float] = DEFAULT_SCENARIO_VOLTAGES,

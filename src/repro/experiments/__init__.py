@@ -4,8 +4,7 @@ Each module exposes a ``generate_*`` function returning a
 :class:`repro.utils.tables.Table` whose rows/series mirror what the paper
 reports.  The benchmark suite (``benchmarks/``) wraps these generators with
 pytest-benchmark so that ``pytest benchmarks/ --benchmark-only`` regenerates
-every table and figure; EXPERIMENTS.md records the paper-vs-measured
-comparison.
+every table and figure.
 
 Two evaluation modes exist:
 
@@ -29,7 +28,6 @@ from repro.experiments.table1 import generate_table1_robustness, measure_table1_
 from repro.experiments.table2 import generate_table2_system_efficiency
 from repro.experiments.table3 import generate_table3_profiled_chips
 from repro.experiments.table4 import generate_table4_on_device
-from repro.experiments.reporting import render_report, save_tables
 
 __all__ = [
     "ExperimentProfile",
@@ -46,6 +44,4 @@ __all__ = [
     "generate_table2_system_efficiency",
     "generate_table3_profiled_chips",
     "generate_table4_on_device",
-    "render_report",
-    "save_tables",
 ]

@@ -3,7 +3,7 @@
 The paper operates the accelerator between 0.64 Vmin and the nominal 1 V
 supply.  ``Vmin`` — the lowest voltage with zero bit errors — corresponds to
 0.70 V for the modelled chip (back-solved from the published energy-saving
-factors, see DESIGN.md).  Dynamic energy scales with the square of the supply
+factors).  Dynamic energy scales with the square of the supply
 voltage, and the clock frequency is scaled alongside the voltage following the
 measured behaviour of the 12 nm accelerator SoC the paper references.
 """

@@ -4,7 +4,7 @@ The paper trains convolutional Q-networks (C3F2, C5F4) with PyTorch; this
 package provides the equivalent building blocks implemented directly on
 numpy arrays so the whole reproduction runs without external ML frameworks:
 
-* :mod:`repro.nn.layers` — Linear, Conv2d, ReLU/LeakyReLU, Flatten, MaxPool2d
+* :mod:`repro.nn.layers` — Linear, Conv2d, ReLU, Flatten, MaxPool2d
 * :mod:`repro.nn.network` — :class:`Sequential` container with backprop
 * :mod:`repro.nn.loss` — MSE and Huber losses
 * :mod:`repro.nn.optim` — SGD, Momentum, RMSProp, Adam
@@ -25,7 +25,6 @@ from repro.nn.backend import (
 from repro.nn.layers import (
     Conv2d,
     Flatten,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     Parameter,
@@ -47,7 +46,6 @@ __all__ = [
     "Linear",
     "Conv2d",
     "ReLU",
-    "LeakyReLU",
     "Flatten",
     "MaxPool2d",
     "Sequential",

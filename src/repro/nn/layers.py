@@ -322,37 +322,6 @@ class ReLU(Layer):
         return tuple(input_shape)
 
 
-class LeakyReLU(Layer):
-    """Leaky rectified linear unit with configurable negative slope."""
-
-    kind = "activation"
-
-    def __init__(self, negative_slope: float = 0.01, backend: BackendLike = None) -> None:
-        super().__init__(backend)
-        if negative_slope < 0:
-            raise ConfigurationError(f"negative_slope must be >= 0, got {negative_slope}")
-        self.negative_slope = negative_slope
-        self._mask = None
-
-    def forward(self, inputs):
-        be = self.backend
-        inputs = be.asarray(inputs, "float64")
-        self._mask = inputs > 0.0
-        return be.where(self._mask, inputs, be.multiply(inputs, self.negative_slope))
-
-    def backward(self, grad_output):
-        if self._mask is None:
-            raise ShapeError("LeakyReLU: backward called before forward")
-        be = self.backend
-        return be.where(self._mask, grad_output, be.multiply(grad_output, self.negative_slope))
-
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(input_shape)
-
-    def __repr__(self) -> str:
-        return f"LeakyReLU(negative_slope={self.negative_slope})"
-
-
 class Flatten(Layer):
     """Flatten all per-sample dimensions into one feature vector."""
 

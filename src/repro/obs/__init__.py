@@ -1,6 +1,6 @@
 """``repro.obs`` — the observability layer: metrics, spans, traces, the ledger.
 
-Five cooperating pieces, the in-process ones disabled by default:
+Four cooperating pieces, the in-process ones disabled by default:
 
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and fixed
   log-scale-binned histograms with a zero-allocation no-op fast path and
@@ -14,8 +14,6 @@ Five cooperating pieces, the in-process ones disabled by default:
   per-run records (metrics snapshot, span rollup, environment fingerprint)
   written automatically by the sweep engine and the benchmark suite, with
   history/diff/regression-check queries on top (``repro-runtime obs ...``).
-* :mod:`repro.obs.export` — OpenMetrics/Prometheus text exposition of any
-  registry snapshot (``--prom-file`` on the CLI).
 
 Hot layers import the module-level accessors (:func:`get_metrics`,
 :func:`span`) and call them unconditionally; enabling observability is the
@@ -24,12 +22,6 @@ caller's decision (``--trace`` / ``--metrics`` on the CLI, or
 """
 
 from repro.obs.capture import observe_job
-from repro.obs.export import (
-    export_openmetrics,
-    openmetrics_to_snapshot,
-    parse_openmetrics,
-    to_openmetrics,
-)
 from repro.obs.heartbeat import Heartbeat
 from repro.obs.metrics import (
     NOOP_METRICS,
@@ -88,17 +80,13 @@ __all__ = [
     "enable_tracing",
     "environment_fingerprint",
     "export_chrome_trace",
-    "export_openmetrics",
     "get_metrics",
     "get_tracer",
     "metric_value",
     "metrics_enabled",
     "observe_job",
-    "openmetrics_to_snapshot",
-    "parse_openmetrics",
     "span",
     "span_rollup",
     "spans_to_chrome_trace",
-    "to_openmetrics",
     "tracing_enabled",
 ]

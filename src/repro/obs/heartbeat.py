@@ -9,8 +9,9 @@ The rate is computed over jobs settled since the heartbeat started (cache
 hits count — they are real progress through the sweep), and the ETA
 extrapolates that rate over the remaining jobs, so a re-run that serves 90%
 of its jobs from the cache instantly reports a correspondingly short ETA.
-``interval_s=0`` emits on every update (useful in tests); a ``None`` emitter
-collects lines instead of printing, which is how tests observe the cadence.
+``interval_s=0`` emits on every update (useful in tests).  Lines go to
+stderr unless ``emit`` says otherwise, and every emitted line is also kept in
+``lines``, which is how tests observe the cadence.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ extends it with the perturbed gradient pass.  Experience collection runs on
 """
 
 from repro.rl.replay_buffer import ReplayBuffer, Transition
-from repro.rl.schedules import ConstantSchedule, ExponentialDecay, LinearDecay
+from repro.rl.schedules import ConstantSchedule, LinearDecay
 from repro.rl.collect import LockstepCollector, StepBatch
 from repro.rl.dqn import DqnConfig, DqnTrainer, TrainingHistory
 from repro.rl.evaluation import (
@@ -27,7 +27,6 @@ __all__ = [
     "Transition",
     "ConstantSchedule",
     "LinearDecay",
-    "ExponentialDecay",
     "DqnConfig",
     "DqnTrainer",
     "TrainingHistory",

@@ -90,7 +90,7 @@ class RobustnessPoint:
         return 100.0 * self.success_rate
 
 
-def _check_episode_count(name: str, count: int) -> None:
+def _check_count(name: str, count: int) -> None:
     if count < 1:
         raise ConfigurationError(f"{name} must be at least 1, got {count}")
 
@@ -112,7 +112,7 @@ def evaluate_policy(
     ``DEFAULT_BATCH_SIZE`` lanes over ``env``'s world; ``env`` itself is never
     stepped or reset.
     """
-    _check_episode_count("num_episodes", num_episodes)
+    _check_count("num_episodes", num_episodes)
     reset_base = _episode_reset_base(as_generator(rng), num_episodes)
     batch_env = BatchedNavigationEnv(env, min(num_episodes, DEFAULT_BATCH_SIZE))
     results = run_batched_episodes(
@@ -142,11 +142,16 @@ def evaluate_under_faults(
     missions only; a map that loses every mission contributes no path sample
     (the aggregate is NaN only when *every* map lost every mission).
     """
-    _check_episode_count("episodes_per_map", episodes_per_map)
+    _check_count("episodes_per_map", episodes_per_map)
+    maps = None if fault_maps is None else list(fault_maps)
+    if maps is None:
+        _check_count("num_fault_maps", num_fault_maps)
+    else:
+        _check_count("the number of fault maps", len(maps))
     injector = BitErrorInjector.for_network(network)
     map_rng, episode_rng = spawn_generators(rng, 2)
-    if fault_maps is None:
-        maps: List[FaultMap] = [
+    if maps is None:
+        maps = [
             FaultMap.random(
                 injector.memory_bits,
                 ber_percent / 100.0,
@@ -156,10 +161,6 @@ def evaluate_under_faults(
             )
             for index in range(num_fault_maps)
         ]
-    else:
-        maps = list(fault_maps)
-    if not maps:
-        raise ValueError("at least one fault map is required")
 
     # Quantize the clean parameters once; each map corrupts a per-map view.
     # The warm cache extends "once" across calls: fused BER levels and warm

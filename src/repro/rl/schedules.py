@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,22 +78,3 @@ class LinearDecay(Schedule):
             raise ConfigurationError("steps must be non-negative")
         fraction = np.minimum(1.0, steps / self.decay_steps)
         return self.start + fraction * (self.end - self.start)
-
-
-@dataclass(frozen=True)
-class ExponentialDecay(Schedule):
-    """Exponential decay from ``start`` towards ``end`` with time constant ``decay_steps``."""
-
-    start: float = 1.0
-    end: float = 0.05
-    decay_steps: int = 2000
-
-    def __post_init__(self) -> None:
-        for name, value in (("start", self.start), ("end", self.end)):
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-        if self.decay_steps <= 0:
-            raise ConfigurationError(f"decay_steps must be positive, got {self.decay_steps}")
-
-    def value(self, step: int) -> float:
-        return self.end + (self.start - self.end) * math.exp(-step / self.decay_steps)

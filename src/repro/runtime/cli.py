@@ -22,8 +22,7 @@ stderr reports jobs done / cache hits / jobs-per-sec / ETA.  ``--trace``
 captures spans (engine phases plus per-job execution, merged from
 multiprocessing workers) into a Chrome trace-event JSON loadable in
 Perfetto or ``chrome://tracing``; ``--metrics`` writes the
-merged metrics registry snapshot and ``--prom-file`` the same snapshot as
-OpenMetrics/Prometheus text exposition.  Every run also appends one
+merged metrics registry snapshot as JSON.  Every run also appends one
 record (metrics, span rollup, environment fingerprint) to the persistent
 **run ledger** (``.repro_runtime/ledger.jsonl`` or ``$REPRO_RUNTIME_LEDGER``;
 ``--ledger PATH`` overrides, ``--no-ledger`` opts out).  ``status`` reads a
@@ -66,7 +65,6 @@ from repro.obs import (
     enable_metrics,
     enable_tracing,
     export_chrome_trace,
-    export_openmetrics,
     metric_value,
 )
 from repro.obs.store import DEFAULT_CHECK_METRICS, default_ledger_path
@@ -135,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="capture spans and export a Chrome/Perfetto trace JSON here")
     run.add_argument("--metrics", type=Path, default=None, metavar="PATH",
                      help="collect metrics and write the merged registry snapshot here")
-    run.add_argument("--prom-file", type=Path, default=None, metavar="PATH",
-                     help="write the metrics snapshot as OpenMetrics/Prometheus "
-                          "text exposition here")
     run.add_argument("--ledger", type=Path, default=None, metavar="PATH",
                      help="append this run's record to this ledger file "
                           f"(default: $REPRO_RUNTIME_LEDGER or {Path('.repro_runtime/ledger.jsonl')})")
@@ -248,11 +243,9 @@ def _cmd_run(args: argparse.Namespace, stream) -> int:
     ledger = None if args.no_ledger else RunLedger(args.ledger)
     if args.trace is not None:
         enable_tracing()
-    # The ledger records the metrics snapshot, so any of the three metric
-    # consumers (--metrics, --prom-file, the ledger) turns collection on.
-    collect_metrics = (
-        args.metrics is not None or args.prom_file is not None or ledger is not None
-    )
+    # The ledger records the metrics snapshot, so either metric consumer
+    # (--metrics, the ledger) turns collection on.
+    collect_metrics = args.metrics is not None or ledger is not None
     if collect_metrics:
         enable_metrics()
     runner = SweepRunner(
@@ -279,15 +272,10 @@ def _cmd_run(args: argparse.Namespace, stream) -> int:
         if collect_metrics:
             from repro.obs import get_metrics
 
-            snapshot = get_metrics().snapshot()
             if args.metrics is not None:
-                save_json(args.metrics, snapshot)
+                save_json(args.metrics, get_metrics().snapshot())
                 if not quiet:
                     print(f"wrote metrics {args.metrics}", file=stream)
-            if args.prom_file is not None:
-                export_openmetrics(args.prom_file, snapshot)
-                if not quiet:
-                    print(f"wrote OpenMetrics exposition {args.prom_file}", file=stream)
             disable_metrics()
     if not quiet:
         print(report.describe(), file=stream)

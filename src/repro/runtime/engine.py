@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import Heartbeat, RunLedger, get_metrics, get_tracer, span
 from repro.runtime.cache import MISS, ResultCache
@@ -118,7 +118,6 @@ class SweepRunner:
         cache: Optional[ResultCache] = None,
         journal_dir: Optional[PathLike] = None,
         heartbeat_interval: Optional[float] = None,
-        heartbeat_emit: Optional[Callable[[str], None]] = None,
         ledger: Optional["RunLedger"] = None,
         fusion_width: int = DEFAULT_FUSION_WIDTH,
     ) -> None:
@@ -126,7 +125,6 @@ class SweepRunner:
         self.cache = cache
         self.journal_dir = journal_dir
         self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_emit = heartbeat_emit
         self.ledger = ledger
         self.fusion_width = fusion_width
 
@@ -160,7 +158,6 @@ class SweepRunner:
                 total_jobs=len(selected),
                 interval_s=self.heartbeat_interval,
                 label=sweep.name,
-                emit=self.heartbeat_emit,
             )
 
         def pulse() -> None:

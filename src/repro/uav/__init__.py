@@ -15,7 +15,7 @@ time, flight energy and ultimately the number of missions per battery charge.
 from repro.uav.platform import UavPlatform, CRAZYFLIE, DJI_TELLO, get_platform
 from repro.uav.dynamics import UavDynamics
 from repro.uav.flight import FlightModel, FlightOutcome, FlightOutcomeBatch, detour_factor
-from repro.uav.battery import Battery, missions_per_charge
+from repro.uav.battery import missions_per_charge
 
 __all__ = [
     "UavPlatform",
@@ -27,6 +27,5 @@ __all__ = [
     "FlightOutcome",
     "FlightOutcomeBatch",
     "detour_factor",
-    "Battery",
     "missions_per_charge",
 ]

@@ -12,13 +12,12 @@ battery and 53.19 J missions give the paper's 55.35 missions at 1 V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.uav.platform import ArrayLike, UavPlatform, _scalar_or_array
+from repro.uav.platform import ArrayLike, _scalar_or_array
 
 
 def missions_per_charge(
@@ -40,51 +39,3 @@ def missions_per_charge(
     if np.any(energy <= 0):
         raise ConfigurationError(f"flight energy must be positive, got {flight_energy_j}")
     return _scalar_or_array(success * capacity / energy)
-
-
-@dataclass
-class Battery:
-    """A battery with a usable energy budget that can be drawn down."""
-
-    capacity_j: float
-    remaining_j: float = -1.0
-
-    def __post_init__(self) -> None:
-        if self.capacity_j <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {self.capacity_j}")
-        if self.remaining_j < 0:
-            self.remaining_j = self.capacity_j
-        if self.remaining_j > self.capacity_j:
-            raise ConfigurationError("remaining energy cannot exceed capacity")
-
-    @classmethod
-    def for_platform(cls, platform: UavPlatform) -> "Battery":
-        return cls(capacity_j=platform.battery_capacity_j)
-
-    @property
-    def state_of_charge(self) -> float:
-        return self.remaining_j / self.capacity_j
-
-    def can_fly(self, flight_energy_j: float) -> bool:
-        return self.remaining_j >= flight_energy_j
-
-    def draw(self, energy_j: float) -> float:
-        """Consume ``energy_j`` joules; returns the remaining energy.
-
-        Raises :class:`ConfigurationError` if more energy is requested than remains.
-        """
-        if energy_j < 0:
-            raise ConfigurationError(f"energy draw must be non-negative, got {energy_j}")
-        if energy_j > self.remaining_j:
-            raise ConfigurationError(
-                f"battery has {self.remaining_j:.1f} J left but {energy_j:.1f} J was requested"
-            )
-        self.remaining_j -= energy_j
-        return self.remaining_j
-
-    def recharge(self) -> None:
-        self.remaining_j = self.capacity_j
-
-    def missions_possible(self, success_rate: float, flight_energy_j: float) -> float:
-        """Missions completable starting from the current state of charge."""
-        return missions_per_charge(success_rate, self.remaining_j, flight_energy_j)

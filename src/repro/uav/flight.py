@@ -8,8 +8,8 @@ Roughly 95 % of the energy is consumed by the rotors, whose power follows the
 induced-power law P ∝ m^1.5; the rest is the onboard processor.
 
 The calibration constants (velocity efficiency 0.756, 2.72 s overhead, detour
-polynomial) reproduce the flight-time and flight-distance columns of Table II;
-see DESIGN.md.
+polynomial) reproduce the flight-time and flight-distance columns of the
+paper's Table II.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ The paper evaluates two vehicles:
   smaller (but still positive) flight-energy saving than on the Crazyflie.
 
 Thrust and rotor-power coefficients are calibrated from the payload/
-acceleration/velocity/energy points printed in Fig. 1, Fig. 6 and Table II
-(see DESIGN.md, "Calibration constants").
+acceleration/velocity/energy points printed in Fig. 1, Fig. 6 and Table II.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class UavPlatform:
         The model splits rotor power into a mass-independent profile/ESC term
         and an induced-power term scaling with m^1.5; the split is calibrated
         from the flight-power figures the paper reports at different heatsink
-        payloads (see DESIGN.md).
+        payloads.
         """
         mass_kg = np.asarray(self.total_mass_kg(payload_g))
         return _scalar_or_array(

@@ -2,7 +2,8 @@
 
 The paper's evaluation is a set of tables and figure series; :class:`Table`
 captures rows of heterogeneous values, prints them in the same row/column
-structure the paper reports, and serialises to JSON for EXPERIMENTS.md.
+structure the paper reports, and serialises to JSON (the ``--output`` file of
+``repro-runtime run``).
 """
 
 from __future__ import annotations

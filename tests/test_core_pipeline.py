@@ -7,13 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.calibrated import AutonomyScheme, CalibratedRobustnessModel
 from repro.core.metrics import OperatingPoint, percent_change
 from repro.core.pipeline import MissionPipeline, PipelineConfig
-from repro.core.scenarios import (
-    BIT_ERROR_LEVELS_PERCENT,
-    Scenario,
-    get_scenario,
-    iterate_scenarios,
-    scenario_count,
-)
+from repro.core.scenarios import BIT_ERROR_LEVELS_PERCENT, iterate_scenarios, scenario_count
 from repro.envs.obstacles import ObstacleDensity
 from repro.errors import ConfigurationError
 from repro.uav.platform import CRAZYFLIE, DJI_TELLO
@@ -268,14 +262,7 @@ class TestScenarios:
         names = [s.name for s in iterate_scenarios()]
         assert len(set(names)) == 72
 
-    def test_get_scenario_bounds(self):
-        assert isinstance(get_scenario(0), Scenario)
-        with pytest.raises(ConfigurationError):
-            get_scenario(72)
-
-    def test_scenario_pipeline_and_navigation_config(self):
-        scenario = get_scenario(5)
+    def test_scenario_pipeline(self):
+        scenario = list(iterate_scenarios())[5]
         pipeline = scenario.pipeline()
         assert pipeline.config.platform is scenario.platform
-        nav = scenario.navigation_config()
-        assert nav.density == scenario.density

@@ -18,7 +18,6 @@ from repro.experiments.fig7 import (
     generate_fig7_tello_voltage_sweep,
 )
 from repro.experiments.profiles import FAST_PROFILE, PAPER_PROFILE
-from repro.experiments.reporting import render_report, save_tables
 from repro.experiments.table1 import generate_table1_robustness
 from repro.experiments.table2 import TABLE_II_VOLTAGES, generate_table2_system_efficiency
 from repro.experiments.table3 import generate_table3_profiled_chips, measure_table3_on_chips
@@ -267,13 +266,3 @@ class TestProfilesAndReporting:
         nav = FAST_PROFILE.navigation_for_density(ObstacleDensity.DENSE)
         assert nav.density == ObstacleDensity.DENSE
         assert nav.world_size == FAST_PROFILE.navigation.world_size
-
-    def test_render_report_contains_titles(self):
-        tables = [generate_table1_robustness(), generate_fig2_voltage_ber_energy([0.7, 0.8])]
-        report = render_report(tables)
-        assert "Table I" in report and "Fig. 2" in report
-
-    def test_save_tables_writes_json(self, tmp_path):
-        paths = save_tables({"table1": generate_table1_robustness()}, tmp_path)
-        assert len(paths) == 1
-        assert paths[0].exists()

@@ -37,7 +37,7 @@ from repro.nn.backend import (
     resolve_backend,
     set_default_backend,
 )
-from repro.nn.layers import Conv2d, Flatten, LeakyReLU, Linear, MaxPool2d, Parameter, ReLU
+from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, Parameter, ReLU
 from repro.nn.loss import HuberLoss, MSELoss
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD, Adam, RMSProp
@@ -151,14 +151,6 @@ class TestNumpyLayerParity:
         assert np.array_equal(layer.forward(x), np.where(x > 0.0, x, 0.0))
         g = rng.normal(size=(4, 6))
         assert np.array_equal(layer.backward(g), np.where(x > 0.0, g, 0.0))
-
-    def test_leaky_relu_bitwise(self):
-        rng = _rng(3)
-        layer = LeakyReLU(0.1, backend="numpy")
-        x = rng.normal(size=(4, 6))
-        assert np.array_equal(layer.forward(x), np.where(x > 0.0, x, x * 0.1))
-        g = rng.normal(size=(4, 6))
-        assert np.array_equal(layer.backward(g), np.where(x > 0.0, g, g * 0.1))
 
     def test_flatten_bitwise(self):
         rng = _rng(4)
@@ -464,11 +456,10 @@ class TestTorchParity:
             lambda b: Conv2d(2, 4, kernel_size=3, stride=1, padding=1, rng=_rng(22), backend=b),
             lambda b: Conv2d(1, 2, kernel_size=2, stride=2, rng=_rng(23), backend=b),
             lambda b: ReLU(backend=b),
-            lambda b: LeakyReLU(0.1, backend=b),
             lambda b: Flatten(backend=b),
             lambda b: MaxPool2d(2, backend=b),
         ],
-        ids=["linear", "conv", "conv-strided", "relu", "leaky-relu", "flatten", "maxpool"],
+        ids=["linear", "conv", "conv-strided", "relu", "flatten", "maxpool"],
     )
     def test_layer_forward_backward_parity(self, factory):
         torch_backend = get_backend("torch")

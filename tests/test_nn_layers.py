@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.layers import Conv2d, Flatten, LeakyReLU, Linear, MaxPool2d, Parameter, ReLU
+from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, Parameter, ReLU
 
 
 def numerical_gradient(function, array, epsilon=1e-6):
@@ -141,16 +141,6 @@ class TestActivations:
         assert np.allclose(out, [[0.0, 0.5], [2.0, 0.0]])
         grad = layer.backward(np.ones_like(x))
         assert np.allclose(grad, [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_leaky_relu_negative_slope(self):
-        layer = LeakyReLU(0.1)
-        x = np.array([[-2.0, 4.0]])
-        assert np.allclose(layer.forward(x), [[-0.2, 4.0]])
-        assert np.allclose(layer.backward(np.ones_like(x)), [[0.1, 1.0]])
-
-    def test_leaky_relu_invalid_slope(self):
-        with pytest.raises(ConfigurationError):
-            LeakyReLU(-0.1)
 
     def test_activation_shape_preserved(self):
         assert ReLU().output_shape((3, 4, 5)) == (3, 4, 5)

@@ -1,16 +1,13 @@
-"""Tests for the cross-run telemetry layer: run ledger, OpenMetrics, obs CLI.
+"""Tests for the cross-run telemetry layer: run ledger and obs CLI.
 
 The acceptance spine: two consecutive CLI runs of the same sweep land two
 ledger records with identical spec hashes and comparable fingerprints;
 ``obs history`` renders the metric series, ``obs diff`` per-metric deltas,
 and ``obs check --fail-on-regression`` exits non-zero on a synthetically
-injected 3x latency regression.  The OpenMetrics exposition parses under the
-(strict subset of the) OpenMetrics grammar and round-trips ``_count``/``_sum``
-exactly.
+injected 3x latency regression.
 """
 
 import json
-import math
 
 import pytest
 
@@ -24,10 +21,7 @@ from repro.obs import (
     disable_tracing,
     environment_fingerprint,
     metric_value,
-    openmetrics_to_snapshot,
-    parse_openmetrics,
     span_rollup,
-    to_openmetrics,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.store import (
@@ -301,10 +295,10 @@ class TestEngineLedgerIntegration:
 class TestObsCli:
     """The acceptance spine, end to end through ``main``."""
 
-    def _run_fig1(self, tmp_path, *extra):
+    def _run_fig1(self, tmp_path):
         return main(
             ["-q", "run", "fig1", "--no-cache", "--no-journal", "--format", "none",
-             "--ledger", str(tmp_path / "ledger.jsonl"), *extra]
+             "--ledger", str(tmp_path / "ledger.jsonl")]
         )
 
     def test_two_runs_one_series(self, tmp_path, capsys):
@@ -371,77 +365,3 @@ class TestObsCli:
         assert main(["obs", "history", "fig1",
                      "--ledger", str(tmp_path / "missing.jsonl")]) == 2
         assert "no run ledger" in capsys.readouterr().err
-
-    def test_prom_file_export_parses_and_roundtrips(self, tmp_path, capsys):
-        prom = tmp_path / "metrics.prom"
-        assert self._run_fig1(tmp_path, "--prom-file", str(prom)) == 0
-        text = prom.read_text()
-        families = parse_openmetrics(text)  # raises on grammar violations
-        assert "engine_job_duration_s" in families
-        snapshot = openmetrics_to_snapshot(text)
-        assert snapshot["counters"]["engine_jobs_executed"] == 1.0
-        ledger_snapshot = RunLedger(tmp_path / "ledger.jsonl").records()[0].metrics
-        original = ledger_snapshot["histograms"]["engine.job_duration_s"]
-        recovered = snapshot["histograms"]["engine_job_duration_s"]
-        # _count/_sum round-trip exactly (acceptance criterion).
-        assert recovered["count"] == original["count"]
-        assert recovered["sum"] == original["sum"]
-
-
-class TestOpenMetrics:
-    def _snapshot(self):
-        registry = MetricsRegistry()
-        registry.counter("env.steps").inc(1234)
-        registry.gauge("train.epsilon").set(0.0625)
-        for v in (1e-7, 0.02, 0.02, 0.4, 7.0, 2e10):
-            registry.histogram("engine.job_duration_s").observe(v)
-        return registry.snapshot()
-
-    def test_exposition_parses_under_the_grammar(self):
-        families = parse_openmetrics(to_openmetrics(self._snapshot()))
-        assert families["env_steps"]["type"] == "counter"
-        assert families["train_epsilon"]["type"] == "gauge"
-        assert families["engine_job_duration_s"]["type"] == "histogram"
-
-    def test_count_and_sum_roundtrip_exactly(self):
-        snapshot = self._snapshot()
-        recovered = openmetrics_to_snapshot(to_openmetrics(snapshot))
-        original = snapshot["histograms"]["engine.job_duration_s"]
-        assert recovered["histograms"]["engine_job_duration_s"]["count"] == original["count"]
-        assert recovered["histograms"]["engine_job_duration_s"]["sum"] == original["sum"]
-        assert recovered["counters"]["env_steps"] == 1234.0
-        assert recovered["gauges"]["train_epsilon"] == 0.0625
-
-    def test_buckets_are_cumulative_and_inf_equals_count(self):
-        text = to_openmetrics(self._snapshot())
-        samples = parse_openmetrics(text)["engine_job_duration_s"]["samples"]
-        buckets = [(float(labels["le"]), value)
-                   for name, labels, value in samples if name.endswith("_bucket")]
-        counts = [value for name, _, value in samples
-                  if name == "engine_job_duration_s_count"]
-        values = [value for _, value in buckets]
-        assert values == sorted(values)  # cumulative
-        assert math.isinf(buckets[-1][0])
-        assert buckets[-1][1] == counts[0] == 6
-        # The 2e10 observation lives only in the +Inf bucket (overflow bin).
-        assert buckets[-2][1] == 5
-
-    def test_eof_is_mandatory_and_malformed_inputs_raise(self):
-        text = to_openmetrics(self._snapshot())
-        assert text.endswith("# EOF\n")
-        with pytest.raises(ValueError):
-            parse_openmetrics(text.replace("# EOF\n", ""))
-        with pytest.raises(ValueError):
-            parse_openmetrics("orphan_sample 1\n# EOF\n")
-        with pytest.raises(ValueError):  # +Inf bucket disagreeing with _count
-            parse_openmetrics(
-                "# TYPE h histogram\n"
-                'h_bucket{le="+Inf"} 2\n'
-                "h_count 3\nh_sum 1.0\n# EOF\n"
-            )
-
-    def test_names_are_sanitised_to_the_prometheus_charset(self):
-        registry = MetricsRegistry()
-        registry.counter("train.backend.torch.cpu.gradient_steps").inc(2)
-        text = to_openmetrics(registry.snapshot())
-        assert "train_backend_torch_cpu_gradient_steps_total 2.0" in text

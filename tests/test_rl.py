@@ -15,7 +15,7 @@ from repro.rl.evaluation import (
     robustness_curve,
 )
 from repro.rl.replay_buffer import ReplayBuffer, Transition
-from repro.rl.schedules import ConstantSchedule, ExponentialDecay, LinearDecay
+from repro.rl.schedules import ConstantSchedule, LinearDecay
 
 
 class TestReplayBuffer:
@@ -166,17 +166,9 @@ class TestSchedules:
         assert schedule(50) == pytest.approx(0.55)
         assert schedule(100) == schedule(500) == pytest.approx(0.1)
 
-    def test_exponential_decay_monotone(self):
-        schedule = ExponentialDecay(start=1.0, end=0.05, decay_steps=100)
-        values = [schedule(step) for step in range(0, 1000, 50)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        assert values[-1] >= 0.05
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             LinearDecay(start=1.5)
-        with pytest.raises(ConfigurationError):
-            ExponentialDecay(decay_steps=0)
         with pytest.raises(ConfigurationError):
             ConstantSchedule(2.0)
         with pytest.raises(ConfigurationError):
@@ -186,7 +178,6 @@ class TestSchedules:
         "schedule",
         [
             LinearDecay(start=1.0, end=0.05, decay_steps=100),
-            ExponentialDecay(start=0.9, end=0.1, decay_steps=80),
             ConstantSchedule(0.3),
         ],
     )
@@ -408,6 +399,28 @@ class TestEvaluation:
             evaluate_under_faults(
                 small_env, network, ber_percent=1.0, num_fault_maps=3, episodes_per_map=0
             )
+
+    @pytest.mark.parametrize(
+        "maps",
+        [{"num_fault_maps": 0}, {"num_fault_maps": -2}, {"fault_maps": []}],
+        ids=["zero-maps", "negative-maps", "empty-map-list"],
+    )
+    def test_evaluate_under_faults_rejects_fewer_than_one_fault_map(
+        self, small_env, monkeypatch, maps
+    ):
+        """A configuration error, raised before the injector is built or any
+        generator is spawned."""
+        import repro.rl.evaluation as evaluation
+        from repro.nn.policies import build_policy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluation started before the map count was checked")
+
+        monkeypatch.setattr(evaluation.BitErrorInjector, "for_network", refuse)
+        monkeypatch.setattr(evaluation, "spawn_generators", refuse)
+        network = build_policy(mlp((16,)), small_env.observation_space.shape, small_env.action_space.n, rng=0)
+        with pytest.raises(ConfigurationError):
+            evaluate_under_faults(small_env, network, ber_percent=1.0, **maps)
 
     def test_one_episode_evaluation_leaves_env_untouched(self, small_env):
         """A one-episode evaluation flies on its own lane like any other, so

@@ -1,5 +1,6 @@
 """Tests for the runtime's declarative job specs and spec factories."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -7,9 +8,7 @@ import pytest
 from repro.core.scenarios import (
     DEFAULT_SCENARIO_VOLTAGES,
     Scenario,
-    get_scenario,
     iterate_scenarios,
-    scenario_by_name,
     scenario_count,
     scenario_sweep_spec,
 )
@@ -77,31 +76,9 @@ class TestSweepSpec:
             sweep.shard_indices(0, 0)
 
 
-class TestScenarioIndexing:
-    def test_arithmetic_indexing_matches_enumeration_order(self):
-        for index, expected in enumerate(iterate_scenarios()):
-            assert get_scenario(index) == expected
-
-    def test_index_bounds(self):
-        with pytest.raises(ConfigurationError):
-            get_scenario(-1)
-        with pytest.raises(ConfigurationError):
-            get_scenario(scenario_count())
-
-    def test_scenario_by_name_roundtrip(self):
-        for scenario in iterate_scenarios():
-            assert scenario_by_name(scenario.name) == scenario
-
-    def test_scenario_by_name_rejects_malformed(self):
-        for bad in ("nope", "sparse/crazyflie/C3F2", "sparse/crazyflie/C3F2/p=x%",
-                    "sparse/crazyflie/C9F9/p=0.1%", "swamp/crazyflie/C3F2/p=0.1%"):
-            with pytest.raises(ConfigurationError):
-                scenario_by_name(bad)
-
-
 class TestScenarioSpecFactories:
     def test_job_spec_is_declarative(self):
-        scenario = get_scenario(10)
+        scenario = list(iterate_scenarios())[10]
         spec = scenario.job_spec()
         assert spec.kind == "scenario.evaluate"
         assert spec.params["scenario"] == scenario.name
@@ -113,8 +90,9 @@ class TestScenarioSpecFactories:
         assert len({job.spec_hash for job in sweep.jobs}) == scenario_count()
 
     def test_scenario_job_executes(self):
-        result = run_job(get_scenario(0).job_spec())
-        assert result["scenario"] == get_scenario(0).name
+        scenario = next(iterate_scenarios())
+        result = run_job(scenario.job_spec())
+        assert result["scenario"] == scenario.name
         assert 0.0 < result["berry_success_pct"] <= 100.0
         assert result["berry_success_pct"] >= result["classical_success_pct"]
 
@@ -133,9 +111,11 @@ class TestScenarioSpecFactories:
         )
         spec = custom.job_spec()
         assert spec.params["compute_power_multiplier"] == 2.0
-        # The same *name* maps to the canonical multiplier 1.0 — the specs and
-        # their results must still be distinguishable.
-        canonical_spec = scenario_by_name(custom.name).job_spec()
+        # The canonical scenario of the same *name* has multiplier 1.0 — the
+        # specs and their results must still be distinguishable.
+        canonical_scenario = dataclasses.replace(custom, compute_power_multiplier=1.0)
+        assert canonical_scenario.name == custom.name
+        canonical_spec = canonical_scenario.job_spec()
         assert spec.spec_hash != canonical_spec.spec_hash
         result, canonical = run_job(spec), run_job(canonical_spec)
         assert result["flight_energy_j"] != canonical["flight_energy_j"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.uav.battery import Battery, missions_per_charge
+from repro.uav.battery import missions_per_charge
 from repro.uav.dynamics import GRAVITY_M_S2, UavDynamics
 from repro.uav.flight import FlightModel, detour_factor
 from repro.uav.platform import CRAZYFLIE, DJI_TELLO, UavPlatform, get_platform
@@ -179,26 +179,3 @@ class TestBattery:
             missions_per_charge(0.5, 0.0, 50.0)
         with pytest.raises(ConfigurationError):
             missions_per_charge(0.5, 3330.0, 0.0)
-
-    def test_battery_draw_and_recharge(self):
-        battery = Battery.for_platform(CRAZYFLIE)
-        battery.draw(1000.0)
-        assert battery.state_of_charge == pytest.approx(1.0 - 1000.0 / 3330.0)
-        battery.recharge()
-        assert battery.state_of_charge == 1.0
-
-    def test_overdraw_rejected(self):
-        battery = Battery(capacity_j=100.0)
-        with pytest.raises(ConfigurationError):
-            battery.draw(101.0)
-
-    def test_can_fly(self):
-        battery = Battery(capacity_j=100.0)
-        assert battery.can_fly(99.0)
-        battery.draw(50.0)
-        assert not battery.can_fly(60.0)
-
-    def test_missions_possible_uses_remaining_energy(self):
-        battery = Battery(capacity_j=100.0)
-        battery.draw(50.0)
-        assert battery.missions_possible(1.0, 10.0) == pytest.approx(5.0)

@@ -482,11 +482,6 @@ class TestGeneralizedScenario:
         assert result["berry_success_pct"] >= result["classical_success_pct"]
         assert result["path_stretch"] >= 1.0
 
-    def test_environment_factory(self):
-        env = self.scenario().environment(rng=0)
-        observation = env.reset(seed=0)
-        assert observation.shape == env.observation_space.shape
-
     def test_job_results_are_reproducible(self):
         spec = self.scenario().job_spec()
         assert run_job(spec) == run_job(spec)
