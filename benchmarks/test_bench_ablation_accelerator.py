@@ -6,8 +6,6 @@ and C5F4 policies (Fig. 7's compute-power ratios ultimately come from this)
 and between output-stationary and weight-stationary dataflows.
 """
 
-import pytest
-
 from repro.hardware.accelerator import AcceleratorModel
 from repro.hardware.systolic import SystolicArrayConfig
 from repro.nn.policies import build_policy, c3f2, c5f4

@@ -39,7 +39,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.engine import SweepRunner
 from repro.runtime.journal import Journal
 from repro.runtime.pool import WarmPoolExecutor, shutdown_pool
-from repro.utils.warmcache import clear_warm_caches, hit_rate
+from repro.utils.warmcache import clear_warm_caches
 
 #: The fusable axis: eight BER levels over one trained world = width 8.
 FUSION_BER_LEVELS = (0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)

@@ -11,9 +11,11 @@ on the batched path at B = 64, from the best serial and the best batched
 time over three interleaved (serial, batched) pairs (the root conftest's
 ``time_pairs``).  The fault-protocol group measures the paper's
 many-fault-maps evaluation: ``evaluate_under_faults`` (quantize once, fly
-each map's missions on the batched core) against the serial per-map loop it
-must reproduce (corrupt the codes under each map, then one ``run_episode``
-per mission).
+a wave of maps' missions in one lockstep rollout) against the serial
+per-map loop it must reproduce (corrupt the codes under each map, then one
+``run_episode`` per mission).  ``test_fault_protocol_speedup`` gates the
+merged rollout at >= 4x over the per-map batched loop it replaced (the root
+conftest's ``per_map_fault_protocol``) at 64 maps x 1 episode.
 """
 
 from dataclasses import replace
@@ -64,7 +66,7 @@ def _run_serial(env, policy):
 
 
 def _run_batched(env, policy):
-    return run_batched_episodes(env, policy, NUM_EPISODES, reset_seed=RESET_SEED)
+    return run_batched_episodes(env, policy, range(RESET_SEED, RESET_SEED + NUM_EPISODES))
 
 
 #: Interleaved (serial, batched) pairs timed by the speed-up gates.
@@ -254,3 +256,44 @@ def test_bench_fault_protocol_batched(benchmark, fault_setup):
     assert 0.0 < point.success_rate < 1.0
     assert point.per_map_success_rates == per_map_success
     assert point.mean_path_length_m == mean_path
+
+
+#: Maps of the merged-rollout gate, one episode each: the paper's protocol
+#: shape (500 maps x 1 episode) at a tier-1 size.
+SPEEDUP_MAPS = 64
+
+
+def test_fault_protocol_speedup(time_pairs, per_map_fault_protocol):
+    """Acceptance gate: >= 4x for ``evaluate_under_faults`` at 64 maps x 1
+    episode over the per-map loop (each map on its own one-lane rollout), on
+    an untrained FAST MLP, with equal results."""
+    config = FAST_PROFILE.navigation_for_density(ObstacleDensity.MEDIUM)
+    env = NavigationEnv(config, rng=7)
+    network = build_policy(
+        FAST_PROFILE.policy_spec, env.observation_space.shape, env.action_space.n, rng=0
+    )
+
+    def merged():
+        return evaluate_under_faults(
+            env,
+            network,
+            ber_percent=FAULT_BER_PERCENT,
+            num_fault_maps=SPEEDUP_MAPS,
+            episodes_per_map=1,
+            rng=0,
+        )
+
+    def per_map():
+        return per_map_fault_protocol(
+            env, network, FAULT_BER_PERCENT, SPEEDUP_MAPS, 1, rng=0
+        )
+
+    # Float reprs round-trip exactly, and NaN (no successful mission) equals NaN.
+    assert repr(merged()) == repr(per_map())
+    per_map_s, merged_s = time_pairs(lambda: per_map, lambda: merged, SPEEDUP_PAIRS)
+    speedup = per_map_s / merged_s
+    print(
+        f"\n{SPEEDUP_MAPS} maps x 1 episode: per-map {per_map_s * 1e3:.1f} ms, "
+        f"merged {merged_s * 1e3:.1f} ms, speedup {speedup:.1f}x"
+    )
+    assert speedup >= 4.0

@@ -78,6 +78,70 @@ def per_tensor_berr():
 
 
 @pytest.fixture(scope="session")
+def per_map_fault_protocol():
+    """The per-map fault-map protocol the merged rollout must reproduce.
+
+    ``evaluate(env, network, ber_percent, num_fault_maps, episodes_per_map,
+    rng=0)`` draws the maps of ``evaluate_under_faults`` (one ``map_rng`` /
+    ``episode_rng`` split, the maps first), then flies one map at a time:
+    corrupt the quantized codes under the map into a clone, draw the map's
+    reset base, and fly its episodes through ``run_batched_episodes`` on
+    ``min(episodes_per_map, 64)`` lanes of their own.  Returns the
+    ``RobustnessPoint`` that ``evaluate_under_faults`` must equal field for
+    field.
+    """
+    import math
+
+    import numpy as np
+
+    from repro.envs.batch import BatchedNavigationEnv, DEFAULT_BATCH_SIZE, run_batched_episodes
+    from repro.envs.vector import mean_path_length, success_rate
+    from repro.faults.fault_map import FaultMap
+    from repro.faults.injection import BitErrorInjector
+    from repro.rl.evaluation import GreedyPolicy, RobustnessPoint
+    from repro.utils.rng import spawn_generators
+
+    def evaluate(env, network, ber_percent, num_fault_maps, episodes_per_map, rng=0):
+        injector = BitErrorInjector.for_network(network)
+        map_rng, episode_rng = spawn_generators(rng, 2)
+        maps = [
+            FaultMap.random(
+                injector.memory_bits,
+                ber_percent / 100.0,
+                rng=map_rng,
+                stuck_at_1_bias=0.5,
+                label=f"eval-map-{index}",
+            )
+            for index in range(num_fault_maps)
+        ]
+        quantized = injector.quantize_state(network.state_dict())
+        deployed = network.clone()
+        policy = GreedyPolicy(deployed)
+        batch_env = BatchedNavigationEnv(env, min(episodes_per_map, DEFAULT_BATCH_SIZE))
+        per_map_success, per_map_paths = [], []
+        for fault_map in maps:
+            deployed.load_state_dict(injector.perturb_quantized_state(quantized, fault_map))
+            reset_base = int(episode_rng.integers(0, 2**31 - 1 - episodes_per_map))
+            results = run_batched_episodes(
+                batch_env, policy, range(reset_base, reset_base + episodes_per_map)
+            )
+            per_map_success.append(success_rate(results))
+            per_map_paths.append(mean_path_length(results))
+        paths = [path for path in per_map_paths if not math.isnan(path)]
+        return RobustnessPoint(
+            ber_percent=ber_percent,
+            num_fault_maps=num_fault_maps,
+            episodes_per_map=episodes_per_map,
+            success_rate=float(np.mean(per_map_success)),
+            success_rate_std=float(np.std(per_map_success)),
+            mean_path_length_m=float(np.mean(paths)) if paths else float("nan"),
+            per_map_success_rates=tuple(per_map_success),
+        )
+
+    return evaluate
+
+
+@pytest.fixture(scope="session")
 def dict_bucket_candidates():
     """The dict-bucket conflict prescreen the sort-based hash must reproduce.
 

@@ -16,7 +16,7 @@ matching the paper's axes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np

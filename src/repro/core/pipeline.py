@@ -21,7 +21,7 @@ from policies trained in this repository's environments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.calibrated import AutonomyScheme, CalibratedRobustnessModel
 from repro.core.metrics import OperatingPoint
@@ -31,7 +31,6 @@ from repro.faults.ber_model import DEFAULT_BER_MODEL, VoltageBerModel
 from repro.hardware.dvfs import DEFAULT_VOLTAGE_SCALING, VoltageScaling
 from repro.hardware.thermal import HeatsinkModel
 from repro.uav.battery import missions_per_charge
-from repro.uav.dynamics import UavDynamics
 from repro.uav.flight import FlightModel
 from repro.uav.platform import CRAZYFLIE, UavPlatform
 

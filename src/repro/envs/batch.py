@@ -34,6 +34,11 @@ returns one row per running lane.  Finished lanes keep their terminal
 statistics until :meth:`~BatchedNavigationEnv.reset_lanes` reseeds them,
 which is how :class:`LaneEpisodeFeed` streams an arbitrary number of
 episodes through a fixed number of lanes.
+
+:func:`run_batched_episodes` takes one reset seed per episode, so the
+episodes of one rollout need not share a seed base: the fault-map protocol
+(:func:`~repro.rl.evaluation.evaluate_under_faults`) flies the episodes of
+many maps, each with its own base, as one wave of lanes.
 """
 
 from __future__ import annotations
@@ -363,10 +368,10 @@ class LaneEpisodeFeed:
     at construction, keeps each lane's current observation and return, and
     :meth:`advance` restarts a lane whose episode ended on the next pending
     episode, so every step stays a full-width batch until the pool drains.
-    With ``reset_seed`` set, episode ``i`` resets its lane with
-    ``reset_seed + i`` (evaluation rollouts); when it is ``None``, each reset
-    continues the lane's own RNG stream exactly like ``NavigationEnv.reset()``
-    without a seed — the training semantics.
+    With ``reset_seeds`` set (one seed per episode), episode ``i`` resets its
+    lane with ``reset_seeds[i]`` (evaluation rollouts); when it is ``None``,
+    each reset continues the lane's own RNG stream exactly like
+    ``NavigationEnv.reset()`` without a seed — the training semantics.
 
     Its callers only choose actions: :func:`run_batched_episodes` (greedy
     evaluation, where lanes drain at the tail) and the training collector
@@ -377,15 +382,19 @@ class LaneEpisodeFeed:
         self,
         env: BatchedNavigationEnv,
         num_episodes: int,
-        reset_seed: Optional[int] = None,
+        reset_seeds: Optional[Sequence[int]] = None,
     ) -> None:
         if num_episodes < 0:
             raise ConfigurationError(
                 f"num_episodes must be non-negative, got {num_episodes}"
             )
+        if reset_seeds is not None and len(reset_seeds) != num_episodes:
+            raise ConfigurationError(
+                f"got {len(reset_seeds)} reset seeds for {num_episodes} episodes"
+            )
         self.env = env
         self.num_episodes = int(num_episodes)
-        self._reset_seed = reset_seed
+        self._reset_seeds = reset_seeds
         #: Episode index currently running on each lane; -1 marks an idle lane.
         self.lane_episode = np.full(env.batch_size, -1, dtype=np.int64)
         #: Each lane's current observation (the one its next action acts on).
@@ -413,7 +422,7 @@ class LaneEpisodeFeed:
         self.lane_episode[lanes[count:]] = -1
         if count:
             seeds = [
-                None if self._reset_seed is None else self._reset_seed + episode
+                None if self._reset_seeds is None else int(self._reset_seeds[episode])
                 for episode in episodes
             ]
             self.observations[started] = self.env.reset_lanes(started, seeds)
@@ -459,24 +468,27 @@ class LaneEpisodeFeed:
 def run_batched_episodes(
     env: BatchedNavigationEnv,
     policy: BatchPolicy,
-    num_episodes: int,
-    reset_seed: int,
+    reset_seeds: Sequence[int],
 ) -> List[EpisodeResult]:
-    """Fly ``num_episodes`` greedy episodes through the batch's lanes in lockstep.
+    """Fly one greedy episode per reset seed through the batch's lanes in lockstep.
 
-    Episode ``i`` resets its lane with ``reset_seed + i``, and a lane that
+    Episode ``i`` resets its lane with ``reset_seeds[i]``, and a lane that
     finishes is immediately refilled with the next pending episode, so every
-    policy forward stays a full-width batch until the tail.  Results come
-    back in episode order and reproduce the serial
+    policy forward stays a full-width batch until the tail.  The policy gets
+    the episode index of each observation row beside the matrix.  Results
+    come back in episode order and reproduce the serial
     :func:`~repro.envs.vector.run_episode` loop bitwise.
     """
+    num_episodes = len(reset_seeds)
     results: List[Optional[EpisodeResult]] = [None] * num_episodes
-    feed = LaneEpisodeFeed(env, num_episodes, reset_seed=reset_seed)
+    feed = LaneEpisodeFeed(env, num_episodes, reset_seeds=reset_seeds)
     while True:
         active = feed.active_lanes
         if active.size == 0:
             break
-        actions = np.asarray(policy(feed.observations[active]), dtype=np.int64).reshape(-1)
+        actions = np.asarray(
+            policy(feed.observations[active], feed.lane_episode[active]), dtype=np.int64
+        ).reshape(-1)
         if actions.shape != (active.size,):
             raise ConfigurationError(
                 f"batch policy returned {actions.shape} actions for {active.size} observations"

@@ -6,12 +6,15 @@ through an episode and collect the quantities the paper reports: success,
 collision, episode length and flown path length.
 
 Every policy speaks one protocol, :data:`BatchPolicy`: a callable mapping an
-``(N, *obs_shape)`` observation matrix to an ``(N,)`` integer action vector
-(see :class:`~repro.rl.evaluation.GreedyPolicy`).  Many episodes run on the
-lockstep batched core, :func:`~repro.envs.batch.run_batched_episodes`;
+``(N, *obs_shape)`` observation matrix and the ``(N,)`` episode index of each
+row to an ``(N,)`` integer action vector.  The episode index lets one policy
+fly several networks in one rollout
+(:class:`~repro.rl.evaluation.PerMapGreedyPolicy`, one per fault map);
+:class:`~repro.rl.evaluation.GreedyPolicy` ignores it.  Many episodes run on
+the lockstep batched core, :func:`~repro.envs.batch.run_batched_episodes`;
 :func:`run_episode` flies one greedy episode on the serial environment,
-feeding the policy one-row matrices, and is the reference the batched core
-reproduces bitwise.
+feeding the policy one-row matrices as episode 0, and is the reference the
+batched core reproduces bitwise.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import numpy as np
 
 from repro.envs.navigation import NavigationEnv
 
-#: Observation matrix (N, *obs_shape) -> integer actions (N,).
-BatchPolicy = Callable[[np.ndarray], np.ndarray]
+#: (observation matrix (N, *obs_shape), each row's episode index (N,)) ->
+#: integer actions (N,).
+BatchPolicy = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -47,14 +51,14 @@ def run_episode(
     policy: BatchPolicy,
     reset_seed: Optional[int] = None,
 ) -> EpisodeResult:
-    """Run one greedy episode on the serial environment."""
+    """Run one greedy episode on the serial environment (episode index 0)."""
     observation = env.reset(seed=reset_seed)
     total_reward = 0.0
     steps = 0
     success = False
     collision = False
     while True:
-        action = int(policy(observation[np.newaxis])[0])
+        action = int(policy(observation[np.newaxis], np.zeros(1, dtype=np.int64))[0])
         result = env.step(action)
         observation = result.observation
         total_reward += result.reward

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.calibrated import AutonomyScheme, CalibratedRobustnessModel
+from repro.core.calibrated import AutonomyScheme
 from repro.core.pipeline import MissionPipeline, SuccessRateProvider
 from repro.faults.ber_model import DEFAULT_BER_MODEL
 from repro.utils.tables import Table

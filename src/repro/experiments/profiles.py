@@ -9,8 +9,7 @@ real policies, ``PAPER_PROFILE`` documents the full-scale settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Tuple
+from dataclasses import dataclass, replace
 
 from repro.envs.navigation import NavigationConfig
 from repro.envs.obstacles import ObstacleDensity

@@ -14,7 +14,7 @@ says otherwise; :mod:`repro.hardware.dvfs` owns the conversion to volts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np

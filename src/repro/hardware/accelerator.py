@@ -12,11 +12,11 @@ together into the numbers the system-level evaluation needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.hardware.dvfs import DEFAULT_VOLTAGE_SCALING, VoltageScaling
+from repro.hardware.dvfs import VoltageScaling
 from repro.hardware.energy import EnergyModel
 from repro.hardware.systolic import SystolicArrayConfig, SystolicArrayModel
 from repro.nn.network import Sequential

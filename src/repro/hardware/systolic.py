@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.network import Sequential

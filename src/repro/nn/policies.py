@@ -16,8 +16,8 @@ inside a unit test would be needlessly slow without changing any conclusion).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.nn.layers import BackendLike, Conv2d, Flatten, Linear, ReLU, _resolve_backend

@@ -4,15 +4,20 @@ The paper evaluates every operating point over many persistent fault maps
 (500 per point at full scale) and reports the average task success rate and
 path statistics.  :func:`evaluate_under_faults` reproduces that protocol on
 the lockstep batched rollout core: the clean policy parameters are quantized
-*once*, each fault map corrupts a per-map view of the stored integer codes,
-and the corrupted policy flies its mission batch with one
-``network.forward`` per lockstep step instead of one per observation.
-:func:`evaluate_policy` flies the error-free policy the same way.  Both fly
-on their own lanes over the caller's world; the caller's environment is
+*once*, each fault map corrupts a per-map view of the stored integer codes
+into a network of its own, and the maps fly together.  Map m owns a block
+of ``min(E, 64)`` lanes for its E missions, and a wave of
+``64 // min(E, 64)`` maps goes through one
+:func:`~repro.envs.batch.run_batched_episodes` rollout, whose policy
+(:class:`PerMapGreedyPolicy`) sends each map's rows through that map's own
+network, so every map's missions equal a rollout of that map alone.
+:func:`evaluate_policy` flies the error-free policy on the same core.  Both
+fly on their own lanes over the caller's world; the caller's environment is
 never stepped or reset.
 
 :class:`GreedyPolicy` is the :data:`~repro.envs.vector.BatchPolicy` over a
-Q-network: observation matrix -> action vector.
+Q-network: observation matrix -> action vector (it ignores the episode
+indices).
 """
 
 from __future__ import annotations
@@ -40,9 +45,32 @@ class GreedyPolicy:
     def __init__(self, network: Sequential) -> None:
         self.network = network
 
-    def __call__(self, observations: np.ndarray) -> np.ndarray:
+    def __call__(self, observations: np.ndarray, episodes: np.ndarray) -> np.ndarray:
         q_values = self.network.forward(np.asarray(observations, dtype=np.float64))
         return np.argmax(q_values, axis=1)
+
+
+class PerMapGreedyPolicy:
+    """Greedy actions of one network per fault map, flown in one rollout.
+
+    Row ``r`` acts through ``networks[episodes[r] // episodes_per_map]``.
+    Each map's rows go, in row order, through that map's own
+    :class:`GreedyPolicy`, so a map whose episodes own a block of lanes gets
+    the very forwards of a rollout of that map alone on those lanes.
+    """
+
+    def __init__(self, networks: Sequence[Sequential], episodes_per_map: int) -> None:
+        self.policies = [GreedyPolicy(network) for network in networks]
+        self.episodes_per_map = int(episodes_per_map)
+
+    def __call__(self, observations: np.ndarray, episodes: np.ndarray) -> np.ndarray:
+        episodes = np.asarray(episodes)
+        maps = episodes // self.episodes_per_map
+        actions = np.empty(maps.size, dtype=np.int64)
+        for index in np.unique(maps):
+            rows = np.flatnonzero(maps == index)
+            actions[rows] = self.policies[index](observations[rows], episodes[rows])
+        return actions
 
 
 @dataclass(frozen=True)
@@ -116,7 +144,7 @@ def evaluate_policy(
     reset_base = _episode_reset_base(as_generator(rng), num_episodes)
     batch_env = BatchedNavigationEnv(env, min(num_episodes, DEFAULT_BATCH_SIZE))
     results = run_batched_episodes(
-        batch_env, GreedyPolicy(network), num_episodes, reset_seed=reset_base
+        batch_env, GreedyPolicy(network), range(reset_base, reset_base + num_episodes)
     )
     return PolicyEvaluation.from_results(results)
 
@@ -135,10 +163,12 @@ def evaluate_under_faults(
 
     For each fault map, the (once-)quantized policy parameters are corrupted
     and the corrupted policy flies ``episodes_per_map`` missions on the
-    batched rollout core; success rates are averaged over maps, mirroring the
-    paper's 500-fault-map protocol.  ``fault_maps`` overrides the random-map
-    sampling (used for the profiled chips of Table III and for on-device
-    evaluation at a fixed map).  Per-map path lengths average successful
+    batched rollout core, beside the other maps of its wave; success rates
+    are averaged over maps, mirroring the paper's 500-fault-map protocol.
+    Each map's missions are those of a rollout of that map alone on
+    ``min(episodes_per_map, 64)`` lanes.  ``fault_maps`` overrides the
+    random-map sampling (used for the profiled chips of Table III and for
+    on-device evaluation at a fixed map).  Per-map path lengths average successful
     missions only; a map that loses every mission contributes no path sample
     (the aggregate is NaN only when *every* map lost every mission).
     """
@@ -166,20 +196,34 @@ def evaluate_under_faults(
     # The warm cache extends "once" across calls: fused BER levels and warm
     # pool re-runs evaluating the same trained policy reuse the same codes.
     quantized = injector.quantize_state_cached(network.state_dict())
-    deployed = network.clone()
-    policy = GreedyPolicy(deployed)
-    batch_env = BatchedNavigationEnv(env, min(episodes_per_map, DEFAULT_BATCH_SIZE))
+    reset_bases = [_episode_reset_base(episode_rng, episodes_per_map) for _ in maps]
+    # Map m owns a block of lanes_per_map lanes; more episodes than lanes
+    # refill the block, which only a wave of one map does.
+    lanes_per_map = min(episodes_per_map, DEFAULT_BATCH_SIZE)
+    maps_per_wave = DEFAULT_BATCH_SIZE // lanes_per_map
+    deployed = [network.clone() for _ in range(min(len(maps), maps_per_wave))]
+    batch_env = BatchedNavigationEnv(env, len(deployed) * lanes_per_map)
 
     per_map_success: List[float] = []
     per_map_paths: List[float] = []
-    for fault_map in maps:
-        deployed.load_state_dict(injector.perturb_quantized_state(quantized, fault_map))
-        reset_base = _episode_reset_base(episode_rng, episodes_per_map)
-        results = run_batched_episodes(
-            batch_env, policy, episodes_per_map, reset_seed=reset_base
-        )
-        per_map_success.append(success_rate(results))
-        per_map_paths.append(mean_path_length(results))
+    for first in range(0, len(maps), maps_per_wave):
+        wave = maps[first : first + maps_per_wave]
+        for wave_network, fault_map in zip(deployed, wave):
+            wave_network.load_state_dict(injector.perturb_quantized_state(quantized, fault_map))
+        if len(wave) > 1:
+            policy = PerMapGreedyPolicy(deployed[: len(wave)], episodes_per_map)
+        else:
+            policy = GreedyPolicy(deployed[0])
+        seeds = [
+            base + episode
+            for base in reset_bases[first : first + len(wave)]
+            for episode in range(episodes_per_map)
+        ]
+        results = run_batched_episodes(batch_env, policy, seeds)
+        for offset in range(0, len(results), episodes_per_map):
+            map_results = results[offset : offset + episodes_per_map]
+            per_map_success.append(success_rate(map_results))
+            per_map_paths.append(mean_path_length(map_results))
 
     path_samples = [path for path in per_map_paths if not math.isnan(path)]
     return RobustnessPoint(

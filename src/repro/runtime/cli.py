@@ -67,7 +67,7 @@ from repro.obs import (
     export_chrome_trace,
     metric_value,
 )
-from repro.obs.store import DEFAULT_CHECK_METRICS, default_ledger_path
+from repro.obs.store import DEFAULT_CHECK_METRICS
 from repro.runtime.cache import ResultCache, default_cache_root
 from repro.runtime.engine import SweepExecutionError, SweepReport, SweepRunner
 from repro.runtime.executor import make_executor
@@ -219,9 +219,11 @@ def _print_tables(assembled: Any, fmt: str, stream) -> None:
 
 
 def _cmd_list(stream) -> int:
-    for entry in iter_registered_sweeps():
+    entries = list(iter_registered_sweeps())
+    width = max(len(entry.name) for entry in entries)
+    for entry in entries:
         jobs = len(entry.spec())
-        print(f"{entry.name:<14} {jobs:>4} jobs  {entry.description}", file=stream)
+        print(f"{entry.name:<{width}} {jobs:>4} jobs  {entry.description}", file=stream)
     return 0
 
 

@@ -9,7 +9,7 @@ structure the paper reports, and serialises to JSON (the ``--output`` file of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.utils.serialization import to_jsonable
 

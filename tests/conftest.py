@@ -8,7 +8,6 @@ import pytest
 from repro.envs.navigation import NavigationConfig, NavigationEnv
 from repro.envs.obstacles import ObstacleDensity
 from repro.envs.sensors import RaySensor
-from repro.nn.layers import Linear, ReLU
 from repro.nn.network import Sequential
 from repro.nn.policies import build_policy, mlp
 

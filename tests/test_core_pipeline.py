@@ -1,6 +1,5 @@
 """Tests for the calibrated robustness model, metrics, pipeline and scenarios."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

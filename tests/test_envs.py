@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.envs.navigation import NavigationConfig, NavigationEnv
 from repro.envs.obstacles import ObstacleDensity, ObstacleField, generate_obstacles
@@ -340,11 +339,13 @@ class TestEpisodeRunners:
         action = (env.config.num_heading_actions // 2) * env.config.num_speed_actions + (
             env.config.num_speed_actions - 1
         )
-        return lambda observations: np.full(len(observations), action)
+        return lambda observations, episodes: np.full(len(observations), action)
 
     def _episodes(self, env, num_episodes, reset_seed):
         batch = BatchedNavigationEnv(env, num_episodes)
-        return run_batched_episodes(batch, self._straight_policy(env), num_episodes, reset_seed)
+        return run_batched_episodes(
+            batch, self._straight_policy(env), range(reset_seed, reset_seed + num_episodes)
+        )
 
     def test_run_episode_summary(self, small_env):
         result = run_episode(small_env, self._straight_policy(small_env))

@@ -69,7 +69,7 @@ class TestBatchedSerialEquivalence:
         env = BatchedNavigationEnv(
             NavigationEnv(batch_config, rng=3), batch_size=batch_size
         )
-        batched = run_batched_episodes(env, policy, 20, reset_seed=50)
+        batched = run_batched_episodes(env, policy, range(50, 70))
         # Dataclass equality covers floats (path length, reward) exactly.
         assert batched == serial
 
@@ -86,7 +86,7 @@ class TestBatchedSerialEquivalence:
         env = BatchedNavigationEnv(
             NavigationEnv(config, rng=3), batch_size=batch_size
         )
-        assert run_batched_episodes(env, policy, 12, reset_seed=31) == serial
+        assert run_batched_episodes(env, policy, range(31, 43)) == serial
 
     def test_dynamic_lanes_desynchronise_and_still_match_serial(self, batch_config):
         """Force explicitly staggered lane clocks (one lane reset mid-flight
@@ -118,7 +118,7 @@ class TestBatchedSerialEquivalence:
         policy = _greedy_for(config)
         serial = _serial_reference(config, policy, 4, reset_seed=13)
         env = BatchedNavigationEnv(NavigationEnv(config, rng=3), batch_size=2)
-        assert run_batched_episodes(env, policy, 4, reset_seed=13) == serial
+        assert run_batched_episodes(env, policy, range(13, 17)) == serial
 
 
 class TestBatchedEnvApi:
@@ -191,18 +191,18 @@ class TestBatchedEnvApi:
     def test_results_returned_in_episode_order(self, batch_config):
         policy = _greedy_for(batch_config)
         env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=3), batch_size=5)
-        results = run_batched_episodes(env, policy, 11, reset_seed=60)
+        results = run_batched_episodes(env, policy, range(60, 71))
         assert len(results) == 11
         assert all(result is not None for result in results)
 
     def test_zero_episodes(self, batch_config):
         env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=2)
-        assert run_batched_episodes(env, _greedy_for(batch_config), 0, reset_seed=0) == []
+        assert run_batched_episodes(env, _greedy_for(batch_config), []) == []
 
     def test_policy_must_return_one_action_per_observation(self, batch_config):
         env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=0), batch_size=3)
         with pytest.raises(ConfigurationError):
-            run_batched_episodes(env, lambda observations: 0, 3, reset_seed=0)
+            run_batched_episodes(env, lambda observations, episodes: 0, range(3))
 
 
 #: Short, fast episodes, so a few steps reach the truncation step and the

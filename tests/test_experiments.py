@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.calibrated import AutonomyScheme
 from repro.errors import ConfigurationError
 from repro.experiments.fig1 import generate_fig1_voltage_physics
 from repro.experiments.fig2 import generate_fig2_voltage_ber_energy

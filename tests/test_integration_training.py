@@ -11,7 +11,6 @@ emerges from this implementation rather than only from the calibrated curves.
 import numpy as np
 import pytest
 
-from repro.core.calibrated import AutonomyScheme
 from repro.core.pipeline import MissionPipeline
 from repro.experiments.profiles import FAST_PROFILE
 from repro.experiments.table1 import TrainedPolicies, train_policies

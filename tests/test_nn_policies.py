@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.policies import (
-    PolicySpec,
     build_policy,
     c3f2,
     c5f4,

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.obs import (
     RunLedger,
     check_ledger,

@@ -1,5 +1,8 @@
 """Tests for the RL substrate: replay buffer, schedules, DQN trainer, evaluation."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from repro.nn.policies import mlp
 from repro.rl.dqn import DqnConfig, DqnTrainer, TrainingHistory
 from repro.rl.evaluation import (
     GreedyPolicy,
+    PerMapGreedyPolicy,
     PolicyEvaluation,
     evaluate_policy,
     evaluate_under_faults,
@@ -331,7 +335,7 @@ class TestTrainingHistory:
 class TestEvaluation:
     def test_greedy_policy_matches_argmax(self, tiny_network):
         observations = np.random.default_rng(0).normal(size=(8, 6))
-        actions = GreedyPolicy(tiny_network)(observations)
+        actions = GreedyPolicy(tiny_network)(observations, np.arange(8))
         q_values = tiny_network.forward(observations)
         assert actions.tolist() == np.argmax(q_values, axis=1).tolist()
 
@@ -481,3 +485,114 @@ class TestEvaluation:
             small_env, network, [0.1, 1.0], num_fault_maps=2, episodes_per_map=1, rng=0
         )
         assert set(curve) == {0.1, 1.0}
+
+
+def _same_point(merged, reference) -> bool:
+    """Field-for-field equality of two ``RobustnessPoint``s, NaN equal to NaN."""
+    for field in dataclasses.fields(merged):
+        got, want = getattr(merged, field.name), getattr(reference, field.name)
+        both_nan = isinstance(got, float) and math.isnan(got) and math.isnan(want)
+        if not both_nan and got != want:
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def fault_policy():
+    """The navigation config and a briefly trained FAST policy (~0.3 s):
+    under 1% BER some missions survive and some do not."""
+    from repro.envs.navigation import NavigationEnv
+    from repro.envs.obstacles import ObstacleDensity
+    from repro.experiments.profiles import FAST_PROFILE
+
+    config = FAST_PROFILE.navigation_for_density(ObstacleDensity.MEDIUM)
+    trainer = DqnTrainer(
+        NavigationEnv(config, rng=7),
+        policy_spec=FAST_PROFILE.policy_spec,
+        config=FAST_PROFILE.dqn,
+        rng=0,
+    )
+    trainer.train(120)
+    return config, trainer.q_network
+
+
+class TestMergedFaultRollout:
+    """``evaluate_under_faults`` flies a wave of maps in one rollout; every
+    map's episodes must be those of the per-map loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "num_maps, episodes_per_map",
+        [(1, 1), (1, 4), (8, 1), (8, 4), (256, 1), (256, 4), (2, 65)],
+    )
+    def test_matches_the_per_map_protocol(
+        self, fault_policy, per_map_fault_protocol, num_maps, episodes_per_map
+    ):
+        from repro.envs.navigation import NavigationEnv
+
+        config, network = fault_policy
+        merged = evaluate_under_faults(
+            NavigationEnv(config, rng=7),
+            network,
+            ber_percent=1.0,
+            num_fault_maps=num_maps,
+            episodes_per_map=episodes_per_map,
+            rng=0,
+        )
+        reference = per_map_fault_protocol(
+            NavigationEnv(config, rng=7), network, 1.0, num_maps, episodes_per_map, rng=0
+        )
+        assert _same_point(merged, reference), (merged, reference)
+        if num_maps * episodes_per_map > 1:
+            assert 0.0 < merged.success_rate < 1.0
+
+    def test_per_map_policy_acts_as_each_map_alone(self, fault_policy):
+        """Rows in any order, maps with different row counts: each row's
+        action is its map's greedy action over that map's rows."""
+        _, network = fault_policy
+        rng = np.random.default_rng(5)
+        networks = []
+        for _ in range(6):
+            networks.append(network.clone())
+            networks[-1].load_state_dict(
+                {
+                    name: values + rng.normal(scale=0.05, size=values.shape)
+                    for name, values in network.state_dict().items()
+                }
+            )
+        policy = PerMapGreedyPolicy(networks, episodes_per_map=3)
+        for _ in range(20):
+            episodes = rng.choice(18, size=int(rng.integers(1, 19)), replace=False)
+            observations = rng.normal(size=(episodes.size, network.input_shape[0]))
+            actions = policy(observations, episodes)
+            for index in np.unique(episodes // 3):
+                rows = np.nonzero(episodes // 3 == index)[0]
+                expected = GreedyPolicy(networks[index])(observations[rows], episodes[rows])
+                assert actions[rows].tolist() == expected.tolist()
+
+    def test_c3f2_on_images_matches_the_per_map_protocol(self, per_map_fault_protocol):
+        """A convolutional policy on image observations flies its maps in one
+        wave too, with the per-map loop's results."""
+        from dataclasses import replace
+
+        from repro.envs.navigation import NavigationEnv
+        from repro.envs.sensors import OccupancyImager
+        from repro.experiments.profiles import FAST_PROFILE
+        from repro.nn.policies import build_policy, c3f2
+
+        config = replace(
+            FAST_PROFILE.navigation,
+            observation="image",
+            imager=OccupancyImager(image_size=16),
+            max_steps=12,
+        )
+        env = NavigationEnv(config, rng=7)
+        network = build_policy(
+            c3f2(width_multiplier=0.125), env.observation_space.shape, env.action_space.n, rng=0
+        )
+        merged = evaluate_under_faults(
+            env, network, ber_percent=1.0, num_fault_maps=2, episodes_per_map=1, rng=0
+        )
+        reference = per_map_fault_protocol(
+            NavigationEnv(config, rng=7), network, 1.0, 2, 1, rng=0
+        )
+        assert _same_point(merged, reference), (merged, reference)

@@ -298,7 +298,7 @@ class TestLaneEpisodeFeed:
         env = BatchedNavigationEnv(
             NavigationEnv(train_env_config, rng=3), batch_size=2
         )
-        feed = LaneEpisodeFeed(env, 5, reset_seed=0)
+        feed = LaneEpisodeFeed(env, 5, reset_seeds=range(5))
         straight = env.action_space.n // 2
         episodes = []
         while feed.active_lanes.size:

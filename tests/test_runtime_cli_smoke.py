@@ -10,12 +10,10 @@ trains its reduced policies through the lockstep batched collection core.
 import json
 import re
 
-import pytest
-
 from repro.obs import RunLedger, chrome_trace_to_spans
 from repro.runtime.cli import main
 from repro.runtime.journal import Journal
-from repro.runtime.registry import get_registered_sweep
+from repro.runtime.registry import get_registered_sweep, iter_registered_sweeps
 
 
 class TestGeneralizationRolloutsCliSmoke:
@@ -211,3 +209,17 @@ class TestGeneralizationRolloutsCliSmoke:
             == 0
         )
         assert "4/48" in capsys.readouterr().out
+
+
+def test_list_prints_every_job_count_in_one_column(capsys):
+    """Names are padded to the longest registered one, so ``fleet-reliability``
+    and ``generalization-rollouts`` line up with the short names.  A count is
+    right-aligned in a field of four, so when every count field starts at one
+    column, every description does too."""
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(list(iter_registered_sweeps()))
+    assert len({re.match(r"\S+ +\d+ jobs  ", line).end() for line in lines}) == 1
+    assert [line.split()[0] for line in lines] == [
+        entry.name for entry in iter_registered_sweeps()
+    ]

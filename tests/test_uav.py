@@ -1,6 +1,5 @@
 """Tests for the UAV platform, dynamics, flight and battery models."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -6,7 +6,6 @@ start and goal clear, and its spec must hash and serialise deterministically.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.utils.serialization import canonical_json
