@@ -15,7 +15,9 @@ a wave of maps' missions in one lockstep rollout) against the serial
 per-map loop it must reproduce (corrupt the codes under each map, then one
 ``run_episode`` per mission).  ``test_fault_protocol_speedup`` gates the
 merged rollout at >= 4x over the per-map batched loop it replaced (the root
-conftest's ``per_map_fault_protocol``) at 64 maps x 1 episode.
+conftest's ``per_map_fault_protocol``) at 64 maps x 1 episode, and
+``test_evaluate_many_speedup`` gates one ``evaluate_many`` call over the
+reduced-scale Table I's requests at >= 1.5x over one call per request.
 """
 
 from dataclasses import replace
@@ -33,7 +35,14 @@ from repro.faults.fault_map import FaultMap
 from repro.faults.injection import BitErrorInjector
 from repro.nn.policies import build_policy, mlp
 from repro.rl.dqn import DqnTrainer
-from repro.rl.evaluation import GreedyPolicy, evaluate_under_faults
+from repro.experiments.table1 import train_policies
+from repro.rl.evaluation import (
+    FaultRequest,
+    GreedyPolicy,
+    PolicyRequest,
+    evaluate_many,
+    evaluate_under_faults,
+)
 from repro.utils.rng import spawn_generators
 from repro.worlds.spec import WorldSpec
 
@@ -297,3 +306,47 @@ def test_fault_protocol_speedup(time_pairs, per_map_fault_protocol):
         f"merged {merged_s * 1e3:.1f} ms, speedup {speedup:.1f}x"
     )
     assert speedup >= 4.0
+
+
+#: The reduced-scale Table I of the ``berry-train`` workload: ``FAST_PROFILE``
+#: with 40 training episodes and 4 fault maps per operating point.
+TABLE1_PROFILE = replace(FAST_PROFILE, training_episodes=40, num_fault_maps=4)
+TABLE1_BER_PERCENT = (0.1, 1.0, 3.0)
+
+
+def test_evaluate_many_speedup(time_pairs):
+    """Acceptance gate: >= 1.5x for one ``evaluate_many`` call over Table I's
+    requests (2 networks, each 1 error-free run of 20 episodes plus 3 BER
+    levels of 4 maps x 4 episodes) over one call per request, with equal
+    results."""
+    policies = train_policies(TABLE1_PROFILE, seed=0)
+    env = policies.environment
+    requests = []
+    for trainer in (policies.classical, policies.berry):
+        requests.append(PolicyRequest(trainer.q_network, TABLE1_PROFILE.eval_episodes, rng=1))
+        requests.extend(
+            FaultRequest(
+                trainer.q_network,
+                ber_percent=ber,
+                num_fault_maps=TABLE1_PROFILE.num_fault_maps,
+                episodes_per_map=TABLE1_PROFILE.episodes_per_map,
+                rng=2,
+            )
+            for ber in TABLE1_BER_PERCENT
+        )
+
+    def merged():
+        return evaluate_many(env, requests)
+
+    def per_request():
+        return [evaluate_many(env, [request])[0] for request in requests]
+
+    # Float reprs round-trip exactly, and NaN (no successful mission) equals NaN.
+    assert repr(merged()) == repr(per_request())
+    per_request_s, merged_s = time_pairs(lambda: per_request, lambda: merged, SPEEDUP_PAIRS)
+    speedup = per_request_s / merged_s
+    print(
+        f"\nTable I requests: one call each {per_request_s * 1e3:.1f} ms, "
+        f"one call {merged_s * 1e3:.1f} ms, speedup {speedup:.1f}x"
+    )
+    assert speedup >= 1.5

@@ -22,7 +22,7 @@ from dataclasses import replace
 from repro.envs.navigation import NavigationEnv
 from repro.experiments.profiles import FAST_PROFILE
 from repro.core.modes import train_classical, train_offline_berry
-from repro.rl.evaluation import evaluate_policy, evaluate_under_faults
+from repro.rl.evaluation import FaultRequest, PolicyRequest, evaluate_many
 from repro.utils.rng import spawn_generators
 from repro.utils.tables import Table, format_aligned
 
@@ -59,16 +59,24 @@ def main() -> None:
         title="Success rate under injected bit errors (reduced-scale Table I)",
         columns=["scheme", "error_free_pct"] + [f"p={p:g}%" for p in EVAL_BER_PERCENT],
     )
-    for name, trainer in (("classical", classical), ("berry", berry)):
-        error_free = evaluate_policy(env, trainer.q_network, profile.eval_episodes, rng=11)
-        row = {"scheme": name, "error_free_pct": 100.0 * error_free.success_rate}
-        for ber in EVAL_BER_PERCENT:
-            point = evaluate_under_faults(
-                env, trainer.q_network, ber_percent=ber,
+    schemes = (("classical", classical), ("berry", berry))
+    # Every cell of both rows flies side by side in one evaluate_many call.
+    requests = []
+    for _, trainer in schemes:
+        requests.append(PolicyRequest(trainer.q_network, profile.eval_episodes, rng=11))
+        requests.extend(
+            FaultRequest(
+                trainer.q_network, ber_percent=ber,
                 num_fault_maps=profile.num_fault_maps,
                 episodes_per_map=profile.episodes_per_map, rng=13,
             )
-            row[f"p={ber:g}%"] = 100.0 * point.success_rate
+            for ber in EVAL_BER_PERCENT
+        )
+    cells = iter(evaluate_many(env, requests))
+    for name, _ in schemes:
+        row = {"scheme": name, "error_free_pct": 100.0 * next(cells).success_rate}
+        for ber in EVAL_BER_PERCENT:
+            row[f"p={ber:g}%"] = 100.0 * next(cells).success_rate
         table.add_row(**row)
 
     print()

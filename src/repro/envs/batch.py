@@ -36,9 +36,10 @@ which is how :class:`LaneEpisodeFeed` streams an arbitrary number of
 episodes through a fixed number of lanes.
 
 :func:`run_batched_episodes` takes one reset seed per episode, so the
-episodes of one rollout need not share a seed base: the fault-map protocol
-(:func:`~repro.rl.evaluation.evaluate_under_faults`) flies the episodes of
-many maps, each with its own base, as one wave of lanes.
+episodes of one rollout need not share a seed base:
+:func:`~repro.rl.evaluation.evaluate_many` flies the episodes of many
+fault maps and error-free runs, each with its own base, as one wave of
+lanes.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ from repro.envs.vector import BatchPolicy, EpisodeResult
 from repro.obs import get_metrics, span
 from repro.utils.rng import as_generator, spawn_generators
 
-#: Default lane count, and the lane cap of ``evaluate_policy`` and
-#: ``evaluate_under_faults`` (``repro.rl.evaluation``).
+#: Default lane count, and the lane cap of one request's wave in
+#: ``repro.rl.evaluation.evaluate_many`` (a call flies the waves of all its
+#: requests side by side, so its rollouts can be wider).
 DEFAULT_BATCH_SIZE = 64
 
 

@@ -9,7 +9,8 @@ Every policy speaks one protocol, :data:`BatchPolicy`: a callable mapping an
 ``(N, *obs_shape)`` observation matrix and the ``(N,)`` episode index of each
 row to an ``(N,)`` integer action vector.  The episode index lets one policy
 fly several networks in one rollout
-(:class:`~repro.rl.evaluation.PerMapGreedyPolicy`, one per fault map);
+(:class:`~repro.rl.evaluation.PerMapGreedyPolicy`, one per block of
+episodes: a fault map or an error-free run);
 :class:`~repro.rl.evaluation.GreedyPolicy` ignores it.  Many episodes run on
 the lockstep batched core, :func:`~repro.envs.batch.run_batched_episodes`;
 :func:`run_episode` flies one greedy episode on the serial environment,

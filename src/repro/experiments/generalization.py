@@ -295,11 +295,29 @@ def _train_rollout_policy(params: Mapping[str, Any]):
     return env, trainer.q_network
 
 
-def _evaluate_rollout(spec: JobSpec, env, network) -> Dict[str, Any]:
-    """The per-BER half: corrupt, fly, and report one job's result row."""
+def _rollout_request(spec: JobSpec, network):
+    """One member's evaluation: error-free at BER 0, else under fault maps."""
+    from repro.rl.evaluation import FaultRequest, PolicyRequest
+
+    params = spec.params
+    ber_percent = float(params["ber_percent"])
+    num_episodes = int(params["num_episodes"])
+    if ber_percent <= 0.0:
+        return PolicyRequest(network, num_episodes, rng=spec.seed + 1)
+    return FaultRequest(
+        network,
+        ber_percent=ber_percent,
+        num_fault_maps=int(params["num_fault_maps"]),
+        episodes_per_map=num_episodes,
+        rng=spec.seed + 1,
+    )
+
+
+def _rollout_row(spec: JobSpec, evaluation) -> Dict[str, Any]:
+    """The per-BER half: one job's result row from its evaluation."""
     import numpy as np
 
-    from repro.rl.evaluation import evaluate_policy, evaluate_under_faults
+    from repro.rl.evaluation import PolicyEvaluation
     from repro.uav.battery import missions_per_charge
     from repro.uav.flight import FlightModel
     from repro.uav.platform import get_platform
@@ -308,25 +326,14 @@ def _evaluate_rollout(spec: JobSpec, env, network) -> Dict[str, Any]:
     world_spec = WorldSpec.from_jsonable(params["world"])
     ber_percent = float(params["ber_percent"])
     num_episodes = int(params["num_episodes"])
-    if ber_percent <= 0.0:
-        evaluation = evaluate_policy(env, network, num_episodes, rng=spec.seed + 1)
-        success = evaluation.success_rate
+    success = evaluation.success_rate
+    mean_path = evaluation.mean_path_length_m
+    if isinstance(evaluation, PolicyEvaluation):
         collision_rate: Optional[float] = evaluation.collision_rate
         mean_steps: Optional[float] = evaluation.mean_steps
-        mean_path = evaluation.mean_path_length_m
     else:
-        point = evaluate_under_faults(
-            env,
-            network,
-            ber_percent=ber_percent,
-            num_fault_maps=int(params["num_fault_maps"]),
-            episodes_per_map=num_episodes,
-            rng=spec.seed + 1,
-        )
-        success = point.success_rate
         collision_rate = None
         mean_steps = None
-        mean_path = point.mean_path_length_m
 
     platform = get_platform(str(params["platform"]))
     if math.isnan(mean_path):
@@ -379,10 +386,16 @@ def _run_rollout_generalized(specs: Sequence[JobSpec]) -> List[Dict[str, Any]]:
     The members differ only in ``ber_percent``, and the training half is
     seeded from the BER-invariant params (:func:`_training_seed`), so one
     training run feeds every member: a lone job (a group of one) trains the
-    identical policy.  Each member's evaluation keeps its own ``spec.seed``.
+    identical policy.  Each member's evaluation keeps its own ``spec.seed``,
+    and every member flies side by side in one
+    :func:`~repro.rl.evaluation.evaluate_many` call, with its lone job's
+    result.
     """
+    from repro.rl.evaluation import evaluate_many
+
     env, network = _train_rollout_policy(specs[0].params)
-    return [_evaluate_rollout(spec, env, network) for spec in specs]
+    evaluations = evaluate_many(env, [_rollout_request(spec, network) for spec in specs])
+    return [_rollout_row(spec, evaluation) for spec, evaluation in zip(specs, evaluations)]
 
 
 def assemble_generalization_rollouts(

@@ -14,14 +14,14 @@ Two generators are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.calibrated import AutonomyScheme, CalibratedRobustnessModel
 from repro.core.modes import train_classical, train_offline_berry
 from repro.envs.navigation import NavigationEnv
 from repro.experiments.profiles import ExperimentProfile, FAST_PROFILE
 from repro.rl.dqn import DqnTrainer
-from repro.rl.evaluation import evaluate_policy, evaluate_under_faults
+from repro.rl.evaluation import EvaluationRequest, FaultRequest, PolicyRequest, evaluate_many
 from repro.utils.rng import spawn_generators
 from repro.utils.tables import Table
 
@@ -100,21 +100,25 @@ def measure_table1_with_training(
         title="Table I (measured, reduced scale): success rate under bit errors",
         columns=["scheme", "error_free_pct"] + [f"p={p:g}%" for p in ber_levels],
     )
-    for name, trainer in (("classical", policies.classical), ("berry", policies.berry)):
-        error_free = evaluate_policy(env, trainer.q_network, profile.eval_episodes, rng=seed + 1)
-        row: Dict[str, float] = {
-            "scheme": name,
-            "error_free_pct": 100.0 * error_free.success_rate,
-        }
-        for ber in ber_levels:
-            point = evaluate_under_faults(
-                env,
+    schemes = (("classical", policies.classical), ("berry", policies.berry))
+    # Both schemes' error-free and BER cells fly side by side in one call.
+    requests: List[EvaluationRequest] = []
+    for _, trainer in schemes:
+        requests.append(PolicyRequest(trainer.q_network, profile.eval_episodes, rng=seed + 1))
+        requests.extend(
+            FaultRequest(
                 trainer.q_network,
                 ber_percent=float(ber),
                 num_fault_maps=profile.num_fault_maps,
                 episodes_per_map=profile.episodes_per_map,
                 rng=seed + 2,
             )
-            row[f"p={ber:g}%"] = 100.0 * point.success_rate
+            for ber in ber_levels
+        )
+    cells = iter(evaluate_many(env, requests))
+    for name, _ in schemes:
+        row: Dict[str, float] = {"scheme": name, "error_free_pct": 100.0 * next(cells).success_rate}
+        for ber in ber_levels:
+            row[f"p={ber:g}%"] = 100.0 * next(cells).success_rate
         table.add_row(**row)
     return table

@@ -19,7 +19,7 @@ from repro.faults.ber_model import DEFAULT_BER_MODEL
 from repro.faults.chips import CHIP_COLUMN_ALIGNED, CHIP_RANDOM, ChipProfile
 from repro.faults.injection import BitErrorInjector
 from repro.nn.network import Sequential
-from repro.rl.evaluation import evaluate_under_faults
+from repro.rl.evaluation import FaultRequest, evaluate_many
 from repro.utils.rng import spawn_generators
 from repro.utils.tables import Table
 
@@ -83,30 +83,26 @@ def measure_table3_on_chips(
         columns=["chip", "pattern", "ber_percent", "success_rate_pct"],
     )
     injector = BitErrorInjector.for_network(berry_network)
-    # One map stream per (chip, error rate) row.
-    generators = spawn_generators(seed, sum(len(chip.reference_ber_percent) for chip in chips))
-    generator_index = 0
-    for chip in chips:
-        for ber in chip.reference_ber_percent:
-            maps = [
-                chip.fault_map(
-                    injector.memory_bits, ber_percent=float(ber), rng=generators[generator_index]
-                )
+    rows = [(chip, float(ber)) for chip in chips for ber in chip.reference_ber_percent]
+    # One map stream per (chip, error rate) row; every row flies in one call.
+    requests = [
+        FaultRequest(
+            berry_network,
+            ber_percent=ber,
+            fault_maps=[
+                chip.fault_map(injector.memory_bits, ber_percent=ber, rng=generator)
                 for _ in range(profile.num_fault_maps)
-            ]
-            generator_index += 1
-            point = evaluate_under_faults(
-                env,
-                berry_network,
-                ber_percent=float(ber),
-                fault_maps=maps,
-                episodes_per_map=profile.episodes_per_map,
-                rng=seed,
-            )
-            table.add_row(
-                chip=chip.name,
-                pattern=chip.pattern,
-                ber_percent=float(ber),
-                success_rate_pct=100.0 * point.success_rate,
-            )
+            ],
+            episodes_per_map=profile.episodes_per_map,
+            rng=seed,
+        )
+        for (chip, ber), generator in zip(rows, spawn_generators(seed, len(rows)))
+    ]
+    for (chip, ber), point in zip(rows, evaluate_many(env, requests)):
+        table.add_row(
+            chip=chip.name,
+            pattern=chip.pattern,
+            ber_percent=ber,
+            success_rate_pct=100.0 * point.success_rate,
+        )
     return table

@@ -251,11 +251,13 @@ class BitErrorInjector:
     def quantize_state_cached(self, state: Mapping[str, np.ndarray]) -> QuantizedMemory:
         """Like :meth:`quantize_state`, but warm-cached by layout and parameter content.
 
-        Fused sweep jobs and warm pool workers evaluate the *same* trained
-        policy at several BER levels (one :func:`evaluate_under_faults` call
-        each); keying the quantized memory by the layout (word width
-        included), a content hash of the raw parameters and the backend lets
-        every call after the first skip the scale search entirely.  The key
+        Warm pool workers and separate evaluation calls evaluate the *same*
+        trained policy again and again (one
+        :func:`~repro.rl.evaluation.evaluate_many` call quantizes each
+        distinct network once); keying the quantized memory by the layout
+        (word width included), a content hash of the raw parameters and the
+        backend lets every call after the first skip the scale search
+        entirely.  The key
         names the layout because a memory's words are in layout order.  Safe
         because a :class:`QuantizedMemory` is read-only.
         """

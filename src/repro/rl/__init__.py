@@ -14,9 +14,12 @@ from repro.rl.schedules import ConstantSchedule, LinearDecay
 from repro.rl.collect import LockstepCollector, StepBatch
 from repro.rl.dqn import DqnConfig, DqnTrainer, TrainingHistory
 from repro.rl.evaluation import (
+    FaultRequest,
     GreedyPolicy,
     PolicyEvaluation,
+    PolicyRequest,
     RobustnessPoint,
+    evaluate_many,
     evaluate_policy,
     evaluate_under_faults,
     robustness_curve,
@@ -32,9 +35,12 @@ __all__ = [
     "TrainingHistory",
     "LockstepCollector",
     "StepBatch",
+    "FaultRequest",
     "GreedyPolicy",
     "PolicyEvaluation",
+    "PolicyRequest",
     "RobustnessPoint",
+    "evaluate_many",
     "evaluate_policy",
     "evaluate_under_faults",
     "robustness_curve",

@@ -596,3 +596,219 @@ class TestMergedFaultRollout:
             NavigationEnv(config, rng=7), network, 1.0, 2, 1, rng=0
         )
         assert _same_point(merged, reference), (merged, reference)
+
+
+@pytest.fixture(scope="module")
+def policy_pair(fault_policy):
+    """The navigation config and two briefly trained FAST policies (the
+    ``fault_policy`` one and a second from another seed)."""
+    from repro.envs.navigation import NavigationEnv
+    from repro.experiments.profiles import FAST_PROFILE
+
+    config, first = fault_policy
+    trainer = DqnTrainer(
+        NavigationEnv(config, rng=7),
+        policy_spec=FAST_PROFILE.policy_spec,
+        config=FAST_PROFILE.dqn,
+        rng=1,
+    )
+    trainer.train(120)
+    return config, first, trainer.q_network
+
+
+def _same_result(got, want) -> bool:
+    """Field-for-field equality of two evaluation results, NaN equal to NaN."""
+    return type(got) is type(want) and _same_point(got, want)
+
+
+def _lone(env, request):
+    """``request`` flown by the lone call that takes its arguments."""
+    from repro.rl.evaluation import PolicyRequest
+
+    if isinstance(request, PolicyRequest):
+        return evaluate_policy(env, request.network, request.num_episodes, rng=request.rng)
+    return evaluate_under_faults(
+        env,
+        request.network,
+        request.ber_percent,
+        num_fault_maps=request.num_fault_maps,
+        episodes_per_map=request.episodes_per_map,
+        fault_maps=request.fault_maps,
+        stuck_at_1_bias=request.stuck_at_1_bias,
+        rng=request.rng,
+    )
+
+
+class TestEvaluateMany:
+    """``evaluate_many`` flies wave i of every request in one rollout; each
+    result must equal its lone call's, whatever else flies beside it."""
+
+    @pytest.fixture(scope="class")
+    def mixed_requests(self, policy_pair):
+        """Error-free runs at N in {1, 20, 70} (70 refills its lanes), fault
+        runs at E in {1, 4, 65} (65 refills), random and explicit maps, two
+        waves for E in {1, 4, 65}."""
+        from repro.faults.fault_map import FaultMap
+        from repro.faults.injection import BitErrorInjector
+        from repro.rl.evaluation import FaultRequest, PolicyRequest
+
+        _, first, second = policy_pair
+        bits = BitErrorInjector.for_network(first).memory_bits
+        explicit = [FaultMap.random(bits, 0.01, rng=seed) for seed in range(3)]
+        return [
+            PolicyRequest(first, 1, rng=1),
+            FaultRequest(first, 1.0, num_fault_maps=70, episodes_per_map=1, rng=2),
+            PolicyRequest(second, 20, rng=3),
+            FaultRequest(second, 1.0, num_fault_maps=20, episodes_per_map=4, rng=4),
+            PolicyRequest(first, 70, rng=5),
+            FaultRequest(second, 1.0, num_fault_maps=2, episodes_per_map=65, rng=6),
+            FaultRequest(first, 1.0, fault_maps=explicit, episodes_per_map=4, rng=7),
+        ]
+
+    @pytest.fixture(scope="class")
+    def lone_results(self, policy_pair, mixed_requests):
+        from repro.envs.navigation import NavigationEnv
+
+        config = policy_pair[0]
+        return [_lone(NavigationEnv(config, rng=7), request) for request in mixed_requests]
+
+    def test_each_result_equals_its_lone_call(self, policy_pair, mixed_requests, lone_results):
+        from repro.envs.navigation import NavigationEnv
+        from repro.rl.evaluation import evaluate_many
+
+        results = evaluate_many(NavigationEnv(policy_pair[0], rng=7), mixed_requests)
+        assert len(results) == len(mixed_requests)
+        for got, want in zip(results, lone_results):
+            assert _same_result(got, want), (got, want)
+        for result in results[1:]:
+            assert 0.0 < result.success_rate < 1.0
+
+    def test_random_maps_equal_the_per_map_protocol(
+        self, policy_pair, mixed_requests, lone_results, per_map_fault_protocol
+    ):
+        from repro.envs.navigation import NavigationEnv
+        from repro.rl.evaluation import FaultRequest
+
+        config = policy_pair[0]
+        for request, lone in zip(mixed_requests, lone_results):
+            if isinstance(request, FaultRequest) and request.fault_maps is None:
+                reference = per_map_fault_protocol(
+                    NavigationEnv(config, rng=7),
+                    request.network,
+                    request.ber_percent,
+                    request.num_fault_maps,
+                    request.episodes_per_map,
+                    rng=request.rng,
+                )
+                assert _same_point(lone, reference), (lone, reference)
+
+    def test_request_order_changes_no_result(self, policy_pair, mixed_requests, lone_results):
+        from repro.envs.navigation import NavigationEnv
+        from repro.rl.evaluation import evaluate_many
+
+        order = np.random.default_rng(3).permutation(len(mixed_requests))
+        results = evaluate_many(
+            NavigationEnv(policy_pair[0], rng=7), [mixed_requests[index] for index in order]
+        )
+        for index, got in zip(order, results):
+            assert _same_result(got, lone_results[index]), (index, got)
+
+    def test_requests_sharing_a_generator_draw_as_sequential_calls(self, policy_pair):
+        from repro.envs.navigation import NavigationEnv
+        from repro.rl.evaluation import FaultRequest, PolicyRequest, evaluate_many
+
+        config, first, second = policy_pair
+
+        def requests(generator):
+            return [
+                FaultRequest(first, 1.0, num_fault_maps=4, episodes_per_map=4, rng=generator),
+                PolicyRequest(second, 8, rng=generator),
+                FaultRequest(second, 1.0, num_fault_maps=4, episodes_per_map=4, rng=generator),
+                PolicyRequest(first, 8, rng=generator),
+            ]
+
+        shared = np.random.default_rng(9)
+        merged = evaluate_many(NavigationEnv(config, rng=7), requests(shared))
+        sequential = np.random.default_rng(9)
+        env = NavigationEnv(config, rng=7)
+        lone = [_lone(env, request) for request in requests(sequential)]
+        for got, want in zip(merged, lone):
+            assert _same_result(got, want), (got, want)
+        assert shared.bit_generator.state == sequential.bit_generator.state
+
+    def test_table1_equals_the_per_cell_loop(self, policy_pair):
+        """One call for both schemes' error-free and BER cells gives the
+        table of one call per cell."""
+        from dataclasses import replace
+        from types import SimpleNamespace
+
+        from repro.envs.navigation import NavigationEnv
+        from repro.experiments.profiles import FAST_PROFILE
+        from repro.experiments.table1 import TrainedPolicies, measure_table1_with_training
+        from repro.utils.tables import Table
+
+        config, first, second = policy_pair
+        env = NavigationEnv(config, rng=7)
+        profile = replace(FAST_PROFILE, num_fault_maps=3, episodes_per_map=2, eval_episodes=10)
+        ber_levels = (1.0, 0.5, 3.0)
+        seed = 4
+        policies = TrainedPolicies(
+            classical=SimpleNamespace(q_network=first),
+            berry=SimpleNamespace(q_network=second),
+            environment=env,
+        )
+        # The per-cell loop: one evaluate_policy / evaluate_under_faults call per cell.
+        expected = Table(
+            title="Table I (measured, reduced scale): success rate under bit errors",
+            columns=["scheme", "error_free_pct"] + [f"p={p:g}%" for p in ber_levels],
+        )
+        for name, trainer in (("classical", policies.classical), ("berry", policies.berry)):
+            error_free = evaluate_policy(env, trainer.q_network, profile.eval_episodes, rng=seed + 1)
+            row = {"scheme": name, "error_free_pct": 100.0 * error_free.success_rate}
+            for ber in ber_levels:
+                point = evaluate_under_faults(
+                    env,
+                    trainer.q_network,
+                    ber_percent=float(ber),
+                    num_fault_maps=profile.num_fault_maps,
+                    episodes_per_map=profile.episodes_per_map,
+                    rng=seed + 2,
+                )
+                row[f"p={ber:g}%"] = 100.0 * point.success_rate
+            expected.add_row(**row)
+        table = measure_table1_with_training(ber_levels, profile, seed=seed, policies=policies)
+        assert table.to_jsonable() == expected.to_jsonable()
+
+    def test_robustness_curve_fingerprints_the_network_once(self, small_env, monkeypatch):
+        """Every level of a curve shares one quantization, so the parameters
+        are hashed once per call, not once per level."""
+        import repro.faults.injection as injection
+        from repro.nn.policies import build_policy
+
+        hashed = []
+        fingerprint = injection.state_fingerprint
+        monkeypatch.setattr(
+            injection, "state_fingerprint", lambda state: hashed.append(1) or fingerprint(state)
+        )
+        network = build_policy(mlp((16,)), small_env.observation_space.shape, small_env.action_space.n, rng=0)
+        curve = robustness_curve(
+            small_env, network, [0.1, 1.0, 3.0], num_fault_maps=2, episodes_per_map=1, rng=0
+        )
+        assert set(curve) == {0.1, 1.0, 3.0}
+        assert len(hashed) == 1
+
+    def test_a_bad_request_anywhere_fails_before_any_map_is_drawn(self, small_env, monkeypatch):
+        from repro.faults.fault_map import FaultMap
+        from repro.nn.policies import build_policy
+        from repro.rl.evaluation import FaultRequest, PolicyRequest, evaluate_many
+
+        def draw(*args, **kwargs):
+            raise AssertionError("a fault map was drawn")
+
+        monkeypatch.setattr(FaultMap, "random", draw)
+        network = build_policy(mlp((16,)), small_env.observation_space.shape, small_env.action_space.n, rng=0)
+        good = FaultRequest(network, 1.0, num_fault_maps=2, episodes_per_map=1)
+        for bad in (PolicyRequest(network, 0), FaultRequest(network, 1.0, num_fault_maps=0), None):
+            with pytest.raises(ConfigurationError):
+                evaluate_many(small_env, [good, bad])
+        assert evaluate_many(small_env, []) == []
