@@ -36,17 +36,17 @@ which is how :class:`LaneEpisodeFeed` streams an arbitrary number of
 episodes through a fixed number of lanes.
 
 :func:`run_batched_episodes` takes one reset seed per episode, so the
-episodes of one rollout need not share a seed base:
-:func:`~repro.rl.evaluation.evaluate_many` flies the episodes of many
-fault maps and error-free runs, each with its own base, as one wave of
-lanes.
+episodes of one rollout need not share a seed base, and lane blocks that
+refill only from their own episodes: :func:`~repro.rl.evaluation.evaluate_many`
+flies many fault maps and error-free runs, each with its own base and
+block, as one wave of lanes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -363,17 +363,18 @@ class BatchedNavigationEnv:
 
 
 class LaneEpisodeFeed:
-    """Streams a fixed pool of episodes through a batch's lanes.
+    """Streams a fixed pool of episodes through a batch's lanes, in blocks.
 
     The feed owns the lane -> episode assignment and the episode books of
-    lockstep execution: it starts the first ``min(B, num_episodes)`` episodes
-    at construction, keeps each lane's current observation and return, and
-    :meth:`advance` restarts a lane whose episode ended on the next pending
-    episode, so every step stays a full-width batch until the pool drains.
-    With ``reset_seeds`` set (one seed per episode), episode ``i`` resets its
-    lane with ``reset_seeds[i]`` (evaluation rollouts); when it is ``None``,
-    each reset continues the lane's own RNG stream exactly like
-    ``NavigationEnv.reset()`` without a seed — the training semantics.
+    lockstep execution.  Block ``(lanes, episodes)`` of ``blocks`` (default:
+    one of every lane and episode) owns the next ``lanes`` lanes and
+    ``episodes`` episodes and flies as a lone feed on that many lanes: it
+    starts its first episodes at construction, and :meth:`advance` restarts
+    a lane whose episode ended on its block's next pending one.  The feed
+    keeps each lane's observation and return.  With ``reset_seeds`` set (one
+    seed per episode), episode ``i`` resets its lane with ``reset_seeds[i]``
+    (evaluation); when it is ``None``, each reset continues the lane's own
+    RNG stream like ``NavigationEnv.reset()`` without a seed (training).
 
     Its callers only choose actions: :func:`run_batched_episodes` (greedy
     evaluation, where lanes drain at the tail) and the training collector
@@ -385,25 +386,37 @@ class LaneEpisodeFeed:
         env: BatchedNavigationEnv,
         num_episodes: int,
         reset_seeds: Optional[Sequence[int]] = None,
+        blocks: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> None:
-        if num_episodes < 0:
-            raise ConfigurationError(
-                f"num_episodes must be non-negative, got {num_episodes}"
-            )
         if reset_seeds is not None and len(reset_seeds) != num_episodes:
             raise ConfigurationError(
                 f"got {len(reset_seeds)} reset seeds for {num_episodes} episodes"
             )
+        if blocks is None:
+            blocks = [(env.batch_size, num_episodes)]
+        if (
+            any(lanes < 1 or episodes < 0 for lanes, episodes in blocks)
+            or sum(lanes for lanes, _ in blocks) > env.batch_size
+            or sum(episodes for _, episodes in blocks) != num_episodes
+        ):
+            raise ConfigurationError(
+                f"(lanes, episodes) blocks {list(blocks)} must each own a lane, fit in "
+                f"{env.batch_size} lanes and hold {num_episodes} episodes"
+            )
         self.env = env
-        self.num_episodes = int(num_episodes)
         self._reset_seeds = reset_seeds
         #: Episode index currently running on each lane; -1 marks an idle lane.
         self.lane_episode = np.full(env.batch_size, -1, dtype=np.int64)
         #: Each lane's current observation (the one its next action acts on).
         self.observations = np.zeros((env.batch_size,) + env.observation_space.shape)
         self._returns = np.zeros(env.batch_size, dtype=np.float64)
-        self._next_episode = 0
-        self._start(np.arange(min(env.batch_size, self.num_episodes)))
+        # Each block lane's queue: one iterator over the block's episodes.
+        self._queues: List[Iterator[int]] = []
+        first = 0
+        for lanes, episodes in blocks:
+            self._queues += [iter(range(first, first + episodes))] * lanes
+            first += episodes
+        self._start(np.arange(len(self._queues)))
 
     @property
     def active_lanes(self) -> np.ndarray:
@@ -411,24 +424,21 @@ class LaneEpisodeFeed:
         return np.nonzero(self.lane_episode >= 0)[0]
 
     def _start(self, lanes: np.ndarray) -> None:
-        """Start pending episodes on ``lanes`` in lane order; idle the rest.
+        """Start each of ``lanes`` on its block's next pending episode; idle the rest.
 
         Every started lane shares one :meth:`BatchedNavigationEnv.reset_lanes`
         call; each is reseeded per episode (or continues its own stream), so
         the batched rejection rounds replay one-at-a-time resets exactly.
         """
-        count = min(lanes.size, self.num_episodes - self._next_episode)
-        started = lanes[:count]
-        episodes = list(range(self._next_episode, self._next_episode + count))
-        self._next_episode += count
-        self.lane_episode[lanes[count:]] = -1
-        if count:
+        episodes = np.array([next(self._queues[lane], -1) for lane in lanes], dtype=np.int64)
+        self.lane_episode[lanes] = episodes
+        started = lanes[episodes >= 0]
+        if started.size:
             seeds = [
                 None if self._reset_seeds is None else int(self._reset_seeds[episode])
-                for episode in episodes
+                for episode in episodes[episodes >= 0]
             ]
             self.observations[started] = self.env.reset_lanes(started, seeds)
-            self.lane_episode[started] = episodes
             self._returns[started] = 0.0
 
     def advance(
@@ -471,19 +481,21 @@ def run_batched_episodes(
     env: BatchedNavigationEnv,
     policy: BatchPolicy,
     reset_seeds: Sequence[int],
+    blocks: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> List[EpisodeResult]:
     """Fly one greedy episode per reset seed through the batch's lanes in lockstep.
 
     Episode ``i`` resets its lane with ``reset_seeds[i]``, and a lane that
-    finishes is immediately refilled with the next pending episode, so every
-    policy forward stays a full-width batch until the tail.  The policy gets
-    the episode index of each observation row beside the matrix.  Results
-    come back in episode order and reproduce the serial
+    finishes is immediately refilled with its block's next pending episode
+    (``blocks`` as in :class:`LaneEpisodeFeed`), so every policy forward
+    stays a full-width batch until the tail.  The policy gets the episode
+    index of each observation row beside the matrix.  Results come back in
+    episode order and reproduce the serial
     :func:`~repro.envs.vector.run_episode` loop bitwise.
     """
     num_episodes = len(reset_seeds)
     results: List[Optional[EpisodeResult]] = [None] * num_episodes
-    feed = LaneEpisodeFeed(env, num_episodes, reset_seeds=reset_seeds)
+    feed = LaneEpisodeFeed(env, num_episodes, reset_seeds=reset_seeds, blocks=blocks)
     while True:
         active = feed.active_lanes
         if active.size == 0:

@@ -17,10 +17,10 @@ a block of ``min(E, 64)`` lanes for its E missions, and a wave holds
 ``64 // min(E, 64)`` maps.  Wave i of every request lands on contiguous
 lanes of one :func:`~repro.envs.batch.run_batched_episodes` rollout, whose
 policy (:class:`PerMapGreedyPolicy`) sends each block's rows through that
-block's own network, so every block's missions equal a rollout of that
-block alone.  A block with more episodes than lanes refills its own lanes,
-so its wave flies alone.  The requests fly on lanes of their own over the
-caller's world; the caller's environment is never stepped or reset.
+block's own network.  A block refills only its own lanes, from its own
+episodes, so every block's missions equal a rollout of that block alone.
+The requests fly on lanes of their own over the caller's world; the
+caller's environment is never stepped or reset.
 
 :class:`GreedyPolicy` is the :data:`~repro.envs.vector.BatchPolicy` over a
 Q-network: observation matrix -> action vector (it ignores the episode
@@ -175,8 +175,18 @@ def _check_request(request: EvaluationRequest) -> None:
         _check_count("episodes_per_map", request.episodes_per_map)
         if request.fault_maps is None:
             _check_count("num_fault_maps", request.num_fault_maps)
+            if not (0.0 <= request.ber_percent <= 100.0 and 0.0 <= request.stuck_at_1_bias <= 1.0):
+                raise ConfigurationError(
+                    f"ber_percent must be in [0, 100] and stuck_at_1_bias in [0, 1], got "
+                    f"{request.ber_percent} and {request.stuck_at_1_bias}"
+                )
         else:
             _check_count("the number of fault maps", len(request.fault_maps))
+            memory_bits = BitErrorInjector.for_network(request.network).memory_bits
+            if min(fault_map.memory_bits for fault_map in request.fault_maps) < memory_bits:
+                raise ConfigurationError(
+                    f"every fault map must cover the network's {memory_bits} memory bits"
+                )
     else:
         raise ConfigurationError(f"not an evaluation request: {request!r}")
 
@@ -204,17 +214,13 @@ class _Plan:
         self.flown: List[List[EpisodeResult]] = []
 
     @property
-    def refills(self) -> bool:
-        """Whether a block refills its own lanes, so its wave flies alone."""
-        return self.episodes > self.lanes
-
-    @property
     def wave_blocks(self) -> int:
         """Blocks of the widest (the first) wave."""
         return min(self.blocks_per_wave, len(self.reset_bases))
 
     def wave(self, index: int) -> List[_Block]:
-        """Ready wave ``index``; returns its blocks in lane order."""
+        """Ready wave ``index``; returns its blocks in lane order (none past
+        the last wave)."""
         first = index * self.blocks_per_wave
         bases = self.reset_bases[first : first + self.blocks_per_wave]
         networks = self._networks(first, len(bases))
@@ -293,11 +299,12 @@ class _FaultPlan(_Plan):
 def _fly(batch_env: BatchedNavigationEnv, blocks: List[_Block]) -> List[List[EpisodeResult]]:
     """Fly ``blocks`` side by side in one rollout; each block's results."""
     counts = [len(seeds) for _, seeds in blocks]
-    if len(blocks) == 1:
-        policy = GreedyPolicy(blocks[0][0])
-    else:
-        policy = PerMapGreedyPolicy([network for network, _ in blocks], counts)
-    results = run_batched_episodes(batch_env, policy, [seed for _, seeds in blocks for seed in seeds])
+    results = run_batched_episodes(
+        batch_env,
+        PerMapGreedyPolicy([network for network, _ in blocks], counts),
+        [seed for _, seeds in blocks for seed in seeds],
+        blocks=[(min(count, DEFAULT_BATCH_SIZE), count) for count in counts],
+    )
     ends = np.cumsum(counts).tolist()
     return [results[end - count : end] for count, end in zip(counts, ends)]
 
@@ -311,9 +318,11 @@ def evaluate_many(
     bases from its own ``rng`` exactly as its lone call does (two requests
     that share one ``Generator`` draw in the order of two sequential calls).
     Wave i of the call puts wave i of every request on contiguous lanes of
-    one rollout; a wave whose blocks refill their lanes flies alone.  Every
-    result equals the one its lone call (:func:`evaluate_policy` or
-    :func:`evaluate_under_faults`) returns, field for field.
+    one rollout, on one batched env; a block with more episodes than lanes
+    refills only its own lanes.  Every result equals the one its lone call
+    (:func:`evaluate_policy` or :func:`evaluate_under_faults`) returns,
+    field for field.  Every request is checked before any map or reset base
+    is drawn; a bad one raises :class:`~repro.errors.ConfigurationError`.
     """
     for request in requests:
         _check_request(request)
@@ -336,29 +345,14 @@ def evaluate_many(
             )
         plans.append(_FaultPlan(request, *quantized[id(network)]))
 
-    merged_lanes = sum(plan.wave_blocks * plan.lanes for plan in plans if not plan.refills)
-    merged_env = BatchedNavigationEnv(env, merged_lanes) if merged_lanes else None
-    # A refilling block's episodes must take the lanes they take in its lone
-    # call, so it flies on exactly that call's lane count.
-    refill_env = (
-        BatchedNavigationEnv(env, DEFAULT_BATCH_SIZE)
-        if any(plan.refills for plan in plans)
-        else None
-    )
-    for index in range(max((plan.num_waves for plan in plans), default=0)):
-        merged: List[Tuple[_Plan, List[_Block]]] = []
-        for plan in plans:
-            if index >= plan.num_waves:
-                continue
-            blocks = plan.wave(index)
-            if plan.refills:
-                plan.flown.extend(_fly(refill_env, blocks))
-            else:
-                merged.append((plan, blocks))
-        if merged:
-            flown = iter(_fly(merged_env, [block for _, blocks in merged for block in blocks]))
-            for plan, blocks in merged:
-                plan.flown.extend(next(flown) for _ in blocks)
+    if not plans:
+        return []
+    batch_env = BatchedNavigationEnv(env, sum(plan.wave_blocks * plan.lanes for plan in plans))
+    for index in range(max(plan.num_waves for plan in plans)):
+        waves = [plan.wave(index) for plan in plans]
+        flown = iter(_fly(batch_env, [block for wave in waves for block in wave]))
+        for plan, wave in zip(plans, waves):
+            plan.flown.extend(next(flown) for _ in wave)
     return [plan.summary() for plan in plans]
 
 

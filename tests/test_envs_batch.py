@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.envs.batch import BatchedNavigationEnv, run_batched_episodes
+from repro.envs.batch import BatchedNavigationEnv, LaneEpisodeFeed, run_batched_episodes
 from repro.envs.navigation import NavigationConfig, NavigationEnv
 from repro.envs.obstacles import ObstacleDensity, ObstacleField
 from repro.envs.sensors import OccupancyImager, RaySensor
@@ -289,6 +289,100 @@ class TestLaneInterleaving:
                 assert np.array_equal(observations[row], serial[lane].reset(seed=seed))
                 running[lane] = True
         assert batched.done.tolist() == [not flag for flag in running]
+
+
+def _drive_feed(feed: LaneEpisodeFeed, first_episode: int = 0):
+    """Step ``feed`` until it drains, each action a function of the lane's
+    episode (``first_episode`` + the feed's index) and of that episode's step.
+
+    Returns one entry per step: the lane -> episode map, every lane's
+    observation row and the ``(episode, EpisodeResult)`` pairs that ended.
+    """
+    num_actions = feed.env.action_space.n
+    steps_taken = {}
+    trace = []
+    while feed.active_lanes.size:
+        episodes = feed.lane_episode[feed.active_lanes] + first_episode
+        actions = []
+        for episode in episodes.tolist():
+            step = steps_taken.get(episode, 0)
+            actions.append((7 * episode + 3 * step) % num_actions)
+            steps_taken[episode] = step + 1
+        _, finished = feed.advance(np.asarray(actions))
+        lane_episode = np.where(feed.lane_episode >= 0, feed.lane_episode + first_episode, -1)
+        ended = [(episode + first_episode, result) for episode, result in finished]
+        trace.append((lane_episode, feed.observations.copy(), ended))
+    return trace
+
+
+class TestLaneBlocks:
+    """A feed of lane blocks, driven like an auto-resetting env for hundreds
+    of steps: each block refills only from its own episodes, so it flies
+    exactly as a lone feed on that many lanes."""
+
+    #: (lanes, episodes): a one-lane block, blocks with more episodes than
+    #: lanes, a block with spare lanes, and widths from 1 to 5.
+    BLOCKS = [(1, 60), (3, 25), (2, 2), (5, 31), (4, 3)]
+    SEED = 500
+
+    @pytest.mark.parametrize("family", sorted(INTERLEAVING_CONFIGS))
+    def test_each_block_flies_as_a_lone_feed(self, family):
+        config = INTERLEAVING_CONFIGS[family]
+        lanes = sum(width for width, _ in self.BLOCKS)
+        total = sum(count for _, count in self.BLOCKS)
+        env = BatchedNavigationEnv(NavigationEnv(config, rng=3), lanes + 2)
+        seeds = range(self.SEED, self.SEED + total)
+        trace = _drive_feed(LaneEpisodeFeed(env, total, reset_seeds=seeds, blocks=self.BLOCKS))
+        assert len(trace) >= 200
+        assert (trace[-1][0] == -1).all() and env.done.all()
+        first_lane = first_episode = 0
+        for width, count in self.BLOCKS:
+            own_lanes = slice(first_lane, first_lane + width)
+            own = range(first_episode, first_episode + count)
+            lone_env = BatchedNavigationEnv(NavigationEnv(config, rng=3), width)
+            lone = _drive_feed(
+                LaneEpisodeFeed(lone_env, count, reset_seeds=seeds[own.start : own.stop]),
+                first_episode,
+            )
+            block = [
+                (
+                    lane_episode[own_lanes],
+                    observations[own_lanes],
+                    [(episode, result) for episode, result in ended if episode in own],
+                )
+                for lane_episode, observations, ended in trace
+            ]
+            assert sorted(episode for *_, ended in lone for episode, _ in ended) == list(own)
+            assert len(lone) <= len(block)
+            for step, (got, want) in enumerate(zip(block, lone)):
+                assert np.array_equal(got[0], want[0]), (width, count, step)
+                assert np.array_equal(got[1], want[1]), (width, count, step)
+                assert got[2] == want[2], (width, count, step)
+            # Past the lone feed's last step the block stays idle.
+            for lane_episode, _, ended in block[len(lone) :]:
+                assert (lane_episode == -1).all() and not ended
+            first_lane += width
+            first_episode += count
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(3, 2), (3, 2)],
+            [(2, 3), (2, 2)],
+            [(2, 1)],
+            [(0, 1), (2, 3)],
+            [(3, -1), (2, 5)],
+        ],
+        ids=["overflowing-lanes", "too-many-episodes", "too-few-episodes", "laneless", "negative"],
+    )
+    def test_bad_blocks_raise_before_any_lane_resets(self, batch_config, blocks):
+        env = BatchedNavigationEnv(NavigationEnv(batch_config, rng=3), 5)
+        before = _lane_state(env)
+        with pytest.raises(ConfigurationError):
+            LaneEpisodeFeed(env, 4, reset_seeds=range(4), blocks=blocks)
+        after = _lane_state(env)
+        assert all(map(np.array_equal, before[0], after[0]))
+        assert before[1] == after[1]
 
 
 class TestBatchedGeometryPrimitives:

@@ -713,6 +713,56 @@ class TestEvaluateMany:
         for index, got in zip(order, results):
             assert _same_result(got, lone_results[index]), (index, got)
 
+    def test_refilling_requests_fly_in_the_shared_rollout(
+        self, policy_pair, mixed_requests, monkeypatch
+    ):
+        """N = 70 and two maps at E = 65 refill their lanes; they fly beside
+        an N = 20 run on one batched env, one rollout per wave, and each
+        block's forwards get the rows of its lone call, step by step."""
+        import repro.rl.evaluation as evaluation
+        from repro.envs.batch import BatchedNavigationEnv
+        from repro.envs.navigation import NavigationEnv
+
+        built, rollouts = [], []
+
+        class CountedEnv(BatchedNavigationEnv):
+            def __init__(self, env, batch_size):
+                built.append(batch_size)
+                super().__init__(env, batch_size)
+
+        class RecordedPolicy(evaluation.PerMapGreedyPolicy):
+            """Records, per block, the block's own episode of each row of each step."""
+
+            def __init__(self, networks, episodes_per_map):
+                super().__init__(networks, episodes_per_map)
+                self.firsts = np.searchsorted(self.episode_networks, np.arange(len(networks)))
+                self.rows = [[] for _ in networks]
+                rollouts.append(self.rows)
+
+            def __call__(self, observations, episodes):
+                blocks = self.episode_networks[episodes]
+                for block in np.unique(blocks):
+                    self.rows[block].append((episodes[blocks == block] - self.firsts[block]).tolist())
+                return super().__call__(observations, episodes)
+
+        monkeypatch.setattr(evaluation, "BatchedNavigationEnv", CountedEnv)
+        monkeypatch.setattr(evaluation, "PerMapGreedyPolicy", RecordedPolicy)
+        config = policy_pair[0]
+        lone_results, lone_rollouts = [], []
+        requests = [mixed_requests[index] for index in (4, 5, 2)]  # N = 70, 2 maps x E = 65, N = 20
+        for request in requests:
+            lone_results.append(_lone(NavigationEnv(config, rng=7), request))
+            lone_rollouts.append(rollouts[:])
+            built.clear()
+            rollouts.clear()
+        results = evaluation.evaluate_many(NavigationEnv(config, rng=7), requests)
+        assert built == [64 + 64 + 20]
+        # Wave 0 flies all three requests, wave 1 the second E = 65 map.
+        (n70,), (e65_map0, e65_map1), (n20,) = lone_rollouts
+        assert rollouts == [n70 + e65_map0 + n20, e65_map1]
+        for got, want in zip(results, lone_results):
+            assert _same_result(got, want), (got, want)
+
     def test_requests_sharing_a_generator_draw_as_sequential_calls(self, policy_pair):
         from repro.envs.navigation import NavigationEnv
         from repro.rl.evaluation import FaultRequest, PolicyRequest, evaluate_many
@@ -799,6 +849,7 @@ class TestEvaluateMany:
 
     def test_a_bad_request_anywhere_fails_before_any_map_is_drawn(self, small_env, monkeypatch):
         from repro.faults.fault_map import FaultMap
+        from repro.faults.injection import BitErrorInjector
         from repro.nn.policies import build_policy
         from repro.rl.evaluation import FaultRequest, PolicyRequest, evaluate_many
 
@@ -807,8 +858,16 @@ class TestEvaluateMany:
 
         monkeypatch.setattr(FaultMap, "random", draw)
         network = build_policy(mlp((16,)), small_env.observation_space.shape, small_env.action_space.n, rng=0)
+        too_small = FaultMap.empty(BitErrorInjector.for_network(network).memory_bits - 1)
         good = FaultRequest(network, 1.0, num_fault_maps=2, episodes_per_map=1)
-        for bad in (PolicyRequest(network, 0), FaultRequest(network, 1.0, num_fault_maps=0), None):
+        for bad in (
+            PolicyRequest(network, 0),
+            FaultRequest(network, 1.0, num_fault_maps=0),
+            None,
+            FaultRequest(network, 150.0),
+            FaultRequest(network, 1.0, stuck_at_1_bias=1.5),
+            FaultRequest(network, 1.0, fault_maps=[too_small]),
+        ):
             with pytest.raises(ConfigurationError):
                 evaluate_many(small_env, [good, bad])
         assert evaluate_many(small_env, []) == []
